@@ -6,7 +6,7 @@ from .algorithms import AlgorithmSpec, compute, validate_vicinity_scenario
 from .checker import check_all, find_natural_sort
 from .engine import Adversary, Scenario, Trace, simulate
 from .geometry import LocalFrame, Point, Route
-from .scheduling import Cycle, Schedule, make_fsync_schedule, make_ssync_schedule
+from .scheduling import Cycle, Schedule, make_fsync_schedule
 from .synchronizer import SyncColor, extract_core, greedy_step, run_synchronized, svp_step
 from .synthesis import build_plan, candidate_search, replay_plan, similar
 
@@ -15,6 +15,6 @@ __all__ = [
     "Scenario", "Schedule", "SyncColor", "Trace",
     "build_plan", "candidate_search", "check_all", "compute", "extract_core",
     "find_natural_sort", "greedy_step", "make_fsync_schedule",
-    "make_ssync_schedule", "replay_plan", "run_synchronized", "similar",
+    "replay_plan", "run_synchronized", "similar",
     "simulate", "svp_step", "validate_vicinity_scenario",
 ]

@@ -15,6 +15,7 @@ from .geometry import (
     Route,
     hull_distance,
     is_visible,
+    same_points,
     squared_distance,
 )
 
@@ -73,15 +74,6 @@ class AlgorithmSpec:
         raise InputError(f"unknown algorithm kind {kind!r}")
 
 
-def _points_match(a: tuple[Point, ...], b: tuple[Point, ...]) -> bool:
-    if len(a) != len(b):
-        return False
-    sa = sorted(a, key=lambda p: (p.x, p.y))
-    sb = sorted(b, key=lambda p: (p.x, p.y))
-    return all(abs(p.x - q.x) <= POINT_MATCH_EPS and abs(p.y - q.y) <= POINT_MATCH_EPS
-               for p, q in zip(sa, sb))
-
-
 def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
     """Route for one Compute, in the local frame, starting at (0, 0)."""
     if Point(0.0, 0.0) not in snapshot:
@@ -97,7 +89,7 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
             return Route.stay_put()
         return Route((Point(0.0, 0.0), target))
     for entry in spec.script:
-        if _points_match(entry.snapshot, snapshot):
+        if same_points(entry.snapshot, snapshot, POINT_MATCH_EPS):
             return Route(entry.route)
     return Route.stay_put()
 
@@ -169,28 +161,6 @@ def validate_vicinity_scenario(scenario: Scenario, spec: AlgorithmSpec | None = 
 
 def _initial_edge(scenario: Scenario, a: int, b: int) -> bool:
     return is_visible(scenario.initial_positions[a], scenario.initial_positions[b])
-
-
-def is_visibility_preserving_run(trace: Trace) -> Verdict:
-    """Checks that at every recorded event time, each co-resting pair is
-    visible exactly when it was visible initially."""
-    reasons = []
-    n = trace.n
-    for t in trace.event_times():
-        at_rest = [trace.rest_position_at(i, t) for i in range(n)]
-        for a in range(n):
-            if at_rest[a] is None:
-                continue
-            for b in range(a + 1, n):
-                if at_rest[b] is None:
-                    continue
-                now = is_visible(at_rest[a], at_rest[b])
-                if now != _initial_edge(trace.scenario, a, b):
-                    reasons.append(
-                        f"edge {a}-{b} changed at t={t}: visible={now}")
-                    if len(reasons) >= 5:
-                        return Verdict(False, reasons)
-    return Verdict(not reasons, reasons)
 
 
 def is_vicinity_preserving_run(trace: Trace) -> Verdict:

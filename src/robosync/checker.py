@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .engine import Trace
 from .errors import InputError
 from .geometry import squared_distance
+from .orders import BudgetExhausted, find_cycle, topological_orders
 
 CycleId = tuple[int, int]
 
@@ -256,33 +257,6 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
     return ConcurrencyAnalysis(ids, classes, class_of, hb_pairs, class_edges, self_loops)
 
 
-def _find_class_cycle(num: int, succ: list[set[int]]) -> list[int] | None:
-    """Any directed cycle in the class graph, as a list of class indices."""
-    color = [0] * num
-    stack: list[int] = []
-
-    def dfs(u: int) -> list[int] | None:
-        color[u] = 1
-        stack.append(u)
-        for v in sorted(succ[u]):
-            if color[v] == 1:
-                return stack[stack.index(v):] + [v]
-            if color[v] == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
-
-    for u in range(num):
-        if color[u] == 0:
-            found = dfs(u)
-            if found:
-                return found
-    return None
-
-
 def check_serializable(trace: Trace, analysis: ConcurrencyAnalysis | None = None) -> CheckResult:
     """The class precedence graph must be acyclic.  A cycle that exists only
     thanks to beyond-prefix assumptions is reported open-at-horizon."""
@@ -290,10 +264,10 @@ def check_serializable(trace: Trace, analysis: ConcurrencyAnalysis | None = None
     if analysis.self_loops:
         k = analysis.self_loops[0]
         return CheckResult(FAIL, [{"class_cycle": [k, k]}])
-    cycle_all = _find_class_cycle(analysis.num_classes, analysis.successors(True))
+    cycle_all = find_cycle(analysis.successors(True))
     if cycle_all is None:
         return CheckResult(PASS)
-    cycle_firm = _find_class_cycle(analysis.num_classes, analysis.successors(False))
+    cycle_firm = find_cycle(analysis.successors(False))
     if cycle_firm is not None:
         return CheckResult(FAIL, [{"class_cycle": cycle_firm}])
     return CheckResult(OPEN, [{"class_cycle": cycle_all}])
@@ -301,48 +275,11 @@ def check_serializable(trace: Trace, analysis: ConcurrencyAnalysis | None = None
 
 # -- naturality --------------------------------------------------------------
 
-def _iter_topological_orders(num: int, succ: list[set[int]], node_budget: int):
-    """Backtracking enumeration of topological orders (canonical index order
-    first).  Yields orders; raises _Budget when the node budget runs out."""
-    indeg = [0] * num
-    for u in range(num):
-        for v in succ[u]:
-            indeg[v] += 1
-    order: list[int] = []
-    used = [False] * num
-    budget = [node_budget]
-
-    def rec():
-        if len(order) == num:
-            yield list(order)
-            return
-        for u in range(num):
-            if used[u] or indeg[u] != 0:
-                continue
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise _Budget()
-            used[u] = True
-            order.append(u)
-            for v in succ[u]:
-                indeg[v] -= 1
-            yield from rec()
-            for v in succ[u]:
-                indeg[v] += 1
-            order.pop()
-            used[u] = False
-
-    yield from rec()
-
-
-class _Budget(Exception):
-    pass
-
-
 def _natural_violations(trace: Trace, classes: list[list[CycleId]],
-                        order: list[int], first_only: bool = True) -> tuple[list, int]:
-    """Violations of the two naturality clauses under a class order, plus the
-    number of straddles that fall beyond the prefix and are skipped."""
+                        order: list[int]) -> tuple[list, int]:
+    """The first violation of the two naturality clauses under a class order
+    (empty list if none), plus the number of straddles that fall beyond the
+    prefix and are skipped."""
     pos = {k: p for p, k in enumerate(order)}
     cycle_pos: dict[CycleId, int] = {}
     for k, cls in enumerate(classes):
@@ -372,7 +309,7 @@ def _natural_violations(trace: Trace, classes: list[list[CycleId]],
                                       trace.record(i2, jprime).pos_at_look)
                 if sq <= 1.0:
                     violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 2})
-            if violations and first_only:
+            if violations:
                 return violations, skipped
     return violations, skipped
 
@@ -402,14 +339,14 @@ def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
     sample = None
     skipped = 0
     try:
-        for order in _iter_topological_orders(analysis.num_classes, succ, node_budget):
+        for order in topological_orders(succ, node_budget):
             violations, skipped = _natural_violations(trace, analysis.classes, order)
             if not violations:
                 return NaturalSortResult(FOUND, [analysis.classes[k] for k in order],
                                          skipped_at_horizon=skipped)
             if sample is None:
                 sample = violations
-    except _Budget:
+    except BudgetExhausted:
         return NaturalSortResult(INCONCLUSIVE, None, sample_violation=sample)
     return NaturalSortResult(NONE_FOUND, None, sample_violation=sample)
 
@@ -429,23 +366,13 @@ def proposition_same_robot(trace: Trace) -> list:
     return problems
 
 
-def proposition_same_robot_classes(analysis: ConcurrencyAnalysis) -> list:
-    """No class may join two distinct cycles of one robot (closure level)."""
-    problems = []
-    for cls in analysis.classes:
-        robots = [c[0] for c in cls]
-        for robot in set(robots):
-            if robots.count(robot) > 1:
-                problems.append([list(c) for c in cls if c[0] == robot])
-    return problems
-
-
 def proposition_no_hb_within_class(analysis: ConcurrencyAnalysis) -> list:
     return [[list(a), list(b)] for a, b, _ in analysis.hb_pairs
             if analysis.class_of[a] == analysis.class_of[b]]
 
 
 def proposition_one_cycle_per_robot(analysis: ConcurrencyAnalysis) -> list:
+    """Indices of the classes that join two cycles of one robot."""
     problems = []
     for k, cls in enumerate(analysis.classes):
         robots = [c[0] for c in cls]
@@ -521,12 +448,9 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
     propositions = {}
     if stationary.ok and aligned.ok and consistent.ok:
         propositions["same_robot_concurrency"] = proposition_same_robot(trace)
-        propositions["same_robot_distinct_classes"] = \
-            proposition_same_robot_classes(analysis)
         propositions["no_hb_within_class"] = proposition_no_hb_within_class(analysis)
-        if serializable.ok:
-            propositions["one_cycle_per_robot_per_class"] = \
-                proposition_one_cycle_per_robot(analysis)
+        propositions["one_cycle_per_robot_per_class"] = \
+            proposition_one_cycle_per_robot(analysis)
 
     return ConditionReport(stationary, aligned, consistent, serializable, natural,
                            analysis, natural_order, propositions)

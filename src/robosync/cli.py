@@ -55,6 +55,13 @@ def _load_bundle(ref: str) -> dict:
     return bundle_from_json(_load_json(ref))
 
 
+def _number(text: str, kind: type, flag: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise InputError(f"{flag}: cannot read {text!r} as {kind.__name__}") from None
+
+
 def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int,
                     horizon: float) -> Schedule:
     if spec is None:
@@ -62,9 +69,9 @@ def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int,
             raise InputError("no schedule: pass --schedule or embed one in the scenario")
         return bundle["schedule"]
     if spec.startswith("fsync:"):
-        return make_fsync_schedule(int(spec.split(":", 1)[1]), n)
+        return make_fsync_schedule(_number(spec.split(":", 1)[1], int, "--schedule"), n)
     if spec.startswith("async:"):
-        return sample_async_schedule(seed, n, float(spec.split(":", 1)[1]))
+        return sample_async_schedule(seed, n, _number(spec.split(":", 1)[1], float, "--schedule"))
     if spec == "async":
         return sample_async_schedule(seed, n, horizon)
     return Schedule.from_json(_load_json(spec))
@@ -78,7 +85,8 @@ def _parse_algorithm(spec: str | None, bundle: dict) -> AlgorithmSpec:
     if spec == HALT:
         return AlgorithmSpec(HALT)
     if spec.startswith("hull:"):
-        return AlgorithmSpec(HULL_CONTRACTION, contraction=float(spec.split(":", 1)[1]))
+        return AlgorithmSpec(HULL_CONTRACTION,
+                             contraction=_number(spec.split(":", 1)[1], float, "--algo"))
     return AlgorithmSpec.from_json(_load_json(spec))
 
 
@@ -180,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", default="json", choices=["json"])
         p.add_argument("--budget", type=int, default=10 ** 6,
                        help="node budget for order enumeration")
 
@@ -237,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except SimulationError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # exit 1 is reserved for failed conditions
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -213,9 +213,6 @@ class Trace:
     def cycle_ids(self) -> list[tuple[int, int]]:
         return [r.cycle.ident for r in self.all_records()]
 
-    def footprint(self, robot: int) -> list[Point]:
-        return [r.pos_at_look for r in self.records[robot]]
-
     def rest_positions(self, robot: int) -> list[Point]:
         """Every position the robot occupies at rest during the prefix."""
         out = [self.scenario.initial_positions[robot]]
@@ -235,12 +232,6 @@ class Trace:
             pos = r.pos_after_move
         return pos
 
-    def event_times(self) -> list[float]:
-        times = {0.0}
-        for r in self.all_records():
-            times.update((r.cycle.o, r.cycle.s, r.cycle.f))
-        return sorted(times)
-
     def to_json(self) -> dict:
         return {
             "schema": 1,
@@ -259,6 +250,8 @@ class Trace:
             horizon = float(data["horizon"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed trace JSON: {exc}") from exc
+        # the cycle rows must form a valid schedule for the scenario's robots
+        Schedule(scenario.n, horizon, [[r.cycle for r in row] for row in records])
         return cls(scenario, horizon, records,
                    kind=data.get("kind", "plain"), machine=data.get("machine"))
 

@@ -190,12 +190,8 @@ def necessity_experiment(template: str, num_seeds: int,
     }
 
 
-DEFAULT_RANGES = DurationRanges()
-
-
 def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SVP,
-                            synthesize: bool = True,
-                            ranges: DurationRanges = DEFAULT_RANGES) -> dict:
+                            synthesize: bool = True) -> dict:
     """Full pipeline on one random clique-cluster scenario: luminous run,
     color invariants, core extraction, the five checks, plan construction,
     rigid replay, and the similarity comparison."""
@@ -203,6 +199,7 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
     vicinity = validate_vicinity_scenario(scenario, spec)
     if not vicinity:
         raise InputError(f"sampled scenario is not clique-clustered: {vicinity.reasons}")
+    ranges = DurationRanges()
     schedule = sample_async_schedule(seed, scenario.n, horizon, ranges)
     fairness_window = ranges.between_cycles[1] + 2 * ranges.cycle_span_max + 0.125
     trace = run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID),

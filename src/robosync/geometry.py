@@ -7,6 +7,7 @@ that grid-built scenarios (unit separations, quarter steps) stay exact.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -40,6 +41,15 @@ def squared_distance(p: Point, q: Point) -> float:
     dx = p.x - q.x
     dy = p.y - q.y
     return dx * dx + dy * dy
+
+
+def same_points(a: Sequence[Point], b: Sequence[Point], eps: float) -> bool:
+    """Equal as unordered point collections: same size, and after sorting
+    both by (x, y) each pair agrees within eps per coordinate."""
+    if len(a) != len(b):
+        return False
+    return all(abs(p.x - q.x) <= eps and abs(p.y - q.y) <= eps
+               for p, q in zip(sorted(a, key=Point.as_pair), sorted(b, key=Point.as_pair)))
 
 
 def distance(p: Point, q: Point) -> float:

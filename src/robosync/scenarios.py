@@ -214,25 +214,6 @@ def random_vicinity_scenario(seed: int, n_min: int = 3, n_max: int = 8
     return scenario, spec
 
 
-def random_small_inputs(seed: int, max_robots: int = 6
-                        ) -> tuple[Scenario, AlgorithmSpec]:
-    """Unconstrained small scenario for the relation property suite; positions
-    are kept off the visibility threshold so the run cannot degenerate."""
-    rng = random.Random(f"small:{seed}")
-    n = rng.randint(2, max_robots)
-    positions: list[Point] = []
-    while len(positions) < n:
-        p = Point(rng.uniform(0, 2.5), rng.uniform(0, 2.5))
-        sqs = [(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for q in positions]
-        if all(sq > 0.0025 and abs(sq - 1.0) > 1e-6 for sq in sqs):
-            positions.append(p)
-    frames = [FrameSpec(rng.uniform(0, 6.28), rng.uniform(0.5, 2.0)) for _ in range(n)]
-    scenario = Scenario(positions, frames, delta=0.1)
-    spec = (AlgorithmSpec(HALT) if rng.random() < 0.5
-            else AlgorithmSpec(HULL_CONTRACTION, contraction=0.5))
-    return scenario, spec
-
-
 # -- scenario files -------------------------------------------------------------
 
 def bundle_to_json(scenario: Scenario, schedule: Schedule | None = None,

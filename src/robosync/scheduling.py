@@ -1,4 +1,4 @@
-"""Cycles and activation schedules: synchronous generators, a random
+"""Cycles and activation schedules: a fully synchronous generator, a random
 asynchronous sampler, and a finite-horizon fairness proxy.
 
 Times are reals snapped to multiples of 1/64 so interval-endpoint comparisons
@@ -6,8 +6,9 @@ on hand-built scenarios stay exact.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -49,11 +50,9 @@ class Schedule:
     horizon are materialized."""
     n: int
     horizon: float
-    robots: list[list[Cycle]] = field(default_factory=list)
+    robots: list[list[Cycle]]
 
     def __post_init__(self) -> None:
-        if not self.robots:
-            self.robots = [[] for _ in range(self.n)]
         if len(self.robots) != self.n:
             raise InputError("per-robot cycle lists do not match robot count")
         for i, cycles in enumerate(self.robots):
@@ -102,20 +101,6 @@ class Schedule:
         return cls(n=len(robots), horizon=horizon, robots=robots)
 
 
-def make_ssync_schedule(rounds: list[set[int]], n: int) -> Schedule:
-    """Each round t activates a non-empty robot subset with cycle
-    (t, t+1/4, t+3/4)."""
-    robots: list[list[Cycle]] = [[] for _ in range(n)]
-    for t, active in enumerate(rounds):
-        if not active:
-            raise InputError(f"round {t} has an empty activation set")
-        for i in sorted(active):
-            if not 0 <= i < n:
-                raise InputError(f"robot index {i} out of range")
-            robots[i].append(Cycle(i, len(robots[i]) + 1, float(t), t + 0.25, t + 0.75))
-    return Schedule(n=n, horizon=float(len(rounds)), robots=robots)
-
-
 def make_fsync_schedule(num_rounds: int, n: int) -> Schedule:
     """Every robot runs cycle (j-1, j-3/4, j-1/4) for j = 1..num_rounds."""
     if num_rounds < 0:
@@ -152,6 +137,8 @@ def sample_async_schedule(seed: int, n: int, horizon: float,
     Each robot draws from its own stream, so extending the horizon at a fixed
     seed extends every robot's cycle list without disturbing the prefix.
     """
+    if not 0 <= horizon < math.inf:
+        raise InputError(f"horizon must be finite and non-negative, got {horizon}")
     params = params or DurationRanges()
     params.validate()
     robots: list[list[Cycle]] = []
@@ -196,26 +183,3 @@ def check_fairness_prefix(schedule: Schedule, window: float) -> list[bool]:
                 break
         verdicts.append(ok)
     return verdicts
-
-
-def is_ssync_normal_form(schedule: Schedule) -> bool:
-    """Every cycle is (t, t+1/4, t+3/4) for an integer t, and no robot is
-    activated twice in one round."""
-    for cycles in schedule.robots:
-        for c in cycles:
-            if c.o != int(c.o) or c.s != c.o + 0.25 or c.f != c.o + 0.75:
-                return False
-    return True
-
-
-def is_fsync_form(schedule: Schedule) -> bool:
-    """Fully synchronous: all robots share one identical cycle list in SSYNC
-    normal form with every round active."""
-    if not is_ssync_normal_form(schedule):
-        return False
-    if not schedule.robots:
-        return True
-    first = [(c.o, c.s, c.f) for c in schedule.robots[0]]
-    if any([(c.o, c.s, c.f) for c in cycles] != first for cycles in schedule.robots):
-        return False
-    return all(c.o == float(k) for k, c in enumerate(schedule.robots[0]))

@@ -11,17 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checker import (
-    CycleId,
-    ConcurrencyAnalysis,
-    _Budget,
-    _find_class_cycle,
-    _iter_topological_orders,
-    analyze,
-)
+from .checker import CycleId, ConcurrencyAnalysis, analyze
 from .engine import Adversary, Decision, Scenario, Simulation, Trace, RIGID
 from .errors import InputError, SimulationError
-from .geometry import Point, Route
+from .geometry import Point, Route, same_points
+from .orders import BudgetExhausted, find_cycle, topological_orders
 from .scheduling import Cycle, Schedule
 
 SIMILARITY_EPS = 1e-9
@@ -47,15 +41,14 @@ class SsyncPlan:
         }
 
 
-def build_plan(trace: Trace, order: list[list[CycleId]], force: bool = False) -> SsyncPlan:
-    """Schedule class k's members at round k.  Callers are expected to have
-    verified the five conditions; `force` skips only the coverage refusal so
-    negative controls can be replayed."""
+def build_plan(trace: Trace, order: list[list[CycleId]]) -> SsyncPlan:
+    """Schedule class k's members at round k.  The order must list every
+    cycle of the trace exactly once; whether the replay is similar is for the
+    caller to check."""
     ids = set(trace.cycle_ids())
     listed = [c for cls in order for c in cls]
     if set(listed) != ids or len(listed) != len(ids):
-        if not force or not set(listed) <= ids:
-            raise InputError("class order does not cover the trace's cycles exactly")
+        raise InputError("class order does not cover the trace's cycles exactly")
     robots: list[list[Cycle]] = [[] for _ in range(trace.n)]
     targets: dict[tuple[int, int], Point] = {}
     for k, cls in enumerate(order):
@@ -106,10 +99,6 @@ class SimilarityResult:
         return {"similar": self.ok, "witness": self.witness}
 
 
-def _points_close(a: Point, b: Point, eps: float) -> bool:
-    return abs(a.x - b.x) <= eps and abs(a.y - b.y) <= eps
-
-
 def similar(source: Trace, replayed: Trace, eps: float = SIMILARITY_EPS) -> SimilarityResult:
     """Cycle-for-cycle equality of Look positions and local snapshots.
 
@@ -123,19 +112,16 @@ def similar(source: Trace, replayed: Trace, eps: float = SIMILARITY_EPS) -> Simi
                 "robot": i, "reason": "cycle count",
                 "source": len(source.records[i]), "replay": len(replayed.records[i])})
         for j, (ra, rb) in enumerate(zip(source.records[i], replayed.records[i]), start=1):
-            if not _points_close(ra.pos_at_look, rb.pos_at_look, eps):
+            if not same_points((ra.pos_at_look,), (rb.pos_at_look,), eps):
                 return SimilarityResult(False, {
                     "robot": i, "j": j, "reason": "footprint",
                     "source": ra.pos_at_look.as_pair(),
                     "replay": rb.pos_at_look.as_pair()})
-            pa = sorted(ra.snapshot_local, key=lambda p: (p.x, p.y))
-            pb = sorted(rb.snapshot_local, key=lambda p: (p.x, p.y))
-            if len(pa) != len(pb) or not all(
-                    _points_close(x, y, eps) for x, y in zip(pa, pb)):
+            if not same_points(ra.snapshot_local, rb.snapshot_local, eps):
                 return SimilarityResult(False, {
                     "robot": i, "j": j, "reason": "snapshot",
-                    "source": [p.as_pair() for p in pa],
-                    "replay": [p.as_pair() for p in pb]})
+                    "source": sorted(p.as_pair() for p in ra.snapshot_local),
+                    "replay": sorted(p.as_pair() for p in rb.snapshot_local)})
     return SimilarityResult(True)
 
 
@@ -164,24 +150,23 @@ def candidate_search(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
     candidate and keeps the first similar one; running out of budget before
     exhausting the orders is inconclusive, not a negative."""
     analysis = analysis or analyze(trace)
-    if analysis.self_loops or _find_class_cycle(
-            analysis.num_classes, analysis.successors(True)) is not None:
+    succ = analysis.successors(True)
+    if analysis.self_loops or find_cycle(succ) is not None:
         return CandidateSearchResult(NONE_AMONG_CANDIDATES, 0)
     tried = 0
     try:
-        for order in _iter_topological_orders(
-                analysis.num_classes, analysis.successors(True), node_budget):
+        for order in topological_orders(succ, node_budget):
             if tried >= order_budget:
                 return CandidateSearchResult(INCONCLUSIVE, tried)
             tried += 1
             classes = [analysis.classes[k] for k in order]
             try:
-                plan = build_plan(trace, classes, force=True)
+                plan = build_plan(trace, classes)
                 replayed = replay_plan(trace.scenario, plan)
             except (InputError, SimulationError):
                 continue  # candidate is not realizable; it cannot be similar
             if similar(trace, replayed):
                 return CandidateSearchResult(SIMILAR_FOUND, tried, plan, replayed)
-    except _Budget:
+    except BudgetExhausted:
         return CandidateSearchResult(INCONCLUSIVE, tried)
     return CandidateSearchResult(NONE_AMONG_CANDIDATES, tried)

@@ -1,7 +1,11 @@
-"""Shared helpers: a direct trace builder for checker-level tests and the
-brute-force closure oracle used against the union-find partition."""
+"""Shared helpers: a direct trace builder for checker-level tests, a sampler
+of small random inputs, and the brute-force closure oracle used against the
+union-find partition."""
 from __future__ import annotations
 
+import random
+
+from robosync.algorithms import HALT, HULL_CONTRACTION, AlgorithmSpec
 from robosync.engine import CycleRecord, FrameSpec, Scenario, Trace
 from robosync.geometry import Point, Route
 from robosync.scheduling import Cycle
@@ -47,6 +51,25 @@ def build_trace(positions: list[tuple[float, float]],
             current = after
         records.append(out)
     return Trace(scenario, horizon if horizon is not None else top, records, kind="core")
+
+
+def random_small_inputs(seed: int, max_robots: int = 6
+                        ) -> tuple[Scenario, AlgorithmSpec]:
+    """Unconstrained small scenario for the relation property suite; positions
+    are kept off the visibility threshold so the run cannot degenerate."""
+    rng = random.Random(f"small:{seed}")
+    n = rng.randint(2, max_robots)
+    positions: list[Point] = []
+    while len(positions) < n:
+        p = Point(rng.uniform(0, 2.5), rng.uniform(0, 2.5))
+        sqs = [(p.x - q.x) ** 2 + (p.y - q.y) ** 2 for q in positions]
+        if all(sq > 0.0025 and abs(sq - 1.0) > 1e-6 for sq in sqs):
+            positions.append(p)
+    frames = [FrameSpec(rng.uniform(0, 6.28), rng.uniform(0.5, 2.0)) for _ in range(n)]
+    scenario = Scenario(positions, frames, delta=0.1)
+    spec = (AlgorithmSpec(HALT) if rng.random() < 0.5
+            else AlgorithmSpec(HULL_CONTRACTION, contraction=0.5))
+    return scenario, spec
 
 
 def closure_partition(trace: Trace) -> list[list[tuple[int, int]]]:

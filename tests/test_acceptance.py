@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import closure_partition
+from conftest import closure_partition, random_small_inputs
 from robosync.algorithms import as_controller
 from robosync.checker import (
     analyze,
@@ -34,7 +34,7 @@ from robosync.experiments import (
     synchronizer_end_to_end,
 )
 from robosync.scheduling import sample_async_schedule
-from robosync.scenarios import bundle_to_json, random_small_inputs, random_vicinity_scenario
+from robosync.scenarios import bundle_to_json, random_vicinity_scenario
 from robosync.synchronizer import ACCEPT, SyncColor, svp_step
 
 NUM_E2E_SEEDS = 100

@@ -9,7 +9,6 @@ from robosync.algorithms import (
     as_controller,
     compute,
     is_vicinity_preserving_run,
-    is_visibility_preserving_run,
     validate_vicinity_scenario,
 )
 from robosync.engine import Adversary, FrameSpec, NONRIGID, RIGID, Scenario, simulate
@@ -92,7 +91,6 @@ def test_halt_run_preserves_visibility():
     scenario = Scenario([Point(0, 0), Point(0.5, 0)], [FrameSpec()] * 2, 0.1)
     trace = simulate(scenario, sample_async_schedule(3, 2, 20.0),
                      as_controller(AlgorithmSpec(HALT)), Adversary(3, NONRIGID))
-    assert is_visibility_preserving_run(trace)
     assert is_vicinity_preserving_run(trace)
 
 
@@ -100,8 +98,7 @@ def test_greedy_trap_breaks_visibility():
     scenario, schedule, spec = greedy_trap_scenario()
     trace = run_synchronized(scenario, spec, schedule, Adversary(0, RIGID), "greedy")
     _, core = extract_core(trace)
-    verdict = is_visibility_preserving_run(core)
-    assert not verdict
+    assert not is_vicinity_preserving_run(core)
 
 
 def test_hull_run_on_clique_clusters_preserves_vicinity():
@@ -112,7 +109,6 @@ def test_hull_run_on_clique_clusters_preserves_vicinity():
         trace = simulate(scenario, schedule, as_controller(spec),
                          Adversary(seed, NONRIGID))
         assert is_vicinity_preserving_run(trace)
-        assert is_visibility_preserving_run(trace)
 
 
 def test_hull_contraction_shrinks_diameter_per_round():

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_trace, closure_partition
+from conftest import build_trace, closure_partition, random_small_inputs
 from robosync.algorithms import as_controller
 from robosync.checker import (
     FAIL,
@@ -24,7 +24,7 @@ from robosync.checker import (
 )
 from robosync.engine import Adversary, simulate
 from robosync.errors import InputError, SimulationError
-from robosync.scenarios import greedy_trap_scenario, necessity_template, random_small_inputs
+from robosync.scenarios import greedy_trap_scenario, necessity_template
 from robosync.scheduling import sample_async_schedule
 from robosync.synchronizer import extract_core, run_synchronized
 
@@ -145,12 +145,12 @@ def test_classes_of_synchronous_round_follow_visibility_components():
     from robosync.algorithms import HALT, AlgorithmSpec
     from robosync.engine import FrameSpec, Scenario
     from robosync.geometry import Point
-    from robosync.scheduling import make_ssync_schedule
+    from robosync.scheduling import make_fsync_schedule
 
     # two visibility components: a pair in range and a distant singleton
     scenario = Scenario([Point(0, 0), Point(0.5, 0), Point(5, 0)],
                         [FrameSpec()] * 3, 0.1)
-    schedule = make_ssync_schedule([{0, 1, 2}, {0, 1, 2}], n=3)
+    schedule = make_fsync_schedule(2, 3)
     trace = simulate(scenario, schedule, as_controller(AlgorithmSpec(HALT)),
                      Adversary(0, "rigid"))
     classes = equivalence_classes(trace)

@@ -133,6 +133,43 @@ def test_input_errors_exit_2(tmp_path):
     assert run(["simulate", "--scenario", bundle, "--schedule", bad]) == 2
 
 
+def _set_cycle(record: dict, **fields) -> None:
+    record["cycle"].update(fields)
+
+
+TRACE_MUTATIONS = {
+    "non-consecutive j": lambda recs: _set_cycle(recs[0][1], j=3),
+    "row under the wrong robot": lambda recs: _set_cycle(recs[0][0], robot=1),
+    "overlapping cycles": lambda recs: _set_cycle(recs[0][1], o=0.75),
+    "no rows for the robots": lambda recs: recs.clear(),
+}
+
+
+@pytest.fixture
+def control_trace(tmp_path, capsys):
+    trace = tmp_path / "control.json"
+    assert run(["simulate", "--scenario", "builtin:necessity-control",
+                "--out", trace]) == 0
+    capsys.readouterr()
+    return trace
+
+
+@pytest.mark.parametrize("case", [*TRACE_MUTATIONS, "fsync:x", "async:-5"])
+def test_malformed_input_gives_one_line_and_exit_2(control_trace, capsys, case):
+    if case in TRACE_MUTATIONS:
+        raw = json.loads(control_trace.read_text())
+        TRACE_MUTATIONS[case](raw["records"])
+        control_trace.write_text(json.dumps(raw))
+        args = ["check", control_trace]
+    else:
+        args = ["simulate", "--scenario", "builtin:necessity-control",
+                "--algo", "halt", "--schedule", case]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 def test_reruns_are_byte_identical(tmp_path, clean_bundle):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["simulate", "--scenario", clean_bundle, "--schedule", "async:30",
@@ -140,3 +177,14 @@ def test_reruns_are_byte_identical(tmp_path, clean_bundle):
     assert run(args + ["--out", a]) == 0
     assert run(args + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_unexpected_exception_exits_3_with_one_line(control_trace, capsys, monkeypatch):
+    import robosync.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(robosync.cli, "check_all", broken)
+    assert run(["check", control_trace]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"

@@ -7,10 +7,7 @@ from robosync.scheduling import (
     DurationRanges,
     Schedule,
     check_fairness_prefix,
-    is_fsync_form,
-    is_ssync_normal_form,
     make_fsync_schedule,
-    make_ssync_schedule,
     on_grid,
     sample_async_schedule,
 )
@@ -23,27 +20,12 @@ def test_cycle_ordering_enforced():
         Cycle(0, 0, 0.0, 1.0, 2.0)
 
 
-def test_ssync_generator_examples():
-    sched = make_ssync_schedule([{0}, {0}], n=1)
-    assert [(c.o, c.s, c.f) for c in sched.robots[0]] == [(0.0, 0.25, 0.75), (1.0, 1.25, 1.75)]
-    assert make_ssync_schedule([], n=2).all_cycles() == []
-    both = make_ssync_schedule([{0, 1}], n=2)
-    assert all(c.j == 1 and (c.o, c.s, c.f) == (0.0, 0.25, 0.75) for c in both.all_cycles())
-    with pytest.raises(InputError):
-        make_ssync_schedule([set()], n=1)
-    assert is_ssync_normal_form(sched)
-
-
 def test_fsync_generator_examples():
     sched = make_fsync_schedule(1, 2)
     assert all((c.o, c.s, c.f) == (0.0, 0.25, 0.75) for c in sched.all_cycles())
     assert make_fsync_schedule(0, 3).all_cycles() == []
     one = make_fsync_schedule(2, 1)
     assert [(c.o, c.s, c.f) for c in one.robots[0]] == [(0.0, 0.25, 0.75), (1.0, 1.25, 1.75)]
-    # full synchrony is a special case of the normal form
-    assert is_ssync_normal_form(sched)
-    assert is_fsync_form(sched)
-    assert not is_fsync_form(make_ssync_schedule([{0}], n=2))
 
 
 def test_async_sampler_deterministic():
@@ -56,6 +38,9 @@ def test_async_sampler_deterministic():
 def test_async_sampler_rejects_degenerate_ranges():
     with pytest.raises(InputError):
         sample_async_schedule(1, 1, 10.0, DurationRanges(move=(2.0, 1.0)))
+    for horizon in (-5.0, float("inf"), float("nan")):
+        with pytest.raises(InputError):
+            sample_async_schedule(1, 1, horizon)
 
 
 @settings(max_examples=40, deadline=None)

@@ -80,7 +80,6 @@ def test_blocked_robot_accepts_nothing():
     assert [r.accepted for r in trace.records[1]] == [False, False]
     _, core = extract_core(trace)
     assert core.records[1] == []
-    assert core.footprint(1) == []
     assert core.rest_positions(1) == [Point(0.5, 0)]
 
 

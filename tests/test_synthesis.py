@@ -6,7 +6,7 @@ from robosync.checker import analyze, check_all
 from robosync.engine import Adversary, FrameSpec, Scenario, simulate
 from robosync.errors import InputError
 from robosync.geometry import Point
-from robosync.scheduling import is_ssync_normal_form, make_fsync_schedule
+from robosync.scheduling import make_fsync_schedule
 from robosync.scenarios import greedy_trap_scenario, necessity_template
 from robosync.synchronizer import extract_core, run_synchronized
 from robosync.synthesis import (
@@ -39,7 +39,6 @@ def test_build_plan_single_robot():
         {"t": (2.0, 2.25, 2.5), "pos": (0.25, 0), "after": (0.5, 0)},
     ]])
     plan = build_plan(trace, [[(0, 1)], [(0, 2)]])
-    assert is_ssync_normal_form(plan.schedule)
     assert [(c.o, c.s, c.f) for c in plan.schedule.robots[0]] == \
            [(0.0, 0.25, 0.75), (1.0, 1.25, 1.75)]
     assert plan.targets == {(0, 1): Point(0.25, 0), (0, 2): Point(0.5, 0)}
@@ -101,7 +100,7 @@ def test_forced_replay_of_inconsistent_core_diverges():
     trace = run_synchronized(scenario, spec, schedule, Adversary(0, "rigid"), "greedy")
     _, core = extract_core(trace)
     analysis = analyze(core)
-    plan = build_plan(core, analysis.classes, force=True)
+    plan = build_plan(core, analysis.classes)
     replayed = replay_plan(scenario, plan)
     verdict = similar(core, replayed)
     assert not verdict.ok
