@@ -101,7 +101,7 @@ def happened_before(trace: Trace, a: CycleId, b: CycleId) -> tuple[bool, bool]:
     return (False, False)
 
 
-# -- equivalence classes -----------------------------------------------------
+# -- the relation pass -------------------------------------------------------
 
 class _UnionFind:
     def __init__(self, items):
@@ -121,24 +121,75 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def equivalence_classes(trace: Trace) -> list[list[CycleId]]:
-    """Connected components of the concurrency relation, ordered by earliest
-    Look time (robot index breaking ties)."""
+@dataclass
+class ConcurrencyAnalysis:
+    """The three cycle relations, every pair of cycles evaluated once:
+    concurrency and the classes of its closure, the overlapping pairs that
+    are not concurrent, and the precedence structure."""
+    cycles: list[CycleId]
+    classes: list[list[CycleId]]  # ordered by earliest Look, robot breaking ties
+    class_of: dict[CycleId, int]
+    concurrent: set[tuple[CycleId, CycleId]]       # (a, b), a before b in cycles
+    misaligned: list[tuple[CycleId, CycleId]]      # overlapping, not concurrent
+    hb_pairs: list[tuple[CycleId, CycleId, bool]]  # (a, b, only_at_horizon)
+    class_edges: dict[tuple[int, int], bool]       # edge -> firm?
+    self_loops: list[int]
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.classes)
+
+    def successors(self, include_horizon: bool = True) -> list[set[int]]:
+        succ: list[set[int]] = [set() for _ in self.classes]
+        for (k, k2), firm in self.class_edges.items():
+            if firm or include_horizon:
+                succ[k].add(k2)
+        return succ
+
+
+def analyze(trace: Trace) -> ConcurrencyAnalysis:
+    """One pass over the pairs of cycles of distinct robots builds all three
+    relations.  A robot's own cycles are never concurrent and precede each
+    other j -> j+1, so they need no pair scan."""
     ids = trace.cycle_ids()
+    rows = [[rec.cycle.ident for rec in row] for row in trace.records]
     uf = _UnionFind(ids)
-    for x in range(len(ids)):
-        for y in range(x + 1, len(ids)):
-            if ids[x][0] != ids[y][0] and cycles_concurrent(trace, ids[x], ids[y]):
-                uf.union(ids[x], ids[y])
+    concurrent: set[tuple[CycleId, CycleId]] = set()
+    misaligned: list[tuple[CycleId, CycleId]] = []
+    hb_pairs = [(row[k], row[k + 1], False) for row in rows for k in range(len(row) - 1)]
+    for i, row in enumerate(rows):
+        later = [c for other in rows[i + 1:] for c in other]
+        for a in row:
+            for b in later:
+                if cycles_concurrent(trace, a, b):
+                    concurrent.add((a, b))
+                    uf.union(a, b)
+                elif cycles_overlap(trace, a, b):
+                    misaligned.append((a, b))
+                for u, v in ((a, b), (b, a)):
+                    holds, horizon_only = happened_before(trace, u, v)
+                    if holds:
+                        hb_pairs.append((u, v, horizon_only))
+    hb_pairs.sort()  # source-major in cycle_ids() order; self_loops[0] depends on it
+
     groups: dict[CycleId, list[CycleId]] = {}
     for c in ids:
         groups.setdefault(uf.find(c), []).append(c)
+    classes = sorted(groups.values(),
+                     key=lambda cls: min((trace.record(*c).cycle.o, *c) for c in cls))
+    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
 
-    def key(cls: list[CycleId]) -> tuple[float, int, int]:
-        rec = min((trace.record(*c).cycle.o, c[0], c[1]) for c in cls)
-        return rec
-
-    return [sorted(g) for g in sorted(groups.values(), key=key)]
+    class_edges: dict[tuple[int, int], bool] = {}
+    self_loops: list[int] = []
+    for a, b, horizon_only in hb_pairs:
+        ka, kb = class_of[a], class_of[b]
+        if ka == kb:
+            if ka not in self_loops:
+                self_loops.append(ka)
+        else:
+            class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
+    return ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,
+                               hb_pairs, class_edges, self_loops)
 
 
 # -- condition checks --------------------------------------------------------
@@ -169,27 +220,18 @@ def check_stationary(trace: Trace) -> CheckResult:
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
-def check_pairwise_aligned(trace: Trace) -> CheckResult:
+def check_pairwise_aligned(analysis: ConcurrencyAnalysis) -> CheckResult:
     """Every overlapping pair must be concurrent."""
-    witnesses = []
-    ids = trace.cycle_ids()
-    for x in range(len(ids)):
-        for y in range(x + 1, len(ids)):
-            a, b = ids[x], ids[y]
-            if a[0] == b[0]:
-                continue
-            if cycles_overlap(trace, a, b) and not cycles_concurrent(trace, a, b):
-                witnesses.append({"pair": [list(a), list(b)]})
+    witnesses = [{"pair": [list(a), list(b)]} for a, b in analysis.misaligned]
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
-def check_consistent(trace: Trace, classes: list[list[CycleId]] | None = None) -> CheckResult:
+def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult:
     """Within every concurrency class: visibility is symmetric, visible pairs
     are directly concurrent, invisible pairs are separated by more than the
     visibility range at their Looks."""
-    classes = classes if classes is not None else equivalence_classes(trace)
     witnesses = []
-    for cls in classes:
+    for cls in analysis.classes:
         for x in range(len(cls)):
             for y in range(x + 1, len(cls)):
                 a, b = cls[x], cls[y]
@@ -199,7 +241,7 @@ def check_consistent(trace: Trace, classes: list[list[CycleId]] | None = None) -
                     witnesses.append({"pair": [list(a), list(b)], "clause": 1})
                     continue
                 if sees_ab:
-                    if not cycles_concurrent(trace, a, b):
+                    if (a, b) not in analysis.concurrent:
                         witnesses.append({"pair": [list(a), list(b)], "clause": 2})
                 else:
                     sq = squared_distance(trace.record(*a).pos_at_look,
@@ -207,54 +249,6 @@ def check_consistent(trace: Trace, classes: list[list[CycleId]] | None = None) -
                     if sq <= 1.0:
                         witnesses.append({"pair": [list(a), list(b)], "clause": 3})
     return CheckResult(FAIL if witnesses else PASS, witnesses)
-
-
-@dataclass
-class ConcurrencyAnalysis:
-    """Classes of the concurrency closure plus the precedence structure."""
-    cycles: list[CycleId]
-    classes: list[list[CycleId]]
-    class_of: dict[CycleId, int]
-    hb_pairs: list[tuple[CycleId, CycleId, bool]]  # (a, b, only_at_horizon)
-    class_edges: dict[tuple[int, int], bool]       # edge -> firm?
-    self_loops: list[int]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
-    def successors(self, include_horizon: bool = True) -> list[set[int]]:
-        succ: list[set[int]] = [set() for _ in self.classes]
-        for (k, k2), firm in self.class_edges.items():
-            if firm or include_horizon:
-                succ[k].add(k2)
-        return succ
-
-
-def analyze(trace: Trace) -> ConcurrencyAnalysis:
-    ids = trace.cycle_ids()
-    classes = equivalence_classes(trace)
-    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
-    hb_pairs = []
-    class_edges: dict[tuple[int, int], bool] = {}
-    self_loops: list[int] = []
-    for a in ids:
-        for b in ids:
-            if a == b:
-                continue
-            holds, horizon_only = happened_before(trace, a, b)
-            if not holds:
-                continue
-            hb_pairs.append((a, b, horizon_only))
-            ka, kb = class_of[a], class_of[b]
-            if ka == kb:
-                if ka not in self_loops:
-                    self_loops.append(ka)
-                continue
-            prev = class_edges.get((ka, kb))
-            firm = not horizon_only
-            class_edges[(ka, kb)] = firm if prev is None else (prev or firm)
-    return ConcurrencyAnalysis(ids, classes, class_of, hb_pairs, class_edges, self_loops)
 
 
 def check_serializable(trace: Trace, analysis: ConcurrencyAnalysis | None = None) -> CheckResult:
@@ -276,17 +270,16 @@ def check_serializable(trace: Trace, analysis: ConcurrencyAnalysis | None = None
 # -- naturality --------------------------------------------------------------
 
 def _natural_violations(trace: Trace, classes: list[list[CycleId]],
-                        order: list[int]) -> tuple[list, int]:
+                        order: list[int]) -> list:
     """The first violation of the two naturality clauses under a class order
-    (empty list if none), plus the number of straddles that fall beyond the
-    prefix and are skipped."""
+    (empty list if none).  A clause whose straddling cycle lies beyond the
+    prefix is skipped."""
     pos = {k: p for p, k in enumerate(order)}
     cycle_pos: dict[CycleId, int] = {}
     for k, cls in enumerate(classes):
         for c in cls:
             cycle_pos[c] = pos[k]
     violations = []
-    skipped = 0
     for a in cycle_pos:
         k = cycle_pos[a]
         rec = trace.record(*a)
@@ -299,7 +292,6 @@ def _natural_violations(trace: Trace, classes: list[list[CycleId]],
                     jprime = j2
                     break
             if jprime is None:
-                skipped += 1  # next activation of i2 lies beyond the horizon
                 continue
             if _sees(trace, a, i2):
                 if not rec.cycle.o < trace.record(i2, jprime).cycle.o:
@@ -310,8 +302,8 @@ def _natural_violations(trace: Trace, classes: list[list[CycleId]],
                 if sq <= 1.0:
                     violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 2})
             if violations:
-                return violations, skipped
-    return violations, skipped
+                return violations
+    return violations
 
 
 FOUND = "found"
@@ -323,7 +315,6 @@ INCONCLUSIVE = "inconclusive"
 class NaturalSortResult:
     status: str                      # found | none | inconclusive
     order: list[list[CycleId]] | None
-    skipped_at_horizon: int = 0
     sample_violation: list | None = None
 
 
@@ -337,13 +328,11 @@ def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
         return NaturalSortResult(NONE_FOUND, None)
     succ = analysis.successors(True)
     sample = None
-    skipped = 0
     try:
         for order in topological_orders(succ, node_budget):
-            violations, skipped = _natural_violations(trace, analysis.classes, order)
+            violations = _natural_violations(trace, analysis.classes, order)
             if not violations:
-                return NaturalSortResult(FOUND, [analysis.classes[k] for k in order],
-                                         skipped_at_horizon=skipped)
+                return NaturalSortResult(FOUND, [analysis.classes[k] for k in order])
             if sample is None:
                 sample = violations
     except BudgetExhausted:
@@ -424,8 +413,8 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
     pass, assert the structural propositions they imply."""
     analysis = analyze(trace)
     stationary = check_stationary(trace)
-    aligned = check_pairwise_aligned(trace)
-    consistent = check_consistent(trace, analysis.classes)
+    aligned = check_pairwise_aligned(analysis)
+    consistent = check_consistent(trace, analysis)
     serializable = check_serializable(trace, analysis)
 
     natural_order = None

@@ -41,18 +41,25 @@ def _dump(data: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse):
+    """Read a JSON file and build an object from it with `parse`.  The CLI is
+    the only reader of outside files, so every way the data can be malformed
+    surfaces here and becomes an InputError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return parse(json.load(fh))
+    except InputError:
+        raise
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _load_bundle(ref: str) -> dict:
     if ref.startswith("builtin:"):
         return bundle_from_json(builtin_bundle(ref[len("builtin:"):]))
-    return bundle_from_json(_load_json(ref))
+    return _load(ref, bundle_from_json)
 
 
 def _number(text: str, kind: type, flag: str):
@@ -74,7 +81,7 @@ def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int,
         return sample_async_schedule(seed, n, _number(spec.split(":", 1)[1], float, "--schedule"))
     if spec == "async":
         return sample_async_schedule(seed, n, horizon)
-    return Schedule.from_json(_load_json(spec))
+    return _load(spec, Schedule.from_json)
 
 
 def _parse_algorithm(spec: str | None, bundle: dict) -> AlgorithmSpec:
@@ -87,7 +94,7 @@ def _parse_algorithm(spec: str | None, bundle: dict) -> AlgorithmSpec:
     if spec.startswith("hull:"):
         return AlgorithmSpec(HULL_CONTRACTION,
                              contraction=_number(spec.split(":", 1)[1], float, "--algo"))
-    return AlgorithmSpec.from_json(_load_json(spec))
+    return _load(spec, AlgorithmSpec.from_json)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -127,14 +134,14 @@ def _report_exit(report) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    trace = Trace.from_json(_load_json(args.trace))
+    trace = _load(args.trace, Trace.from_json)
     report = check_all(trace, node_budget=args.budget)
     _dump(report.to_json(), args.out)
     return _report_exit(report)
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    trace = Trace.from_json(_load_json(args.trace))
+    trace = _load(args.trace, Trace.from_json)
     report = check_all(trace, node_budget=args.budget)
     if not report.all_pass:
         _dump({"schema": 1, "refused": True, "report": report.to_json()}, args.out)
@@ -188,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output path (default: stdout)")
+
+    def budget(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget", type=int, default=10 ** 6,
                        help="node budget for order enumeration")
 
@@ -210,12 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the five conditions on a trace")
     p.add_argument("trace")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize",
                        help="build and verify the normal-form replay of a trace")
     p.add_argument("trace")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("repro", help="run a built-in counterexample reproduction")
@@ -229,6 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--order-budget", type=int, default=256)
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_necessity)
 
     return parser

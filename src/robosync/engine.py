@@ -10,6 +10,7 @@ run is a pure function of its inputs.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Protocol
@@ -40,6 +41,12 @@ class FrameSpec:
     rotation: float = 0.0
     unit: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.rotation):
+            raise InputError(f"frame rotation must be finite, got {self.rotation}")
+        if not 0 < self.unit < math.inf:
+            raise InputError(f"frame unit must be finite and positive, got {self.unit}")
+
 
 @dataclass
 class Scenario:
@@ -52,8 +59,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if len(self.frames) != len(self.initial_positions):
             raise InputError("one frame spec per robot required")
-        if self.delta < 0:
-            raise InputError("delta must be non-negative")
+        if not 0 <= self.delta < math.inf:
+            raise InputError(f"delta must be finite and non-negative, got {self.delta}")
         pts = self.initial_positions
         for a in range(len(pts)):
             for b in range(a + 1, len(pts)):
@@ -80,13 +87,10 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
-        try:
-            positions = [Point(float(x), float(y)) for x, y in data["positions"]]
-            frames = [FrameSpec(float(f["rotation"]), float(f["unit"]))
-                      for f in data["frames"]]
-            delta = float(data["delta"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed scenario JSON: {exc}") from exc
+        positions = [Point(float(x), float(y)) for x, y in data["positions"]]
+        frames = [FrameSpec(float(f["rotation"]), float(f["unit"]))
+                  for f in data["frames"]]
+        delta = float(data["delta"])
         return cls(positions, frames, delta)
 
 
@@ -244,12 +248,9 @@ class Trace:
 
     @classmethod
     def from_json(cls, data: dict) -> "Trace":
-        try:
-            scenario = Scenario.from_json(data["scenario"])
-            records = [[CycleRecord.from_json(r) for r in row] for row in data["records"]]
-            horizon = float(data["horizon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed trace JSON: {exc}") from exc
+        scenario = Scenario.from_json(data["scenario"])
+        records = [[CycleRecord.from_json(r) for r in row] for row in data["records"]]
+        horizon = float(data["horizon"])
         # the cycle rows must form a valid schedule for the scenario's robots
         Schedule(scenario.n, horizon, [[r.cycle for r in row] for row in records])
         return cls(scenario, horizon, records,

@@ -71,7 +71,7 @@ def repro_greedy_trap() -> dict:
            abs(sq - 25.0 / 16.0) <= DIST_EPS, sq)
     _check(checks, "robot 0 out of robot 3's range at t=3/2", sq > 1.0, sq)
 
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     report = check_all(core)
     _check(checks, "core consistency fails", report.consistent.verdict == FAIL)
     witness_pairs = [w["pair"] for w in report.consistent.witnesses]
@@ -113,7 +113,7 @@ def repro_colorbased(machine: str = SVP, max_rounds: int = 12) -> dict:
     for robot in range(4):
         _check(checks, f"staggered cycle of robot {robot} accepted",
                trace.record(robot, j0).accepted is True)
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     report = check_all(core)
     _check(checks, "core consistency fails", report.consistent.verdict == FAIL)
     witness_pairs = [w["pair"] for w in report.consistent.witnesses]
@@ -164,7 +164,7 @@ def necessity_experiment(template: str, num_seeds: int,
                       "consistent": report.consistent,
                       "serializable": report.serializable}[field]
             violated = result.verdict == FAIL
-        search = candidate_search(trace, order_budget=order_budget,
+        search = candidate_search(trace, report.analysis, order_budget=order_budget,
                                   node_budget=node_budget)
         if violated:
             counts["materialized"] += 1
@@ -217,7 +217,7 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
     }
     if not synthesize:
         return out
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     out["core_cycles"] = sum(len(row) for row in core.records)
     out["vicinity_preserved"] = bool(is_vicinity_preserving_run(core))
     report = check_all(core)

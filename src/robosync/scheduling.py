@@ -53,6 +53,8 @@ class Schedule:
     robots: list[list[Cycle]]
 
     def __post_init__(self) -> None:
+        if not 0 <= self.horizon < math.inf:
+            raise InputError(f"horizon must be finite and non-negative, got {self.horizon}")
         if len(self.robots) != self.n:
             raise InputError("per-robot cycle lists do not match robot count")
         for i, cycles in enumerate(self.robots):
@@ -81,13 +83,9 @@ class Schedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
-        try:
-            horizon = float(data["horizon"])
-            raw = data["robots"]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed schedule JSON: {exc}") from exc
+        horizon = float(data["horizon"])
         robots = []
-        for i, cycles in enumerate(raw):
+        for i, cycles in enumerate(data["robots"]):
             row = []
             for entry in cycles:
                 o, s, f = float(entry["o"]), float(entry["s"]), float(entry["f"])

@@ -9,14 +9,14 @@ snapshot.  The new color becomes visible at the move start.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .algorithms import AlgorithmSpec, compute
 from .engine import Adversary, Decision, Scenario, Simulation, Trace
 from .errors import InputError
 from .geometry import Point, Route
-from .scheduling import Cycle, Schedule
+from .scheduling import Schedule
 
 
 class SyncColor(str, Enum):
@@ -124,7 +124,7 @@ def run_synchronized(scenario: Scenario, spec: AlgorithmSpec, schedule: Schedule
     return trace
 
 
-def extract_core(trace: Trace) -> tuple[Schedule, Trace]:
+def extract_core(trace: Trace) -> Trace:
     """Keep only accepted cycles, re-indexed per robot, and drop the colors.
 
     Rejected cycles leave no record; their stay-put routes are asserted so the
@@ -133,37 +133,18 @@ def extract_core(trace: Trace) -> tuple[Schedule, Trace]:
     if trace.kind != "luminous":
         raise InputError("core extraction needs a luminous trace")
     core_records = []
-    accepted_rows = []
     for row in trace.records:
-        kept = []
-        accepted = []
         for rec in row:
-            if rec.accepted:
-                accepted.append(rec)
-            elif rec.pos_after_move != rec.pos_at_look:
+            if not rec.accepted and rec.pos_after_move != rec.pos_at_look:
                 raise InputError(
                     f"rejected cycle {rec.cycle.ident} moved; trace is not a "
                     "synchronizer run")
-        core_row = []
-        cycles = []
-        for k, rec in enumerate(accepted):
-            cycle = Cycle(rec.cycle.robot, k + 1, rec.cycle.o, rec.cycle.s, rec.cycle.f)
-            cycles.append(cycle)
-            core_row.append(type(rec)(
-                cycle=cycle,
-                pos_at_look=rec.pos_at_look,
-                visible_set=rec.visible_set,
-                snapshot_local=rec.snapshot_local,
-                route_global=rec.route_global,
-                z=rec.z,
-                pos_after_move=rec.pos_after_move,
-                mid_move_samples=rec.mid_move_samples,
-            ))
-        core_records.append(core_row)
-        accepted_rows.append(cycles)
-    schedule = Schedule(n=trace.n, horizon=trace.horizon, robots=accepted_rows)
-    core = Trace(trace.scenario, trace.horizon, core_records, kind="core")
-    return schedule, core
+        accepted = [rec for rec in row if rec.accepted]
+        core_records.append([
+            replace(rec, cycle=replace(rec.cycle, j=k), snapshot_colors=None,
+                    color_before=None, color_after=None, accepted=None)
+            for k, rec in enumerate(accepted, start=1)])
+    return Trace(trace.scenario, trace.horizon, core_records, kind="core")
 
 
 # -- trace-level color invariants -------------------------------------------

@@ -19,7 +19,6 @@ from robosync.checker import (
     check_serializable,
     check_stationary,
     cycles_concurrent,
-    equivalence_classes,
     happened_before,
     proposition_no_hb_within_class,
     proposition_one_cycle_per_robot,
@@ -141,10 +140,10 @@ def test_criterion_5_proposition_suite():
 
         if proposition_same_robot(trace):
             violations.append((seed, "same-robot concurrency"))
-        if equivalence_classes(trace) != closure_partition(trace):
+        analysis = analyze(trace)
+        if analysis.classes != closure_partition(trace):
             violations.append((seed, "union-find vs closure"))
 
-        analysis = analyze(trace)
         ids = trace.cycle_ids()
         for a in ids:
             for b in ids:
@@ -153,8 +152,8 @@ def test_criterion_5_proposition_suite():
                     violations.append((seed, "ordered pair is concurrent"))
 
         first_three = (check_stationary(trace).ok
-                       and check_pairwise_aligned(trace).ok
-                       and check_consistent(trace, analysis.classes).ok)
+                       and check_pairwise_aligned(analysis).ok
+                       and check_consistent(trace, analysis).ok)
         if first_three:
             if proposition_no_hb_within_class(analysis):
                 violations.append((seed, "precedence inside a class"))

@@ -97,7 +97,7 @@ def test_halt_run_preserves_visibility():
 def test_greedy_trap_breaks_visibility():
     scenario, schedule, spec = greedy_trap_scenario()
     trace = run_synchronized(scenario, spec, schedule, Adversary(0, RIGID), "greedy")
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     assert not is_vicinity_preserving_run(core)
 
 

@@ -18,13 +18,12 @@ from robosync.checker import (
     check_stationary,
     cycles_concurrent,
     cycles_overlap,
-    equivalence_classes,
     find_natural_sort,
     happened_before,
 )
 from robosync.engine import Adversary, simulate
 from robosync.errors import InputError, SimulationError
-from robosync.scenarios import greedy_trap_scenario, necessity_template
+from robosync.scenarios import NECESSITY_TEMPLATES, greedy_trap_scenario, necessity_template
 from robosync.scheduling import sample_async_schedule
 from robosync.synchronizer import extract_core, run_synchronized
 
@@ -32,7 +31,7 @@ from robosync.synchronizer import extract_core, run_synchronized
 def trap_core():
     scenario, schedule, spec = greedy_trap_scenario()
     trace = run_synchronized(scenario, spec, schedule, Adversary(0, "rigid"), "greedy")
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     return core
 
 
@@ -98,14 +97,14 @@ def test_hb_case2_flags_missing_next_cycle():
 
 def test_classes_on_trap_and_singletons():
     core = trap_core()
-    classes = equivalence_classes(core)
+    classes = analyze(core).classes
     assert classes == [[(0, 1), (1, 1), (2, 1), (3, 1)], [(4, 1)]]
     lonely = build_trace([(0, 0), (5, 0), (10, 0)], [
         [{"t": (0.0, 0.25, 0.75)}],
         [{"t": (0.0, 0.25, 0.75)}],
         [{"t": (0.0, 0.25, 0.75)}],
     ])
-    assert equivalence_classes(lonely) == [[(0, 1)], [(1, 1)], [(2, 1)]]
+    assert analyze(lonely).classes == [[(0, 1)], [(1, 1)], [(2, 1)]]
 
 
 def test_stationary_check():
@@ -153,7 +152,7 @@ def test_classes_of_synchronous_round_follow_visibility_components():
     schedule = make_fsync_schedule(2, 3)
     trace = simulate(scenario, schedule, as_controller(AlgorithmSpec(HALT)),
                      Adversary(0, "rigid"))
-    classes = equivalence_classes(trace)
+    classes = analyze(trace).classes
     assert classes == [
         [(0, 1), (1, 1)], [(2, 1)],
         [(0, 2), (1, 2)], [(2, 2)],
@@ -163,29 +162,29 @@ def test_classes_of_synchronous_round_follow_visibility_components():
 def test_pairwise_alignment_check():
     for seed in range(12):
         trace = run_template("pairwise-alignment", seed)
-        result = check_pairwise_aligned(trace)
+        result = check_pairwise_aligned(analyze(trace))
         # violation appears exactly when the retreating robot still saw the
         # long-pending one at its second look
         saw = 0 in trace.record(1, 2).visible_set
         assert (result.verdict == FAIL) == saw
         assert check_stationary(trace).verdict == PASS
-        assert check_consistent(trace).verdict == PASS
+        assert check_consistent(trace, analyze(trace)).verdict == PASS
 
 
 def test_consistency_check_on_trap():
     core = trap_core()
-    result = check_consistent(core)
+    result = check_consistent(core, analyze(core))
     assert result.verdict == FAIL
     assert {"pair": [[0, 1], [3, 1]], "clause": 1} in result.witnesses
     solo = build_trace([(0, 0)], [[{"t": (0.0, 0.25, 0.5)}]])
-    assert check_consistent(solo).verdict == PASS
+    assert check_consistent(solo, analyze(solo)).verdict == PASS
 
 
 def test_serializability_two_cycle():
     trace = run_template("serializability", 0)
     assert check_stationary(trace).verdict == PASS
-    assert check_pairwise_aligned(trace).verdict == PASS
-    assert check_consistent(trace).verdict == PASS
+    assert check_pairwise_aligned(analyze(trace)).verdict == PASS
+    assert check_consistent(trace, analyze(trace)).verdict == PASS
     result = check_serializable(trace)
     assert result.verdict == FAIL
     cycle = result.witnesses[0]["class_cycle"]
@@ -213,7 +212,7 @@ def test_open_at_horizon_two_cycle():
             [{"t": (23.0, 24.0, 24.5), "sees": {4, 1}}],
             [{"t": (19.75, 40.0, 40.5), "sees": {0, 3}}],
         ])
-    classes = equivalence_classes(trace)
+    classes = analyze(trace).classes
     assert classes == [[(0, 1), (2, 1), (3, 1), (4, 1)], [(1, 1)]]
     assert happened_before(trace, (2, 1), (1, 1)) == (True, True)
     assert happened_before(trace, (1, 1), (3, 1)) == (True, True)
@@ -284,7 +283,7 @@ def test_union_find_matches_closure_oracle(seed):
         trace = random_trace(seed)
     except SimulationError:
         return  # collisions/degeneracies are resampled in the acceptance suite
-    assert equivalence_classes(trace) == closure_partition(trace)
+    assert analyze(trace).classes == closure_partition(trace)
 
 
 @settings(max_examples=30, deadline=None)
@@ -299,3 +298,41 @@ def test_hb_implies_not_concurrent(seed):
         for b in ids:
             if a != b and happened_before(trace, a, b)[0]:
                 assert not cycles_concurrent(trace, a, b)
+
+
+def oracle_traces():
+    """Small random traces plus every necessity template at a few seeds."""
+    traces = []
+    for seed in range(40):
+        try:
+            traces.append(random_trace(seed))
+        except SimulationError:
+            pass
+    for name in sorted(NECESSITY_TEMPLATES):
+        for seed in range(4):
+            try:
+                traces.append(run_template(name, seed))
+            except SimulationError:
+                pass
+    return traces
+
+
+def test_relation_pass_matches_pairwise_oracles():
+    for trace in oracle_traces():
+        analysis = analyze(trace)
+        ids = trace.cycle_ids()
+        pairs = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]]
+        assert analysis.concurrent == {
+            (a, b) for a, b in pairs if cycles_concurrent(trace, a, b)}
+        assert analysis.misaligned == [
+            (a, b) for a, b in pairs
+            if a[0] != b[0] and cycles_overlap(trace, a, b)
+            and not cycles_concurrent(trace, a, b)]
+        expected = []
+        for a in ids:
+            for b in ids:
+                if a != b:
+                    holds, horizon_only = happened_before(trace, a, b)
+                    if holds:
+                        expected.append((a, b, horizon_only))
+        assert analysis.hb_pairs == expected

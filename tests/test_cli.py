@@ -3,7 +3,7 @@ import json
 import pytest
 
 from robosync.cli import main
-from robosync.scenarios import bundle_to_json, random_vicinity_scenario
+from robosync.scenarios import builtin_bundle, bundle_to_json, random_vicinity_scenario
 
 
 @pytest.fixture
@@ -30,7 +30,7 @@ def test_simulate_check_synthesize_flow(tmp_path, clean_bundle):
     from robosync.engine import Trace
     from robosync.synchronizer import extract_core
     core = tmp_path / "core.json"
-    _, core_trace = extract_core(Trace.from_json(raw))
+    core_trace = extract_core(Trace.from_json(raw))
     core.write_text(json.dumps(core_trace.to_json()))
 
     report = tmp_path / "report.json"
@@ -145,6 +145,38 @@ TRACE_MUTATIONS = {
 }
 
 
+def _control_schedule(edit):
+    data = builtin_bundle("necessity-control")["schedule"]
+    edit(data)
+    return "--schedule", data
+
+
+def _trap_bundle(edit):
+    data = builtin_bundle("greedy-trap")
+    edit(data)
+    return "--scenario", data
+
+
+# each case gives the simulate flag that reads the file and the file's data
+FILE_CASES = {
+    "schedule entry without o":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].pop("o")),
+    "schedule entry with a non-integer j":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(j="x")),
+    "schedule row that is a number":
+        lambda: _control_schedule(lambda d: d.update(robots=[5, *d["robots"][1:]])),
+    "infinite schedule horizon":
+        lambda: _control_schedule(lambda d: d.update(horizon=float("inf"))),
+    "hull algorithm without lambda": lambda: ("--algo", {"kind": "hull_contraction"}),
+    "scripted entry without snapshot":
+        lambda: ("--algo", {"kind": "scripted", "script": [{"route": [[0, 0]]}]}),
+    "algorithm file that is a list": lambda: ("--algo", []),
+    "infinite frame rotation":
+        lambda: _trap_bundle(lambda d: d["frames"][0].update(rotation="inf")),
+    "NaN delta": lambda: _trap_bundle(lambda d: d.update(delta="nan")),
+}
+
+
 @pytest.fixture
 def control_trace(tmp_path, capsys):
     trace = tmp_path / "control.json"
@@ -154,13 +186,19 @@ def control_trace(tmp_path, capsys):
     return trace
 
 
-@pytest.mark.parametrize("case", [*TRACE_MUTATIONS, "fsync:x", "async:-5"])
-def test_malformed_input_gives_one_line_and_exit_2(control_trace, capsys, case):
+@pytest.mark.parametrize("case", [*TRACE_MUTATIONS, *FILE_CASES, "fsync:x", "async:-5"])
+def test_malformed_input_gives_one_line_and_exit_2(tmp_path, control_trace, capsys, case):
     if case in TRACE_MUTATIONS:
         raw = json.loads(control_trace.read_text())
         TRACE_MUTATIONS[case](raw["records"])
         control_trace.write_text(json.dumps(raw))
         args = ["check", control_trace]
+    elif case in FILE_CASES:
+        flag, data = FILE_CASES[case]()
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        opts = {"--scenario": "builtin:necessity-control", flag: path}
+        args = ["simulate", *(x for pair in opts.items() for x in pair)]
     else:
         args = ["simulate", "--scenario", "builtin:necessity-control",
                 "--algo", "halt", "--schedule", case]
@@ -168,6 +206,13 @@ def test_malformed_input_gives_one_line_and_exit_2(control_trace, capsys, case):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("input error:")
     assert "Traceback" not in err
+
+
+def test_budget_is_only_a_search_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--scenario", "builtin:necessity-control", "--budget", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(tmp_path, clean_bundle):

@@ -61,8 +61,8 @@ def test_single_robot_color_wheel():
     assert colors == ["R", "B", "G", "Bk", "R", "B", "G", "Bk", "R"]
     accepted = [r.cycle.j for r in trace.records[0] if r.accepted]
     assert accepted == [1, 5, 9]
-    schedule, core = extract_core(trace)
-    assert [c.j for c in schedule.robots[0]] == [1, 2, 3]
+    core = extract_core(trace)
+    assert [r.cycle.j for r in core.records[0]] == [1, 2, 3]
     assert [r.cycle.o for r in core.records[0]] == [0.0, 4.0, 8.0]
     assert not check_color_lifecycle(trace)
 
@@ -78,7 +78,7 @@ def test_blocked_robot_accepts_nothing():
                              Adversary(0, RIGID), "svp")
     assert trace.record(0, 1).accepted is True
     assert [r.accepted for r in trace.records[1]] == [False, False]
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     assert core.records[1] == []
     assert core.rest_positions(1) == [Point(0.5, 0)]
 

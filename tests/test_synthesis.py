@@ -29,7 +29,7 @@ def svp_core(seed=0, horizon=60.0):
     schedule = sample_async_schedule(seed, scenario.n, horizon)
     trace = run_synchronized(scenario, spec, schedule,
                              Adversary(seed, "nonrigid"), "svp")
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     return scenario, core
 
 
@@ -98,7 +98,7 @@ def test_full_pipeline_on_svp_cores():
 def test_forced_replay_of_inconsistent_core_diverges():
     scenario, schedule, spec = greedy_trap_scenario()
     trace = run_synchronized(scenario, spec, schedule, Adversary(0, "rigid"), "greedy")
-    _, core = extract_core(trace)
+    core = extract_core(trace)
     analysis = analyze(core)
     plan = build_plan(core, analysis.classes)
     replayed = replay_plan(scenario, plan)
@@ -114,7 +114,7 @@ def test_candidate_search_outcomes():
 
     scenario, schedule, spec = greedy_trap_scenario()
     trap = run_synchronized(scenario, spec, schedule, Adversary(0, "rigid"), "greedy")
-    _, trap_core = extract_core(trap)
+    trap_core = extract_core(trap)
     assert candidate_search(trap_core).verdict == NONE_AMONG_CANDIDATES
 
     run = necessity_template("serializability", 0)
@@ -128,3 +128,21 @@ def test_candidate_search_outcomes():
 def test_candidate_search_empty_trace():
     empty = build_trace([(0, 0)], [[]])
     assert candidate_search(empty).verdict == SIMILAR_FOUND
+
+
+def test_necessity_experiment_analyzes_each_trace_once(monkeypatch):
+    import robosync.checker
+    import robosync.synthesis
+    from robosync.experiments import necessity_experiment
+
+    calls = []
+
+    def counted(trace):
+        calls.append(trace)
+        return analyze(trace)
+
+    monkeypatch.setattr(robosync.checker, "analyze", counted)
+    monkeypatch.setattr(robosync.synthesis, "analyze", counted)
+    result = necessity_experiment("serializability", 4)
+    assert result["seeds"] - result["errors"] > 0
+    assert len(calls) == result["seeds"] - result["errors"]
