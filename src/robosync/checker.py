@@ -9,7 +9,9 @@ as open-at-horizon rather than a firm violation.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import Trace
 from .errors import InputError
@@ -123,9 +125,9 @@ class _UnionFind:
 
 @dataclass
 class ConcurrencyAnalysis:
-    """The three cycle relations, every pair of cycles evaluated once:
-    concurrency and the classes of its closure, the overlapping pairs that
-    are not concurrent, and the precedence structure."""
+    """The three cycle relations: concurrency and the classes of its closure,
+    the overlapping pairs that are not concurrent, and the precedence
+    structure."""
     cycles: list[CycleId]
     classes: list[list[CycleId]]  # ordered by earliest Look, robot breaking ties
     class_of: dict[CycleId, int]
@@ -147,30 +149,75 @@ class ConcurrencyAnalysis:
         return succ
 
 
+class _Timeline(NamedTuple):
+    """One robot's cycles in order.  o < s < f and f_{j-1} < o_j make each
+    time list strictly increasing, so it can be searched with bisect."""
+    ids: list[CycleId]
+    looks: list[float]
+    starts: list[float]
+    ends: list[float]
+
+
+def _timelines(trace: Trace) -> list[_Timeline]:
+    return [_Timeline([r.cycle.ident for r in row], [r.cycle.o for r in row],
+                      [r.cycle.s for r in row], [r.cycle.f for r in row])
+            for row in trace.records]
+
+
+def _ordered(a: CycleId, b: CycleId) -> tuple[CycleId, CycleId]:
+    return (a, b) if a < b else (b, a)
+
+
 def analyze(trace: Trace) -> ConcurrencyAnalysis:
-    """One pass over the pairs of cycles of distinct robots builds all three
-    relations.  A robot's own cycles are never concurrent and precede each
-    other j -> j+1, so they need no pair scan."""
+    """Build all three relations without visiting a pair of cycles.  For a
+    cycle x and a robot r that x sees, each relation below has at most one
+    candidate among r's cycles, found by one bisect into r's timeline (every
+    other cycle of r fails the relation's time bounds).  Every pair that
+    holds is found from the cycle that sees the other robot: for concurrency
+    and case 3 the earlier Look, for overlap and case 4 the later one.  A
+    robot's own cycles are never concurrent and precede each other j -> j+1.
+    """
     ids = trace.cycle_ids()
-    rows = [[rec.cycle.ident for rec in row] for row in trace.records]
+    timelines = _timelines(trace)
     uf = _UnionFind(ids)
     concurrent: set[tuple[CycleId, CycleId]] = set()
-    misaligned: list[tuple[CycleId, CycleId]] = []
-    hb_pairs = [(row[k], row[k + 1], False) for row in rows for k in range(len(row) - 1)]
-    for i, row in enumerate(rows):
-        later = [c for other in rows[i + 1:] for c in other]
-        for a in row:
-            for b in later:
-                if cycles_concurrent(trace, a, b):
-                    concurrent.add((a, b))
-                    uf.union(a, b)
-                elif cycles_overlap(trace, a, b):
-                    misaligned.append((a, b))
-                for u, v in ((a, b), (b, a)):
-                    holds, horizon_only = happened_before(trace, u, v)
-                    if holds:
-                        hb_pairs.append((u, v, horizon_only))
-    hb_pairs.sort()  # source-major in cycle_ids() order; self_loops[0] depends on it
+    overlapping: set[tuple[CycleId, CycleId]] = set()
+    hb: dict[tuple[CycleId, CycleId], bool] = {  # (a, b) -> only_at_horizon
+        (line.ids[k], line.ids[k + 1]): False
+        for line in timelines for k in range(len(line.ids) - 1)}
+    for rec in trace.all_records():
+        x = rec.cycle
+        a = x.ident
+        for r in rec.visible_set:
+            if r == x.robot:
+                continue
+            line = timelines[r]
+            looks, ends = line.looks, line.ends
+            # concurrency: the first Look of r at or after x's, before x's move
+            k = bisect_left(looks, x.o)
+            if k < len(looks) and looks[k] <= x.s and (k == 0 or ends[k - 1] < x.o):
+                concurrent.add(_ordered(a, line.ids[k]))
+                uf.union(a, line.ids[k])
+            # overlap: the last Look of r at or before x's, still running at it;
+            # equal Looks are found from both sides, the set keeps one
+            k = bisect_right(looks, x.o) - 1
+            if k >= 0 and x.o <= ends[k]:
+                overlapping.add(_ordered(a, line.ids[k]))
+            # case 3, x -> v: the first Look of r after x ends, r at rest at x's Look
+            k = bisect_right(looks, x.f)
+            if k < len(looks) and (k == 0 or ends[k - 1] < x.o):
+                hb[(a, line.ids[k])] = False
+            # case 4, u -> x: the last cycle of r ending before x's Look, whose
+            # next move starts no earlier; past r's last cycle that bound is
+            # assumed, so the edge is horizon-only unless case 3 also holds
+            k = bisect_left(ends, x.o) - 1
+            if k >= 0:
+                beyond = k + 1 == len(looks)
+                if beyond or x.o <= line.starts[k + 1]:
+                    hb.setdefault((line.ids[k], a), beyond)
+    misaligned = sorted(overlapping - concurrent)
+    # source-major in cycle_ids() order; self_loops[0] depends on it
+    hb_pairs = sorted((a, b, horizon_only) for (a, b), horizon_only in hb.items())
 
     groups: dict[CycleId, list[CycleId]] = {}
     for c in ids:
@@ -208,15 +255,19 @@ class CheckResult:
 
 
 def check_stationary(trace: Trace) -> CheckResult:
-    """No Look may land strictly inside the move window of a visible robot."""
+    """No Look may land strictly inside the move window of a visible robot.
+    A robot's move windows are disjoint, so only its last move starting
+    before the Look can contain it."""
+    timelines = _timelines(trace)
     witnesses = []
     for rec in trace.all_records():
         i, j = rec.cycle.ident
+        o = rec.cycle.o
         for i2 in sorted(rec.visible_set - {i}):
-            for rec2 in trace.records[i2]:
-                if rec2.cycle.s < rec.cycle.o < rec2.cycle.f:
-                    witnesses.append({"observer": [i, j],
-                                      "mover": list(rec2.cycle.ident)})
+            line = timelines[i2]
+            k = bisect_left(line.starts, o) - 1
+            if k >= 0 and o < line.ends[k]:
+                witnesses.append({"observer": [i, j], "mover": list(line.ids[k])})
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 

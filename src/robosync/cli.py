@@ -12,10 +12,15 @@ import json
 import sys
 
 from .algorithms import AlgorithmSpec, HALT, HULL_CONTRACTION, as_controller
-from .checker import check_all
+from .checker import DEFAULT_NODE_BUDGET, check_all
 from .engine import Adversary, NONRIGID, RIGID, Trace, simulate
 from .errors import InputError, SimulationError
-from .experiments import necessity_experiment, repro_colorbased, repro_greedy_trap
+from .experiments import (
+    NECESSITY_NODE_BUDGET,
+    necessity_experiment,
+    repro_colorbased,
+    repro_greedy_trap,
+)
 from .scheduling import (
     Schedule,
     check_fairness_prefix,
@@ -196,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="output path (default: stdout)")
 
-    def budget(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=10 ** 6,
+    def budget(p: argparse.ArgumentParser, default: int = DEFAULT_NODE_BUDGET) -> None:
+        p.add_argument("--budget", type=int, default=default,
                        help="node budget for order enumeration")
 
     p = sub.add_parser("simulate", help="run one simulation and write its trace")
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--order-budget", type=int, default=256)
     common(p)
-    budget(p)
+    budget(p, NECESSITY_NODE_BUDGET)
     p.set_defaults(func=cmd_necessity)
 
     return parser

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -414,7 +415,8 @@ class Simulation:
         z = self.adversary.draw_truncation(robot, cycle.j)
         realized = truncated_length(route.length, self.scenario.delta, z)
         after = point_along(route, realized)
-        obs_times = [t for t in self._look_times if cycle.s < t < cycle.f]
+        looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
+        obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
         fractions = self.adversary.draw_observation_fractions(robot, cycle.j, len(obs_times))
         arclengths = sorted(f * realized for f in fractions)
         samples = dict(zip(obs_times, arclengths))

@@ -130,9 +130,12 @@ def repro_colorbased(machine: str = SVP, max_rounds: int = 12) -> dict:
     }
 
 
+NECESSITY_NODE_BUDGET = 200_000  # default of `necessity_experiment` and the CLI
+
+
 def necessity_experiment(template: str, num_seeds: int,
                          order_budget: int = 256,
-                         node_budget: int = 200_000) -> dict:
+                         node_budget: int = NECESSITY_NODE_BUDGET) -> dict:
     """Monte Carlo sweep: simulate the template under fresh adversary seeds,
     record whether its target condition actually failed, and search for a
     similar normal-form replay either way.

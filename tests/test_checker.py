@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_trace, closure_partition, random_small_inputs
-from robosync.algorithms import as_controller
+from robosync import checker
+from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.checker import (
     FAIL,
     FOUND,
@@ -21,10 +24,11 @@ from robosync.checker import (
     find_natural_sort,
     happened_before,
 )
-from robosync.engine import Adversary, simulate
+from robosync.engine import Adversary, FrameSpec, Scenario, simulate
 from robosync.errors import InputError, SimulationError
+from robosync.geometry import Point
 from robosync.scenarios import NECESSITY_TEMPLATES, greedy_trap_scenario, necessity_template
-from robosync.scheduling import sample_async_schedule
+from robosync.scheduling import make_fsync_schedule, sample_async_schedule
 from robosync.synchronizer import extract_core, run_synchronized
 
 
@@ -300,21 +304,74 @@ def test_hb_implies_not_concurrent(seed):
                 assert not cycles_concurrent(trace, a, b)
 
 
+def fsync_trace(seed):
+    """Every robot Looks at the same instants, so Look times tie exactly."""
+    scenario, spec = random_small_inputs(seed)
+    return simulate(scenario, make_fsync_schedule(4, scenario.n), as_controller(spec),
+                    Adversary(seed, "nonrigid"))
+
+
+def lattice_halt_trace():
+    """Nine robots on a 3x3 lattice of spacing 0.6, about 300 cycles."""
+    scenario = Scenario([Point(0.6 * (k % 3), 0.6 * (k // 3)) for k in range(9)],
+                        [FrameSpec()] * 9, 0.25)
+    return simulate(scenario, sample_async_schedule(0, 9, 100.0),
+                    as_controller(AlgorithmSpec(HALT)), Adversary(0, "nonrigid"))
+
+
+def tied_trace(seed):
+    """Hand-built records on whole-number times with random visible sets, so
+    Looks, move starts and move ends of distinct robots often coincide."""
+    rng = random.Random(f"tied:{seed}")
+    n = rng.randint(2, 5)
+    rows = []
+    for i in range(n):
+        row, t = [], rng.randint(0, 2)
+        for _ in range(rng.randint(1, 5)):
+            o = t
+            s = o + rng.randint(1, 2)
+            f = s + rng.randint(1, 2)
+            row.append({"t": (float(o), float(s), float(f)),
+                        "sees": {k for k in range(n) if rng.random() < 0.6}})
+            t = f + rng.randint(1, 4)
+        rows.append(row)
+    return build_trace([(3.0 * i, 0.0) for i in range(n)], rows)
+
+
 def oracle_traces():
-    """Small random traces plus every necessity template at a few seeds."""
+    """Small random, FSYNC and tied-time traces, every necessity template at
+    a few seeds and one lattice halt trace."""
     traces = []
     for seed in range(40):
         try:
             traces.append(random_trace(seed))
         except SimulationError:
             pass
+    for seed in range(10):
+        traces.append(fsync_trace(seed))
+    for seed in range(100):
+        traces.append(tied_trace(seed))
     for name in sorted(NECESSITY_TEMPLATES):
         for seed in range(4):
             try:
                 traces.append(run_template(name, seed))
             except SimulationError:
                 pass
+    traces.append(lattice_halt_trace())
     return traces
+
+
+def stationary_oracle(trace):
+    """Every observer against every cycle of each robot it sees."""
+    witnesses = []
+    for rec in trace.all_records():
+        i, j = rec.cycle.ident
+        for i2 in sorted(rec.visible_set - {i}):
+            for rec2 in trace.records[i2]:
+                if rec2.cycle.s < rec.cycle.o < rec2.cycle.f:
+                    witnesses.append({"observer": [i, j],
+                                      "mover": list(rec2.cycle.ident)})
+    return witnesses
 
 
 def test_relation_pass_matches_pairwise_oracles():
@@ -336,3 +393,15 @@ def test_relation_pass_matches_pairwise_oracles():
                     if holds:
                         expected.append((a, b, horizon_only))
         assert analysis.hb_pairs == expected
+        assert check_stationary(trace).witnesses == stationary_oracle(trace)
+
+
+def test_analyze_does_not_call_the_pairwise_relations(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("analyze called a pairwise relation")
+
+    for name in ("cycles_concurrent", "cycles_overlap", "happened_before"):
+        monkeypatch.setattr(checker, name, forbidden)
+    for trace in (run_template("serializability", 0), random_trace(1)):
+        analysis = analyze(trace)
+        assert analysis.concurrent and analysis.hb_pairs

@@ -93,6 +93,15 @@ def test_necessity_command(tmp_path):
     assert agg["materialized"] > 0 and agg["found_given_violation"] == 0
 
 
+def test_necessity_command_matches_the_api_defaults(tmp_path):
+    from robosync.experiments import necessity_experiment
+
+    out = tmp_path / "necessity.json"
+    assert run(["necessity", "--template", "control", "--seeds", "10",
+                "--out", out]) == 0
+    assert json.loads(out.read_text()) == necessity_experiment("control", 10)
+
+
 def test_open_at_horizon_and_budget_exhaustion_exit_3(tmp_path):
     from conftest import build_trace
 
