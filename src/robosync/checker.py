@@ -393,19 +393,6 @@ def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
 
 # -- propositions and the aggregate report ------------------------------------
 
-def proposition_same_robot(trace: Trace) -> list:
-    """Two cycles of one robot are concurrent exactly when they are equal."""
-    problems = []
-    for row in trace.records:
-        for x in range(len(row)):
-            for y in range(len(row)):
-                a = row[x].cycle.ident
-                b = row[y].cycle.ident
-                if cycles_concurrent(trace, a, b) != (a == b):
-                    problems.append([list(a), list(b)])
-    return problems
-
-
 def proposition_no_hb_within_class(analysis: ConcurrencyAnalysis) -> list:
     return [[list(a), list(b)] for a, b, _ in analysis.hb_pairs
             if analysis.class_of[a] == analysis.class_of[b]]
@@ -487,7 +474,6 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
 
     propositions = {}
     if stationary.ok and aligned.ok and consistent.ok:
-        propositions["same_robot_concurrency"] = proposition_same_robot(trace)
         propositions["no_hb_within_class"] = proposition_no_hb_within_class(analysis)
         propositions["one_cycle_per_robot_per_class"] = \
             proposition_one_cycle_per_robot(analysis)

@@ -254,27 +254,29 @@ class Trace:
         horizon = float(data["horizon"])
         # the cycle rows must form a valid schedule for the scenario's robots
         Schedule(scenario.n, horizon, [[r.cycle for r in row] for row in records])
+        for row in records:
+            for r in row:
+                if not all(0 <= k < scenario.n for k in r.visible_set):
+                    raise InputError(f"cycle {r.cycle.ident} sees a robot outside "
+                                     f"0..{scenario.n - 1}: {sorted(r.visible_set)}")
         return cls(scenario, horizon, records,
                    kind=data.get("kind", "plain"), machine=data.get("machine"))
 
 
 class _RobotState:
-    __slots__ = ("rest_pos", "color_log", "move")
+    __slots__ = ("rest_pos", "color_times", "colors", "move")
 
     def __init__(self, pos: Point, color: str | None):
         self.rest_pos = pos
-        # (effective time, color); a new color shows from the move start on
-        self.color_log: list[tuple[float, str]] = [(-float("inf"), color)] if color else []
+        # colors[k] shows from color_times[k] on (a new color from the move
+        # start); the times strictly increase, as a robot's move starts do
+        self.color_times: list[float] = [-math.inf] if color else []
+        self.colors: list[str] = [color] if color else []
         self.move: dict | None = None
 
     def color_at(self, t: float) -> str | None:
-        current = None
-        for eff, color in self.color_log:
-            if eff <= t:
-                current = color
-            else:
-                break
-        return current
+        k = bisect_right(self.color_times, t)
+        return self.colors[k - 1] if k else None
 
     def position_at(self, t: float) -> Point | None:
         """None when strictly mid-move and no sample exists for t."""
@@ -321,7 +323,7 @@ class Simulation:
                 self._on_move_start(robot, cycle)
             else:
                 self._on_move_end(robot, cycle)
-        kind = "luminous" if self.states and self.states[0].color_log else "plain"
+        kind = "luminous" if self.states and self.states[0].colors else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
 
     # -- event handlers -----------------------------------------------------
@@ -406,7 +408,8 @@ class Simulation:
         ))
         if luminous and decision.color_after:
             # visible from the move start onward
-            state.color_log.append((cycle.s, decision.color_after))
+            state.color_times.append(cycle.s)
+            state.colors.append(decision.color_after)
 
     def _on_move_start(self, robot: int, cycle: Cycle) -> None:
         state = self.states[robot]
@@ -425,7 +428,10 @@ class Simulation:
         record.z = z
         record.pos_after_move = after
         record.mid_move_samples = tuple(sorted(samples.items()))
-        self._check_pairs(cycle.s, self._positions_at(cycle.s), looking=False)
+        # no pair check: a move start changes no position.  Looks at this
+        # instant ran before it and move ends at it run after it, over the
+        # same positions; without either, every robot at rest sat at the same
+        # point at the last earlier Look or move end and was checked there
 
     def _on_move_end(self, robot: int, cycle: Cycle) -> None:
         state = self.states[robot]

@@ -203,7 +203,7 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
     if not vicinity:
         raise InputError(f"sampled scenario is not clique-clustered: {vicinity.reasons}")
     ranges = DurationRanges()
-    schedule = sample_async_schedule(seed, scenario.n, horizon, ranges)
+    schedule = sample_async_schedule(seed, scenario.n, horizon)
     fairness_window = ranges.between_cycles[1] + 2 * ranges.cycle_span_max + 0.125
     trace = run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID),
                              machine=machine)

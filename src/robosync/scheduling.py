@@ -117,19 +117,12 @@ class DurationRanges:
     move: tuple[float, float] = (0.25, 1.0)
     between_cycles: tuple[float, float] = (0.5, 3.0)
 
-    def validate(self) -> None:
-        for name in ("look_to_move", "move", "between_cycles"):
-            lo, hi = getattr(self, name)
-            if lo <= 0 or hi < lo:
-                raise InputError(f"degenerate duration range {name}=({lo}, {hi})")
-
     @property
     def cycle_span_max(self) -> float:
         return self.look_to_move[1] + self.move[1]
 
 
-def sample_async_schedule(seed: int, n: int, horizon: float,
-                          params: DurationRanges | None = None) -> Schedule:
+def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
     """Random asynchronous schedule, deterministic per seed.
 
     Each robot draws from its own stream, so extending the horizon at a fixed
@@ -137,8 +130,7 @@ def sample_async_schedule(seed: int, n: int, horizon: float,
     """
     if not 0 <= horizon < math.inf:
         raise InputError(f"horizon must be finite and non-negative, got {horizon}")
-    params = params or DurationRanges()
-    params.validate()
+    params = DurationRanges()
     robots: list[list[Cycle]] = []
     for i in range(n):
         rng = random.Random(f"sched:{seed}:{i}")

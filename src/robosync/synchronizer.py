@@ -9,13 +9,14 @@ snapshot.  The new color becomes visible at the move start.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .algorithms import AlgorithmSpec, compute
 from .engine import Adversary, Decision, Scenario, Simulation, Trace
 from .errors import InputError
-from .geometry import Point, Route
+from .geometry import Point, Route, is_visible
 from .scheduling import Schedule
 
 
@@ -161,16 +162,14 @@ _VIRTUAL = {SyncColor.BK: "Y", SyncColor.R: "Y", SyncColor.W: "Y",
             SyncColor.B: "B", SyncColor.G: "G"}
 
 
-def color_change_sequence(trace: Trace, robot: int) -> list[tuple[float, SyncColor]]:
-    """(effective time, new color) for every actual color change."""
-    out = []
+def _color_changes(trace: Trace, robot: int):
+    """(record, color before, color after) for each of the robot's cycles,
+    in order; every light starts black."""
     current = SyncColor.BK
     for rec in trace.records[robot]:
         after = SyncColor(rec.color_after)
-        if after is not current:
-            out.append((rec.cycle.s, after))
-            current = after
-    return out
+        yield rec, current, after
+        current = after
 
 
 def check_color_lifecycle(trace: Trace) -> list[str]:
@@ -178,9 +177,7 @@ def check_color_lifecycle(trace: Trace) -> list[str]:
     and a change to R must coincide with acceptance."""
     problems = []
     for i in range(trace.n):
-        current = SyncColor.BK
-        for rec in trace.records[i]:
-            after = SyncColor(rec.color_after)
+        for rec, current, after in _color_changes(trace, i):
             if after is not current and after not in _ALLOWED_NEXT[current]:
                 problems.append(f"robot {i} cycle {rec.cycle.j}: {current.value}->{after.value}")
             went_red = current is SyncColor.BK and after is SyncColor.R
@@ -188,38 +185,28 @@ def check_color_lifecycle(trace: Trace) -> list[str]:
                 problems.append(
                     f"robot {i} cycle {rec.cycle.j}: accepted={rec.accepted} "
                     f"but transition {current.value}->{after.value}")
-            current = after
     return problems
-
-
-def virtual_phase_at(trace: Trace, robot: int, t: float) -> int:
-    """Number of virtual-state changes (Y->B->G->Y...) completed by time t."""
-    phase = 0
-    virt = "Y"
-    for eff, color in color_change_sequence(trace, robot):
-        if eff > t:
-            break
-        v = _VIRTUAL[color]
-        if v != virt:
-            phase += 1
-            virt = v
-    return phase
 
 
 def check_neighbor_phase_lag(trace: Trace) -> list[str]:
     """At each Look, every initial-visibility neighbour's virtual phase must
-    be within one of the observer's."""
+    be within one of the observer's.  A robot's virtual phase at time t is
+    the number of its virtual-state changes (Y->B->G->Y...) effective by t;
+    a new color shows from the move start, and move starts strictly increase."""
+    changes = [[rec.cycle.s for rec, before, after in _color_changes(trace, i)
+                if _VIRTUAL[after] != _VIRTUAL[before]]
+               for i in range(trace.n)]
     problems = []
     initial = trace.scenario.initial_positions
-    from .geometry import is_visible
     for i in range(trace.n):
         neighbors = [k for k in range(trace.n)
                      if k != i and is_visible(initial[i], initial[k])]
         for rec in trace.records[i]:
-            mine = virtual_phase_at(trace, i, rec.cycle.o)
+            o = rec.cycle.o
+            mine = bisect_right(changes[i], o)
             for k in neighbors:
-                theirs = virtual_phase_at(trace, k, rec.cycle.o)
+                theirs = bisect_right(changes[k], o)
                 if abs(mine - theirs) > 1:
                     problems.append(
-                        f"robot {i} at t={rec.cycle.o}: phase {mine} vs neighbour {k} phase {theirs}")
+                        f"robot {i} at t={o}: phase {mine} vs neighbour {k} phase {theirs}")
     return problems

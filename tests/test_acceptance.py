@@ -22,7 +22,6 @@ from robosync.checker import (
     happened_before,
     proposition_no_hb_within_class,
     proposition_one_cycle_per_robot,
-    proposition_same_robot,
 )
 from robosync.cli import main as cli_main
 from robosync.engine import Adversary, simulate
@@ -138,8 +137,6 @@ def test_criterion_5_proposition_suite():
         max_cycles = max(max_cycles, total_cycles)
         assert scenario.n <= 6 and total_cycles <= 30
 
-        if proposition_same_robot(trace):
-            violations.append((seed, "same-robot concurrency"))
         analysis = analyze(trace)
         if analysis.classes != closure_partition(trace):
             violations.append((seed, "union-find vs closure"))

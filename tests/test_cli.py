@@ -151,6 +151,8 @@ TRACE_MUTATIONS = {
     "row under the wrong robot": lambda recs: _set_cycle(recs[0][0], robot=1),
     "overlapping cycles": lambda recs: _set_cycle(recs[0][1], o=0.75),
     "no rows for the robots": lambda recs: recs.clear(),
+    "visible robot past the last": lambda recs: recs[0][0].update(visible_set=[0, 99]),
+    "negative visible robot": lambda recs: recs[0][0].update(visible_set=[-1, 0]),
 }
 
 

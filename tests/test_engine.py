@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import random_small_inputs
 from robosync.algorithms import HALT, SCRIPTED, AlgorithmSpec, ScriptEntry, as_controller
 from robosync.engine import (
     Adversary,
@@ -7,12 +8,14 @@ from robosync.engine import (
     NONRIGID,
     RIGID,
     Scenario,
+    Simulation,
     Trace,
     simulate,
 )
-from robosync.errors import CollisionError, DegenerateScenarioError, InputError
+from robosync.errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
 from robosync.geometry import Point, Route, point_along, squared_distance
 from robosync.scheduling import Cycle, Schedule, make_fsync_schedule, sample_async_schedule
+from robosync.synchronizer import SVP, SyncColor, SynchronizerController
 
 IDENT = FrameSpec()
 
@@ -227,3 +230,48 @@ def test_trace_json_round_trip():
     trace = _mid_move_setup(4)
     again = Trace.from_json(trace.to_json())
     assert again.to_json() == trace.to_json()
+
+
+class _MoveStartChecking(Simulation):
+    """The engine with its former pair check at every move start."""
+
+    def _on_move_start(self, robot, cycle):
+        super()._on_move_start(robot, cycle)
+        self._check_pairs(cycle.s, self._positions_at(cycle.s), looking=False)
+
+
+def test_collision_at_a_move_start_is_reported_by_the_move_end():
+    # robot 0 lands on robot 1 at t=1, the instant robot 2 starts moving
+    spec = AlgorithmSpec(SCRIPTED, script=(
+        ScriptEntry(snapshot=(Point(0, 0), Point(1, 0)),
+                    route=(Point(0, 0), Point(1, 0))),
+    ))
+    scenario = scen((0, 0), (1, 0), (3, 3), delta=0.25)
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 2: [(0.125, 1.0, 1.5)]})
+    for sim in (Simulation, _MoveStartChecking):
+        with pytest.raises(CollisionError, match=r"^robots 0 and 1 collide at t=1\.0$"):
+            sim(scenario, schedule, as_controller(spec), Adversary(1, RIGID)).run()
+
+
+def _outcome(sim, scenario, schedule, controller, seed, color):
+    try:
+        return sim(scenario, schedule, controller, Adversary(seed, NONRIGID),
+                   initial_color=color).run().to_json()
+    except SimulationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_move_start_check_never_changes_a_run():
+    moves = 0
+    for seed in range(100):
+        scenario, spec = random_small_inputs(seed)
+        schedule = sample_async_schedule(seed, scenario.n, 8.0)
+        for controller, color in ((as_controller(spec), None),
+                                  (SynchronizerController(SVP, spec), SyncColor.BK.value)):
+            now = _outcome(Simulation, scenario, schedule, controller, seed, color)
+            assert now == _outcome(_MoveStartChecking, scenario, schedule,
+                                   controller, seed, color)
+            if isinstance(now, dict):
+                moves += sum(rec["pos_after_move"] != rec["pos_at_look"]
+                             for row in now["records"] for rec in row)
+    assert moves  # the runs move robots, so the move starts are not all no-ops

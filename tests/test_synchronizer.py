@@ -140,3 +140,96 @@ def test_phase_lag_holds_on_clustered_run():
     trace = run_synchronized(scenario, spec, schedule, Adversary(3, NONRIGID), "svp")
     assert not check_neighbor_phase_lag(trace)
     assert not check_color_lifecycle(trace)
+
+
+# -- the color invariants against their per-Look rebuild ----------------------
+
+def _oracle_color_changes(trace, robot):
+    out = []
+    current = BK
+    for rec in trace.records[robot]:
+        after = SyncColor(rec.color_after)
+        if after is not current:
+            out.append((rec.cycle.s, after))
+            current = after
+    return out
+
+
+def _oracle_phase_at(trace, robot, t):
+    virtual = {BK: "Y", R: "Y", W: "Y", B: "B", G: "G"}
+    phase = 0
+    virt = "Y"
+    for eff, color in _oracle_color_changes(trace, robot):
+        if eff > t:
+            break
+        if virtual[color] != virt:
+            phase += 1
+            virt = virtual[color]
+    return phase
+
+
+def _oracle_phase_lag(trace):
+    from robosync.geometry import is_visible
+
+    problems = []
+    initial = trace.scenario.initial_positions
+    for i in range(trace.n):
+        neighbors = [k for k in range(trace.n)
+                     if k != i and is_visible(initial[i], initial[k])]
+        for rec in trace.records[i]:
+            mine = _oracle_phase_at(trace, i, rec.cycle.o)
+            for k in neighbors:
+                theirs = _oracle_phase_at(trace, k, rec.cycle.o)
+                if abs(mine - theirs) > 1:
+                    problems.append(
+                        f"robot {i} at t={rec.cycle.o}: phase {mine} vs neighbour {k} phase {theirs}")
+    return problems
+
+
+def _oracle_lifecycle(trace):
+    allowed = {BK: {R, W}, W: {BK}, R: {B}, B: {G}, G: {BK}}
+    problems = []
+    for i in range(trace.n):
+        current = BK
+        for rec in trace.records[i]:
+            after = SyncColor(rec.color_after)
+            if after is not current and after not in allowed[current]:
+                problems.append(f"robot {i} cycle {rec.cycle.j}: {current.value}->{after.value}")
+            went_red = current is BK and after is R
+            if bool(rec.accepted) != went_red:
+                problems.append(
+                    f"robot {i} cycle {rec.cycle.j}: accepted={rec.accepted} "
+                    f"but transition {current.value}->{after.value}")
+            current = after
+    return problems
+
+
+def test_color_invariants_match_the_per_look_rebuild_on_mutated_traces():
+    import random
+
+    from robosync.scenarios import random_vicinity_scenario
+    from robosync.scheduling import sample_async_schedule
+
+    lagging = broken = 0
+    for seed in range(40):
+        scenario, spec = random_vicinity_scenario(seed)
+        schedule = sample_async_schedule(seed, scenario.n, 40.0)
+        trace = run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID), "svp")
+        assert check_neighbor_phase_lag(trace) == _oracle_phase_lag(trace) == []
+        assert check_color_lifecycle(trace) == _oracle_lifecycle(trace) == []
+        rng = random.Random(f"mutate:{seed}")
+        records = trace.all_records()
+        for _ in range(6):
+            rec = rng.choice(records)
+            if rng.random() < 0.75:
+                rec.color_after = rng.choice(list(SyncColor)).value
+            else:
+                rec.accepted = not rec.accepted
+            phase_lag = check_neighbor_phase_lag(trace)
+            lifecycle = check_color_lifecycle(trace)
+            assert phase_lag == _oracle_phase_lag(trace)
+            assert lifecycle == _oracle_lifecycle(trace)
+            lagging += bool(phase_lag)
+            broken += bool(lifecycle)
+    # the comparisons cover non-empty problem lists of both checks
+    assert lagging >= 20 and broken >= 20
