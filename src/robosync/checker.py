@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .engine import Trace
-from .errors import InputError
 from .geometry import squared_distance
 from .orders import BudgetExhausted, find_cycle, topological_orders
 
@@ -24,83 +23,11 @@ PASS = "pass"
 FAIL = "fail"
 OPEN = "open-at-horizon"
 
-NEG_INF = -float("inf")
-POS_INF = float("inf")
-
 DEFAULT_NODE_BUDGET = 10 ** 6
-
-
-# -- primitive accessors -----------------------------------------------------
-
-def _prev_f(trace: Trace, robot: int, j: int) -> float:
-    """End of the previous move; -inf for a robot's first cycle."""
-    if j <= 1:
-        return NEG_INF
-    return trace.record(robot, j - 1).cycle.f
-
-
-def _next_s(trace: Trace, robot: int, j: int) -> float:
-    """Start of the next move; +inf past the end of the prefix."""
-    if j < len(trace.records[robot]):
-        return trace.record(robot, j + 1).cycle.s
-    return POS_INF
 
 
 def _sees(trace: Trace, a: CycleId, other: int) -> bool:
     return other in trace.record(*a).visible_set
-
-
-# -- pairwise relations ------------------------------------------------------
-
-def cycles_overlap(trace: Trace, a: CycleId, b: CycleId) -> bool:
-    """Time intervals intersect and the earlier-Look robot is visible at the
-    later Look.  Defined for distinct robots only."""
-    if a[0] == b[0]:
-        raise InputError("overlap is defined for cycles of distinct robots")
-    ca, cb = trace.record(*a).cycle, trace.record(*b).cycle
-    if max(ca.o, cb.o) > min(ca.f, cb.f):
-        return False
-    if ca.o < cb.o:
-        return _sees(trace, b, a[0])
-    if cb.o < ca.o:
-        return _sees(trace, a, b[0])
-    return _sees(trace, b, a[0]) or _sees(trace, a, b[0])
-
-
-def cycles_concurrent(trace: Trace, a: CycleId, b: CycleId) -> bool:
-    """Mutual-observation concurrency: same cycle, or each Look falls inside
-    the other's pre-move window with the partner visible."""
-    if a[0] == b[0]:
-        return a[1] == b[1]
-
-    def one_way(x: CycleId, y: CycleId) -> bool:
-        cx = trace.record(*x).cycle
-        cy = trace.record(*y).cycle
-        return (_prev_f(trace, *y) < cx.o <= cy.o
-                and cx.o <= cy.o <= cx.s
-                and _sees(trace, x, y[0]))
-
-    return one_way(a, b) or one_way(b, a)
-
-
-def happened_before(trace: Trace, a: CycleId, b: CycleId) -> tuple[bool, bool]:
-    """Immediate-precedence relation.  Returns (holds, only_at_horizon):
-    the second flag marks a relation that relies on the next move start of
-    the earlier robot lying beyond the prefix."""
-    (i, j), (i2, j2) = a, b
-    ca = trace.record(i, j).cycle
-    cb = trace.record(i2, j2).cycle
-    if i2 == i:
-        return (j2 == j + 1, False)
-    case3 = (_sees(trace, a, i2)
-             and _prev_f(trace, i2, j2) < ca.o < ca.f < cb.o)
-    if case3:
-        return (True, False)
-    if _sees(trace, b, i) and cb.o > ca.f:
-        bound = _next_s(trace, i, j)
-        if cb.o <= bound:
-            return (True, bound == POS_INF)
-    return (False, False)
 
 
 # -- the relation pass -------------------------------------------------------
@@ -176,6 +103,7 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
     holds is found from the cycle that sees the other robot: for concurrency
     and case 3 the earlier Look, for overlap and case 4 the later one.  A
     robot's own cycles are never concurrent and precede each other j -> j+1.
+    The direct pairwise definitions are the tests' oracles (tests/oracles.py).
     """
     ids = trace.cycle_ids()
     timelines = _timelines(trace)
@@ -302,10 +230,9 @@ def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
-def check_serializable(trace: Trace, analysis: ConcurrencyAnalysis | None = None) -> CheckResult:
+def check_serializable(analysis: ConcurrencyAnalysis) -> CheckResult:
     """The class precedence graph must be acyclic.  A cycle that exists only
     thanks to beyond-prefix assumptions is reported open-at-horizon."""
-    analysis = analysis or analyze(trace)
     if analysis.self_loops:
         k = analysis.self_loops[0]
         return CheckResult(FAIL, [{"class_cycle": [k, k]}])
@@ -369,12 +296,11 @@ class NaturalSortResult:
     sample_violation: list | None = None
 
 
-def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
+def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> NaturalSortResult:
     """Search the topological orders of the class graph for one satisfying
     both naturality clauses.  Exhaustion is 'none'; hitting the node budget
     is 'inconclusive' (a satisfying order may exist beyond it)."""
-    analysis = analysis or analyze(trace)
     if analysis.self_loops:
         return NaturalSortResult(NONE_FOUND, None)
     succ = analysis.successors(True)
@@ -453,7 +379,7 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
     stationary = check_stationary(trace)
     aligned = check_pairwise_aligned(analysis)
     consistent = check_consistent(trace, analysis)
-    serializable = check_serializable(trace, analysis)
+    serializable = check_serializable(analysis)
 
     natural_order = None
     if serializable.verdict == FAIL:

@@ -175,19 +175,27 @@ def cmd_repro(args: argparse.Namespace) -> int:
     return EXIT_PASS if result["ok"] else EXIT_CONDITION
 
 
-def cmd_necessity(args: argparse.Namespace) -> int:
-    if args.seeds < 1:
-        raise InputError("necessity sweeps need at least one seed")
-    result = necessity_experiment(args.template, args.seeds,
-                                  order_budget=args.order_budget,
-                                  node_budget=args.budget)
-    _dump(result, args.out)
+def _necessity_exit(result: dict) -> int:
     if result["materialized"]:
         if result["found_given_violation"]:
             return EXIT_CONDITION
         if result["inconclusive_rate"] and result["inconclusive_rate"] >= 0.05:
             return EXIT_INTERNAL
     return EXIT_PASS
+
+
+def cmd_necessity(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise InputError("necessity sweeps need at least one seed")
+    names = sorted(NECESSITY_TEMPLATES) if args.template == "all" else [args.template]
+    results = {name: necessity_experiment(name, args.seeds,
+                                          order_budget=args.order_budget,
+                                          node_budget=args.budget)
+               for name in names}
+    _dump({"schema": 1, "aggregates": results} if args.template == "all"
+          else results[args.template], args.out)
+    codes = {_necessity_exit(result) for result in results.values()}
+    return EXIT_CONDITION if EXIT_CONDITION in codes else max(codes)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -241,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_repro)
 
     p = sub.add_parser("necessity", help="Monte Carlo violation sweep")
-    p.add_argument("--template", required=True, choices=sorted(NECESSITY_TEMPLATES))
+    p.add_argument("--template", required=True,
+                   choices=[*sorted(NECESSITY_TEMPLATES), "all"],
+                   help="one violation template, or 'all' for one aggregate per template")
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--order-budget", type=int, default=256)
     common(p)
@@ -255,6 +265,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("budget", "order_budget"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise InputError(f"--{flag.replace('_', '-')} must not be negative, "
+                                 f"got {value}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

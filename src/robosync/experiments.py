@@ -52,6 +52,17 @@ def _check(checks: list, name: str, ok: bool, detail=None) -> None:
     checks.append({"name": name, "ok": bool(ok), "detail": detail})
 
 
+def _repro_result(name: str, trace, checks: list, pair_check: str, **extra) -> dict:
+    """The end both reproductions share: the accepted core must fail
+    consistency with (robot 0 cycle 1, robot 3 cycle 1) among its witnesses."""
+    report = check_all(extract_core(trace))
+    _check(checks, "core consistency fails", report.consistent.verdict == FAIL)
+    witness_pairs = [w["pair"] for w in report.consistent.witnesses]
+    _check(checks, pair_check, [[0, 1], [3, 1]] in witness_pairs, witness_pairs)
+    return {"schema": 1, "name": name, **extra, "ok": all(c["ok"] for c in checks),
+            "checks": checks, "report": report.to_json()}
+
+
 def repro_greedy_trap() -> dict:
     """Re-run the five-robot trap under the greedy machine and verify the
     narrative: four acceptances, the broken edge at t=3/2, and the core
@@ -71,19 +82,8 @@ def repro_greedy_trap() -> dict:
            abs(sq - 25.0 / 16.0) <= DIST_EPS, sq)
     _check(checks, "robot 0 out of robot 3's range at t=3/2", sq > 1.0, sq)
 
-    core = extract_core(trace)
-    report = check_all(core)
-    _check(checks, "core consistency fails", report.consistent.verdict == FAIL)
-    witness_pairs = [w["pair"] for w in report.consistent.witnesses]
-    _check(checks, "witness pair is (robot0 cycle1, robot3 cycle1)",
-           [[0, 1], [3, 1]] in witness_pairs, witness_pairs)
-    return {
-        "schema": 1,
-        "name": "greedy-lemma",
-        "ok": all(c["ok"] for c in checks),
-        "checks": checks,
-        "report": report.to_json(),
-    }
+    return _repro_result("greedy-lemma", trace, checks,
+                         "witness pair is (robot0 cycle1, robot3 cycle1)")
 
 
 def repro_colorbased(machine: str = SVP, max_rounds: int = 12) -> dict:
@@ -113,21 +113,8 @@ def repro_colorbased(machine: str = SVP, max_rounds: int = 12) -> dict:
     for robot in range(4):
         _check(checks, f"staggered cycle of robot {robot} accepted",
                trace.record(robot, j0).accepted is True)
-    core = extract_core(trace)
-    report = check_all(core)
-    _check(checks, "core consistency fails", report.consistent.verdict == FAIL)
-    witness_pairs = [w["pair"] for w in report.consistent.witnesses]
-    _check(checks, "witness pair is (robot0, robot3)",
-           [[0, 1], [3, 1]] in witness_pairs, witness_pairs)
-    return {
-        "schema": 1,
-        "name": "colorbased-theorem",
-        "machine": machine,
-        "ok": all(c["ok"] for c in checks),
-        "checks": checks,
-        "j0": j0,
-        "report": report.to_json(),
-    }
+    return _repro_result("colorbased-theorem", trace, checks,
+                         "witness pair is (robot0, robot3)", machine=machine, j0=j0)
 
 
 NECESSITY_NODE_BUDGET = 200_000  # default of `necessity_experiment` and the CLI

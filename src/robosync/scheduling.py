@@ -155,7 +155,7 @@ def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
 def check_fairness_prefix(schedule: Schedule, window: float) -> list[bool]:
     """Finite fairness proxy: a robot passes when every length-`window`
     interval starting in [0, horizon - window] contains one of its Looks."""
-    if window <= 0:
+    if not window > 0:  # NaN fails this too
         raise InputError("fairness window must be positive")
     verdicts = []
     for cycles in schedule.robots:

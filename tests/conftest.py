@@ -1,6 +1,5 @@
-"""Shared helpers: a direct trace builder for checker-level tests, a sampler
-of small random inputs, and the brute-force closure oracle used against the
-union-find partition."""
+"""Shared helpers: a direct trace builder for checker-level tests and a
+sampler of small random inputs."""
 from __future__ import annotations
 
 import random
@@ -70,35 +69,3 @@ def random_small_inputs(seed: int, max_robots: int = 6
     spec = (AlgorithmSpec(HALT) if rng.random() < 0.5
             else AlgorithmSpec(HULL_CONTRACTION, contraction=0.5))
     return scenario, spec
-
-
-def closure_partition(trace: Trace) -> list[list[tuple[int, int]]]:
-    """Independent oracle: Warshall-style transitive closure of the pairwise
-    concurrency matrix, returned in the checker's canonical class order."""
-    from robosync.checker import cycles_concurrent
-
-    ids = trace.cycle_ids()
-    m = len(ids)
-    reach = [[cycles_concurrent(trace, ids[a], ids[b]) for b in range(m)]
-             for a in range(m)]
-    for k in range(m):
-        for a in range(m):
-            if reach[a][k]:
-                row_k = reach[k]
-                row_a = reach[a]
-                for b in range(m):
-                    if row_k[b]:
-                        row_a[b] = True
-    seen = set()
-    classes = []
-    for a in range(m):
-        if a in seen:
-            continue
-        group = [b for b in range(m) if reach[a][b] or a == b]
-        seen.update(group)
-        classes.append(sorted(ids[b] for b in group))
-
-    def key(cls):
-        return min((trace.record(*c).cycle.o, c[0], c[1]) for c in cls)
-
-    return sorted(classes, key=key)

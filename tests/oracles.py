@@ -1,0 +1,134 @@
+"""Brute-force oracles for the checker's fast paths.
+
+The three pairwise cycle relations (overlap, concurrency, happened-before)
+as direct definitions, the transitive closure of concurrency, and the
+stationarity check as a double loop.  `checker.analyze` and
+`checker.check_stationary` must agree with them on every trace.
+"""
+from __future__ import annotations
+
+from robosync.engine import Trace
+from robosync.errors import InputError
+
+CycleId = tuple[int, int]
+
+NEG_INF = -float("inf")
+POS_INF = float("inf")
+
+
+# -- primitive accessors -----------------------------------------------------
+
+def _prev_f(trace: Trace, robot: int, j: int) -> float:
+    """End of the previous move; -inf for a robot's first cycle."""
+    if j <= 1:
+        return NEG_INF
+    return trace.record(robot, j - 1).cycle.f
+
+
+def _next_s(trace: Trace, robot: int, j: int) -> float:
+    """Start of the next move; +inf past the end of the prefix."""
+    if j < len(trace.records[robot]):
+        return trace.record(robot, j + 1).cycle.s
+    return POS_INF
+
+
+def _sees(trace: Trace, a: CycleId, other: int) -> bool:
+    return other in trace.record(*a).visible_set
+
+
+# -- pairwise relations ------------------------------------------------------
+
+def cycles_overlap(trace: Trace, a: CycleId, b: CycleId) -> bool:
+    """Time intervals intersect and the earlier-Look robot is visible at the
+    later Look.  Defined for distinct robots only."""
+    if a[0] == b[0]:
+        raise InputError("overlap is defined for cycles of distinct robots")
+    ca, cb = trace.record(*a).cycle, trace.record(*b).cycle
+    if max(ca.o, cb.o) > min(ca.f, cb.f):
+        return False
+    if ca.o < cb.o:
+        return _sees(trace, b, a[0])
+    if cb.o < ca.o:
+        return _sees(trace, a, b[0])
+    return _sees(trace, b, a[0]) or _sees(trace, a, b[0])
+
+
+def cycles_concurrent(trace: Trace, a: CycleId, b: CycleId) -> bool:
+    """Mutual-observation concurrency: same cycle, or each Look falls inside
+    the other's pre-move window with the partner visible."""
+    if a[0] == b[0]:
+        return a[1] == b[1]
+
+    def one_way(x: CycleId, y: CycleId) -> bool:
+        cx = trace.record(*x).cycle
+        cy = trace.record(*y).cycle
+        return (_prev_f(trace, *y) < cx.o <= cy.o
+                and cx.o <= cy.o <= cx.s
+                and _sees(trace, x, y[0]))
+
+    return one_way(a, b) or one_way(b, a)
+
+
+def happened_before(trace: Trace, a: CycleId, b: CycleId) -> tuple[bool, bool]:
+    """Immediate-precedence relation.  Returns (holds, only_at_horizon):
+    the second flag marks a relation that relies on the next move start of
+    the earlier robot lying beyond the prefix."""
+    (i, j), (i2, j2) = a, b
+    ca = trace.record(i, j).cycle
+    cb = trace.record(i2, j2).cycle
+    if i2 == i:
+        return (j2 == j + 1, False)
+    case3 = (_sees(trace, a, i2)
+             and _prev_f(trace, i2, j2) < ca.o < ca.f < cb.o)
+    if case3:
+        return (True, False)
+    if _sees(trace, b, i) and cb.o > ca.f:
+        bound = _next_s(trace, i, j)
+        if cb.o <= bound:
+            return (True, bound == POS_INF)
+    return (False, False)
+
+
+# -- whole-trace oracles -----------------------------------------------------
+
+def closure_partition(trace: Trace) -> list[list[CycleId]]:
+    """Warshall-style transitive closure of the pairwise concurrency matrix,
+    returned in the checker's canonical class order."""
+    ids = trace.cycle_ids()
+    m = len(ids)
+    reach = [[cycles_concurrent(trace, ids[a], ids[b]) for b in range(m)]
+             for a in range(m)]
+    for k in range(m):
+        for a in range(m):
+            if reach[a][k]:
+                row_k = reach[k]
+                row_a = reach[a]
+                for b in range(m):
+                    if row_k[b]:
+                        row_a[b] = True
+    seen = set()
+    classes = []
+    for a in range(m):
+        if a in seen:
+            continue
+        group = [b for b in range(m) if reach[a][b] or a == b]
+        seen.update(group)
+        classes.append(sorted(ids[b] for b in group))
+
+    def key(cls):
+        return min((trace.record(*c).cycle.o, c[0], c[1]) for c in cls)
+
+    return sorted(classes, key=key)
+
+
+def stationary_oracle(trace: Trace) -> list[dict]:
+    """Every observer against every cycle of each robot it sees."""
+    witnesses = []
+    for rec in trace.all_records():
+        i, j = rec.cycle.ident
+        for i2 in sorted(rec.visible_set - {i}):
+            for rec2 in trace.records[i2]:
+                if rec2.cycle.s < rec.cycle.o < rec2.cycle.f:
+                    witnesses.append({"observer": [i, j],
+                                      "mover": list(rec2.cycle.ident)})
+    return witnesses

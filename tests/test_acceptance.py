@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import closure_partition, random_small_inputs
+from conftest import random_small_inputs
+from oracles import closure_partition, cycles_concurrent, happened_before
 from robosync.algorithms import as_controller
 from robosync.checker import (
     analyze,
@@ -18,8 +19,6 @@ from robosync.checker import (
     check_pairwise_aligned,
     check_serializable,
     check_stationary,
-    cycles_concurrent,
-    happened_before,
     proposition_no_hb_within_class,
     proposition_one_cycle_per_robot,
 )
@@ -154,7 +153,7 @@ def test_criterion_5_proposition_suite():
         if first_three:
             if proposition_no_hb_within_class(analysis):
                 violations.append((seed, "precedence inside a class"))
-            if check_serializable(trace, analysis).ok \
+            if check_serializable(analysis).ok \
                     and proposition_one_cycle_per_robot(analysis):
                 violations.append((seed, "robot twice in one class"))
     resample_rate = (attempts - produced) / attempts

@@ -3,8 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import build_trace, closure_partition, random_small_inputs
-from robosync import checker
+from conftest import build_trace, random_small_inputs
+from oracles import (
+    closure_partition,
+    cycles_concurrent,
+    cycles_overlap,
+    happened_before,
+    stationary_oracle,
+)
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.checker import (
     FAIL,
@@ -19,10 +25,7 @@ from robosync.checker import (
     check_pairwise_aligned,
     check_serializable,
     check_stationary,
-    cycles_concurrent,
-    cycles_overlap,
     find_natural_sort,
-    happened_before,
 )
 from robosync.engine import Adversary, FrameSpec, Scenario, simulate
 from robosync.errors import InputError, SimulationError
@@ -189,7 +192,7 @@ def test_serializability_two_cycle():
     assert check_stationary(trace).verdict == PASS
     assert check_pairwise_aligned(analyze(trace)).verdict == PASS
     assert check_consistent(trace, analyze(trace)).verdict == PASS
-    result = check_serializable(trace)
+    result = check_serializable(analyze(trace))
     assert result.verdict == FAIL
     cycle = result.witnesses[0]["class_cycle"]
     assert len(cycle) >= 3 and cycle[0] == cycle[-1]
@@ -200,7 +203,7 @@ def test_serializability_two_cycle():
 def test_serializability_chain_passes():
     chain = build_trace([(0, 0)], [[
         {"t": (0.0, 0.25, 0.5)}, {"t": (1.0, 1.25, 1.5)}, {"t": (2.0, 2.25, 2.5)}]])
-    assert check_serializable(chain).verdict == PASS
+    assert check_serializable(analyze(chain)).verdict == PASS
 
 
 def test_open_at_horizon_two_cycle():
@@ -220,7 +223,7 @@ def test_open_at_horizon_two_cycle():
     assert classes == [[(0, 1), (2, 1), (3, 1), (4, 1)], [(1, 1)]]
     assert happened_before(trace, (2, 1), (1, 1)) == (True, True)
     assert happened_before(trace, (1, 1), (3, 1)) == (True, True)
-    result = check_serializable(trace)
+    result = check_serializable(analyze(trace))
     assert result.verdict == OPEN
     report = check_all(trace)
     assert report.consistent.verdict == PASS
@@ -229,7 +232,7 @@ def test_open_at_horizon_two_cycle():
 
 def test_natural_sort_single_class_is_trivial():
     solo = build_trace([(0, 0)], [[{"t": (0.0, 0.25, 0.5)}]])
-    result = find_natural_sort(solo)
+    result = find_natural_sort(solo, analyze(solo))
     assert result.status == FOUND
     assert result.order == [[(0, 1)]]
 
@@ -242,7 +245,7 @@ def test_natural_sort_none_when_reentry_unseen():
         [{"t": (0.0, 1.0, 2.0), "pos": (0.5, 0), "after": (0.5, 0)},
          {"t": (6.0, 7.0, 8.0), "pos": (0.5, 0), "sees": {0}}],
     ])
-    result = find_natural_sort(trace)
+    result = find_natural_sort(trace, analyze(trace))
     assert result.status == NONE_FOUND
     assert result.sample_violation[0]["clause"] == 2
 
@@ -253,8 +256,9 @@ def test_natural_sort_budget_inconclusive():
         [{"t": (0.0, 0.25, 0.75)}],
         [{"t": (0.0, 0.25, 0.75)}],
     ])
-    assert find_natural_sort(lonely, node_budget=1).status == INCONCLUSIVE
-    assert find_natural_sort(lonely).status == FOUND
+    analysis = analyze(lonely)
+    assert find_natural_sort(lonely, analysis, node_budget=1).status == INCONCLUSIVE
+    assert find_natural_sort(lonely, analysis).status == FOUND
 
 
 def test_check_all_on_trap_core():
@@ -297,11 +301,9 @@ def test_hb_implies_not_concurrent(seed):
         trace = random_trace(seed)
     except SimulationError:
         return
-    ids = trace.cycle_ids()
-    for a in ids:
-        for b in ids:
-            if a != b and happened_before(trace, a, b)[0]:
-                assert not cycles_concurrent(trace, a, b)
+    analysis = analyze(trace)
+    for a, b, _ in analysis.hb_pairs:
+        assert (min(a, b), max(a, b)) not in analysis.concurrent
 
 
 def fsync_trace(seed):
@@ -361,19 +363,6 @@ def oracle_traces():
     return traces
 
 
-def stationary_oracle(trace):
-    """Every observer against every cycle of each robot it sees."""
-    witnesses = []
-    for rec in trace.all_records():
-        i, j = rec.cycle.ident
-        for i2 in sorted(rec.visible_set - {i}):
-            for rec2 in trace.records[i2]:
-                if rec2.cycle.s < rec.cycle.o < rec2.cycle.f:
-                    witnesses.append({"observer": [i, j],
-                                      "mover": list(rec2.cycle.ident)})
-    return witnesses
-
-
 def test_relation_pass_matches_pairwise_oracles():
     for trace in oracle_traces():
         analysis = analyze(trace)
@@ -394,14 +383,3 @@ def test_relation_pass_matches_pairwise_oracles():
                         expected.append((a, b, horizon_only))
         assert analysis.hb_pairs == expected
         assert check_stationary(trace).witnesses == stationary_oracle(trace)
-
-
-def test_analyze_does_not_call_the_pairwise_relations(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("analyze called a pairwise relation")
-
-    for name in ("cycles_concurrent", "cycles_overlap", "happened_before"):
-        monkeypatch.setattr(checker, name, forbidden)
-    for trace in (run_template("serializability", 0), random_trace(1)):
-        analysis = analyze(trace)
-        assert analysis.concurrent and analysis.hb_pairs

@@ -3,7 +3,13 @@ import json
 import pytest
 
 from robosync.cli import main
-from robosync.scenarios import builtin_bundle, bundle_to_json, random_vicinity_scenario
+from robosync.experiments import necessity_experiment
+from robosync.scenarios import (
+    NECESSITY_TEMPLATES,
+    builtin_bundle,
+    bundle_to_json,
+    random_vicinity_scenario,
+)
 
 
 @pytest.fixture
@@ -94,12 +100,48 @@ def test_necessity_command(tmp_path):
 
 
 def test_necessity_command_matches_the_api_defaults(tmp_path):
-    from robosync.experiments import necessity_experiment
-
     out = tmp_path / "necessity.json"
     assert run(["necessity", "--template", "control", "--seeds", "10",
                 "--out", out]) == 0
     assert json.loads(out.read_text()) == necessity_experiment("control", 10)
+
+
+def _combined_exit(codes) -> int:
+    """1 if any template fails, else 3 if any is inconclusive, else 0."""
+    codes = set(codes)
+    return 1 if 1 in codes else 3 if 3 in codes else 0
+
+
+def test_necessity_all_templates(tmp_path):
+    out = tmp_path / "all.json"
+    codes = [run(["necessity", "--template", name, "--seeds", "10", "--out", out])
+             for name in NECESSITY_TEMPLATES]
+    assert run(["necessity", "--template", "all", "--seeds", "10",
+                "--out", out]) == _combined_exit(codes)
+    assert json.loads(out.read_text()) == {"schema": 1, "aggregates": {
+        name: necessity_experiment(name, 10) for name in sorted(NECESSITY_TEMPLATES)}}
+
+
+# an aggregate that makes a single-template sweep exit with each code
+AGGREGATE_FOR_EXIT = {
+    0: {"materialized": 3, "found_given_violation": 0, "inconclusive_rate": 0.0},
+    1: {"materialized": 3, "found_given_violation": 1, "inconclusive_rate": 0.0},
+    3: {"materialized": 3, "found_given_violation": 0, "inconclusive_rate": 0.5},
+}
+
+
+@pytest.mark.parametrize("codes", [(0, 0, 0, 0, 0), (0, 3, 0, 0, 0),
+                                   (3, 0, 1, 0, 3), (1, 1, 1, 1, 1)])
+def test_necessity_all_exit_code_rule(tmp_path, monkeypatch, codes):
+    import robosync.cli
+
+    by_name = dict(zip(sorted(NECESSITY_TEMPLATES), codes))
+    monkeypatch.setattr(robosync.cli, "necessity_experiment",
+                        lambda name, seeds, **kwargs: AGGREGATE_FOR_EXIT[by_name[name]])
+    out = tmp_path / "out.json"
+    for name, code in by_name.items():
+        assert run(["necessity", "--template", name, "--out", out]) == code
+    assert run(["necessity", "--template", "all", "--out", out]) == _combined_exit(codes)
 
 
 def test_open_at_horizon_and_budget_exhaustion_exit_3(tmp_path):
@@ -197,7 +239,20 @@ def control_trace(tmp_path, capsys):
     return trace
 
 
-@pytest.mark.parametrize("case", [*TRACE_MUTATIONS, *FILE_CASES, "fsync:x", "async:-5"])
+CONTROL = ["simulate", "--scenario", "builtin:necessity-control"]
+
+# each case gives the command line, given the path of a trace that passes
+FLAG_CASES = {
+    "fsync:x": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "fsync:x"],
+    "async:-5": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async:-5"],
+    "NaN fairness window": lambda trace: [*CONTROL, "--fairness-window", "nan"],
+    "negative check budget": lambda trace: ["check", trace, "--budget", "-3"],
+    "negative order budget":
+        lambda trace: ["necessity", "--template", "control", "--order-budget", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", [*TRACE_MUTATIONS, *FILE_CASES, *FLAG_CASES])
 def test_malformed_input_gives_one_line_and_exit_2(tmp_path, control_trace, capsys, case):
     if case in TRACE_MUTATIONS:
         raw = json.loads(control_trace.read_text())
@@ -211,8 +266,7 @@ def test_malformed_input_gives_one_line_and_exit_2(tmp_path, control_trace, caps
         opts = {"--scenario": "builtin:necessity-control", flag: path}
         args = ["simulate", *(x for pair in opts.items() for x in pair)]
     else:
-        args = ["simulate", "--scenario", "builtin:necessity-control",
-                "--algo", "halt", "--schedule", case]
+        args = FLAG_CASES[case](control_trace)
     assert run(args) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("input error:")

@@ -69,8 +69,9 @@ def test_fairness_examples():
     lazy = Schedule(n=2, horizon=5.0,
                     robots=[[Cycle(0, 1, 0.0, 0.25, 0.5)], []])
     assert check_fairness_prefix(lazy, 1.0) == [False, False]
-    with pytest.raises(InputError):
-        check_fairness_prefix(fsync, 0.0)
+    for window in (0.0, -1.0, float("nan")):
+        with pytest.raises(InputError):
+            check_fairness_prefix(fsync, window)
 
 
 def test_fairness_window_from_generator_bounds():
