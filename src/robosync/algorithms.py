@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Scenario, Trace
+from .engine import AlgorithmController, Scenario, Trace
 from .errors import InputError
 from .geometry import (
+    ORIGIN,
     Point,
     Route,
     hull_distance,
@@ -76,7 +77,7 @@ class AlgorithmSpec:
 
 def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
     """Route for one Compute, in the local frame, starting at (0, 0)."""
-    if Point(0.0, 0.0) not in snapshot:
+    if ORIGIN not in snapshot:
         raise InputError("snapshot must contain the observer's origin")
     if spec.kind == HALT:
         return Route.stay_put()
@@ -85,9 +86,9 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
         cx = sum(p.x for p in pts) / len(pts)
         cy = sum(p.y for p in pts) / len(pts)
         target = Point(spec.contraction * cx, spec.contraction * cy)
-        if target == Point(0.0, 0.0):
+        if target == ORIGIN:
             return Route.stay_put()
-        return Route((Point(0.0, 0.0), target))
+        return Route((ORIGIN, target))
     for entry in spec.script:
         if same_points(entry.snapshot, snapshot, POINT_MATCH_EPS):
             return Route(entry.route)
@@ -95,7 +96,6 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
 
 
 def as_controller(spec: AlgorithmSpec):
-    from .engine import AlgorithmController
     return AlgorithmController(lambda snapshot: compute(spec, snapshot))
 
 

@@ -57,7 +57,8 @@ def _load(path: str, parse):
         raise
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise InputError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 

@@ -18,7 +18,8 @@ from typing import Callable, Protocol
 
 from .errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
 from .geometry import (
-    LocalFrame,
+    ORIGIN,
+    FrameSpec,
     Point,
     Route,
     is_threshold_degenerate,
@@ -34,19 +35,6 @@ RIGID = "rigid"
 NONRIGID = "nonrigid"
 
 LOOK, MOVE_START, MOVE_END = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    """Per-robot frame parameters; the origin tracks the robot's position."""
-    rotation: float = 0.0
-    unit: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rotation):
-            raise InputError(f"frame rotation must be finite, got {self.rotation}")
-        if not 0 < self.unit < math.inf:
-            raise InputError(f"frame unit must be finite and positive, got {self.unit}")
 
 
 @dataclass
@@ -74,10 +62,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.initial_positions)
-
-    def frame_at(self, robot: int, position: Point) -> LocalFrame:
-        spec = self.frames[robot]
-        return LocalFrame(position, spec.rotation, spec.unit)
 
     def to_json(self) -> dict:
         return {
@@ -263,37 +247,15 @@ class Trace:
                    kind=data.get("kind", "plain"), machine=data.get("machine"))
 
 
-class _RobotState:
-    __slots__ = ("rest_pos", "color_times", "colors", "move")
-
-    def __init__(self, pos: Point, color: str | None):
-        self.rest_pos = pos
-        # colors[k] shows from color_times[k] on (a new color from the move
-        # start); the times strictly increase, as a robot's move starts do
-        self.color_times: list[float] = [-math.inf] if color else []
-        self.colors: list[str] = [color] if color else []
-        self.move: dict | None = None
-
-    def color_at(self, t: float) -> str | None:
-        k = bisect_right(self.color_times, t)
-        return self.colors[k - 1] if k else None
-
-    def position_at(self, t: float) -> Point | None:
-        """None when strictly mid-move and no sample exists for t."""
-        mv = self.move
-        if mv is None or t <= mv["s"]:
-            return self.rest_pos
-        if t >= mv["f"]:
-            return mv["after"]
-        u = mv["samples"].get(t)
-        if u is None:
-            return None
-        return point_along(mv["route"], u)
-
-
 class Simulation:
     """Single sequential run; build one per (scenario, schedule, controller,
-    adversary) and call run()."""
+    adversary) and call run().
+
+    The records are the only per-robot state: a robot's position and color
+    at an event are read from its last record, or from the scenario and
+    `initial_color` before its first Look.  Events run in time order, so
+    every query about a robot comes at or after that robot's last Look.
+    """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
                  controller: Controller, adversary: Adversary,
@@ -304,7 +266,7 @@ class Simulation:
         self.schedule = schedule
         self.controller = controller
         self.adversary = adversary
-        self.states = [_RobotState(p, initial_color) for p in scenario.initial_positions]
+        self.initial_color = initial_color
         self.records: list[list[CycleRecord]] = [[] for _ in range(scenario.n)]
         self._look_times = schedule.look_times()
 
@@ -323,13 +285,40 @@ class Simulation:
                 self._on_move_start(robot, cycle)
             else:
                 self._on_move_end(robot, cycle)
-        kind = "luminous" if self.states and self.states[0].colors else "plain"
+        # a run without robots is reported as plain, whatever its initial color
+        kind = "luminous" if self.initial_color and self.records else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
 
     # -- event handlers -----------------------------------------------------
 
+    def _position_at(self, robot: int, t: float) -> Point | None:
+        """None when strictly mid-move and no sample exists for t."""
+        row = self.records[robot]
+        if not row:
+            return self.scenario.initial_positions[robot]
+        record = row[-1]
+        if t <= record.cycle.s:
+            return record.pos_at_look
+        if t >= record.cycle.f:
+            return record.pos_after_move
+        samples = record.mid_move_samples
+        k = bisect_left(samples, (t,))
+        if k == len(samples) or samples[k][0] != t:
+            return None
+        return point_along(record.route_global, samples[k][1])
+
+    def _color_at(self, robot: int, t: float) -> str | None:
+        """A new color shows from the move start on."""
+        row = self.records[robot]
+        if not row:
+            return self.initial_color
+        record = row[-1]
+        if t >= record.cycle.s and record.color_after:
+            return record.color_after
+        return record.color_before
+
     def _positions_at(self, t: float) -> list[Point | None]:
-        return [st.position_at(t) for st in self.states]
+        return [self._position_at(i, t) for i in range(len(self.records))]
 
     def _check_pairs(self, t: float, positions: list[Point | None], looking: bool) -> None:
         n = len(positions)
@@ -355,8 +344,8 @@ class Simulation:
         """
         positions = self._positions_at(t)
         self._check_pairs(t, positions, looking=True)
-        me = self.states[observer].rest_pos
-        frame = self.scenario.frame_at(observer, me)
+        me = positions[observer]
+        frame = self.scenario.frames[observer]
         seen: list[tuple[Point, int]] = []
         for i, pos in enumerate(positions):
             if i == observer:
@@ -365,18 +354,18 @@ class Simulation:
                 raise SimulationError(
                     f"no observation sample for robot {i} at t={t}")
             if is_visible(me, pos):
-                seen.append((to_local(frame, pos), i))
+                seen.append((to_local(frame, me, pos), i))
         entries = sorted(((p.x, p.y, i) for p, i in seen))
         visible = frozenset(i for _, _, i in entries) | {observer}
-        points = (Point(0.0, 0.0),) + tuple(Point(x, y) for x, y, _ in entries)
-        colors = tuple([self.states[observer].color_at(t) or ""]
-                       + [self.states[i].color_at(t) or "" for _, _, i in entries])
+        points = (ORIGIN,) + tuple(Point(x, y) for x, y, _ in entries)
+        colors = tuple([self._color_at(observer, t) or ""]
+                       + [self._color_at(i, t) or "" for _, _, i in entries])
         return visible, points, colors
 
     def _on_look(self, robot: int, cycle: Cycle) -> None:
-        state = self.states[robot]
+        here = self._position_at(robot, cycle.o)
         visible, points, colors = self.observe(robot, cycle.o)
-        own_color = state.color_at(cycle.o)
+        own_color = self._color_at(robot, cycle.o)
         luminous = own_color is not None
         decision = self.controller.decide(
             robot, cycle.j, points, colors if luminous else None, own_color)
@@ -384,63 +373,49 @@ class Simulation:
             route_global = decision.route_global
         else:
             local = decision.route_local
-            if local.start != Point(0.0, 0.0):
+            if local.start != ORIGIN:
                 raise SimulationError("computed route must start at the local origin")
             if local.length == 0.0:
-                route_global = Route.stay_put(state.rest_pos)
+                route_global = Route.stay_put(here)
             else:
-                route_global = route_to_global(
-                    self.scenario.frame_at(robot, state.rest_pos), local)
-        if route_global.start != state.rest_pos:
+                route_global = route_to_global(self.scenario.frames[robot], here, local)
+        if route_global.start != here:
             raise SimulationError("computed route must start at the robot")
         self.records[robot].append(CycleRecord(
             cycle=cycle,
-            pos_at_look=state.rest_pos,
+            pos_at_look=here,
             visible_set=visible,
             snapshot_local=points,
             route_global=route_global,
             z=1.0,
-            pos_after_move=state.rest_pos,
+            pos_after_move=here,
             snapshot_colors=colors if luminous else None,
             color_before=own_color,
             color_after=decision.color_after if luminous else None,
             accepted=decision.accepted if luminous else None,
         ))
-        if luminous and decision.color_after:
-            # visible from the move start onward
-            state.color_times.append(cycle.s)
-            state.colors.append(decision.color_after)
 
     def _on_move_start(self, robot: int, cycle: Cycle) -> None:
-        state = self.states[robot]
         record = self.records[robot][-1]
         route = record.route_global
         z = self.adversary.draw_truncation(robot, cycle.j)
         realized = truncated_length(route.length, self.scenario.delta, z)
-        after = point_along(route, realized)
         looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
         obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
         fractions = self.adversary.draw_observation_fractions(robot, cycle.j, len(obs_times))
-        arclengths = sorted(f * realized for f in fractions)
-        samples = dict(zip(obs_times, arclengths))
-        state.move = {"s": cycle.s, "f": cycle.f, "route": route,
-                      "after": after, "samples": samples}
         record.z = z
-        record.pos_after_move = after
-        record.mid_move_samples = tuple(sorted(samples.items()))
+        record.pos_after_move = point_along(route, realized)
+        record.mid_move_samples = tuple(zip(obs_times, sorted(f * realized for f in fractions)))
         # no pair check: a move start changes no position.  Looks at this
         # instant ran before it and move ends at it run after it, over the
         # same positions; without either, every robot at rest sat at the same
         # point at the last earlier Look or move end and was checked there
 
     def _on_move_end(self, robot: int, cycle: Cycle) -> None:
-        state = self.states[robot]
-        state.rest_pos = state.move["after"]
-        state.move = None
         self._check_pairs(cycle.f, self._positions_at(cycle.f), looking=False)
 
 
 def simulate(scenario: Scenario, schedule: Schedule, controller: Controller,
-             adversary: Adversary, initial_color: str | None = None) -> Trace:
+             adversary: Adversary) -> Trace:
     """Run one deterministic simulation and return its trace."""
-    return Simulation(scenario, schedule, controller, adversary, initial_color).run()
+    return Simulation(scenario, schedule, controller, adversary).run()

@@ -46,6 +46,7 @@ from .synthesis import (
 )
 
 DIST_EPS = 1e-9
+COLORBASED_WARMUP_ROUNDS = 12  # fully synchronous rounds tried before the splice
 
 
 def _check(checks: list, name: str, ok: bool, detail=None) -> None:
@@ -86,15 +87,15 @@ def repro_greedy_trap() -> dict:
                          "witness pair is (robot0 cycle1, robot3 cycle1)")
 
 
-def repro_colorbased(machine: str = SVP, max_rounds: int = 12) -> dict:
+def repro_colorbased(machine: str = SVP) -> dict:
     """Warm any color-based machine up under full synchrony until its first
     all-accept round, splice the staggered trap timing into that round, and
     verify the same core inconsistency appears."""
     scenario, _, spec = greedy_trap_scenario()
-    warm = run_synchronized(scenario, spec, make_fsync_schedule(max_rounds, 5),
+    warm = run_synchronized(scenario, spec, make_fsync_schedule(COLORBASED_WARMUP_ROUNDS, 5),
                             Adversary(0, RIGID), machine=machine)
     j0 = None
-    for j in range(1, max_rounds + 1):
+    for j in range(1, COLORBASED_WARMUP_ROUNDS + 1):
         if all(warm.record(i, j).accepted for i in range(5)):
             j0 = j
             break

@@ -259,33 +259,34 @@ def point_along(route: Route, s: float) -> Point:
 
 
 @dataclass(frozen=True)
-class LocalFrame:
-    """A robot's private coordinate system: origin at the robot, rotated and
-    uniformly scaled relative to the global frame."""
-    origin: Point
-    rotation: float
-    unit: float
+class FrameSpec:
+    """A robot's private coordinate system, rotated and uniformly scaled
+    relative to the global frame; its origin is the robot's position."""
+    rotation: float = 0.0
+    unit: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.unit <= 0:
-            raise InputError("frame unit must be positive")
+        if not math.isfinite(self.rotation):
+            raise InputError(f"frame rotation must be finite, got {self.rotation}")
+        if not 0 < self.unit < math.inf:
+            raise InputError(f"frame unit must be finite and positive, got {self.unit}")
 
 
-def to_local(frame: LocalFrame, g: Point) -> Point:
+def to_local(frame: FrameSpec, origin: Point, g: Point) -> Point:
     c = math.cos(frame.rotation)
     s = math.sin(frame.rotation)
-    dx = g.x - frame.origin.x
-    dy = g.y - frame.origin.y
+    dx = g.x - origin.x
+    dy = g.y - origin.y
     return Point((c * dx + s * dy) / frame.unit, (-s * dx + c * dy) / frame.unit)
 
 
-def to_global(frame: LocalFrame, l: Point) -> Point:
+def to_global(frame: FrameSpec, origin: Point, l: Point) -> Point:
     c = math.cos(frame.rotation)
     s = math.sin(frame.rotation)
     gx = frame.unit * (c * l.x - s * l.y)
     gy = frame.unit * (s * l.x + c * l.y)
-    return Point(frame.origin.x + gx, frame.origin.y + gy)
+    return Point(origin.x + gx, origin.y + gy)
 
 
-def route_to_global(frame: LocalFrame, route: Route) -> Route:
-    return Route(tuple(to_global(frame, v) for v in route.vertices))
+def route_to_global(frame: FrameSpec, origin: Point, route: Route) -> Route:
+    return Route(tuple(to_global(frame, origin, v) for v in route.vertices))

@@ -186,14 +186,13 @@ def necessity_template(name: str, seed: int) -> TemplateRun:
 
 # -- random clique-cluster scenarios ------------------------------------------
 
-def random_vicinity_scenario(seed: int, n_min: int = 3, n_max: int = 8
-                             ) -> tuple[Scenario, AlgorithmSpec]:
+def random_vicinity_scenario(seed: int) -> tuple[Scenario, AlgorithmSpec]:
     """Random clusters whose visibility graphs are cliques of diameter < 1,
     separated well beyond the range.  Hull contraction on such a scenario
     keeps every robot inside its cluster's initial hull, so all pairwise
     distances stay far from the visibility threshold."""
     rng = random.Random(f"scn:{seed}")
-    n = rng.randint(n_min, n_max)
+    n = rng.randint(3, 8)
     clusters = 1 if n < 4 or rng.random() < 0.6 else 2
     counts = [n] if clusters == 1 else [n // 2, n - n // 2]
     positions: list[Point] = []

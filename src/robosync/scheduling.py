@@ -38,6 +38,8 @@ class Cycle:
             raise InputError("cycle indices start at 1")
         if not self.o < self.s < self.f:
             raise InputError(f"cycle times must satisfy o < s < f, got {self}")
+        if not (math.isfinite(self.o) and math.isfinite(self.f)):
+            raise InputError(f"cycle times must be finite, got {self}")
 
     @property
     def ident(self) -> tuple[int, int]:

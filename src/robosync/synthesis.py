@@ -65,16 +65,14 @@ class _PlanController:
 
     def __init__(self, plan: SsyncPlan, scenario: Scenario):
         self.plan = plan
-        self.positions = list(scenario.initial_positions)
+        self.scenario = scenario
 
     def decide(self, robot, j, snapshot, snapshot_colors, own_color) -> Decision:
-        here = self.positions[robot]
-        target = self.plan.targets[(robot, j)]
-        if target == here:
-            route = Route.stay_put(here)
-        else:
-            route = Route((here, target))
-        self.positions[robot] = target
+        # a rigid move reaches its target, so cycle j starts at cycle j-1's
+        targets = self.plan.targets
+        here = targets[(robot, j - 1)] if j > 1 else self.scenario.initial_positions[robot]
+        target = targets[(robot, j)]
+        route = Route.stay_put(here) if target == here else Route((here, target))
         return Decision(route_local=Route.stay_put(), route_global=route)
 
 
@@ -99,7 +97,7 @@ class SimilarityResult:
         return {"similar": self.ok, "witness": self.witness}
 
 
-def similar(source: Trace, replayed: Trace, eps: float = SIMILARITY_EPS) -> SimilarityResult:
+def similar(source: Trace, replayed: Trace) -> SimilarityResult:
     """Cycle-for-cycle equality of Look positions and local snapshots.
 
     This per-index equality implies equality of the footprint and snapshot
@@ -112,12 +110,12 @@ def similar(source: Trace, replayed: Trace, eps: float = SIMILARITY_EPS) -> Simi
                 "robot": i, "reason": "cycle count",
                 "source": len(source.records[i]), "replay": len(replayed.records[i])})
         for j, (ra, rb) in enumerate(zip(source.records[i], replayed.records[i]), start=1):
-            if not same_points((ra.pos_at_look,), (rb.pos_at_look,), eps):
+            if not same_points((ra.pos_at_look,), (rb.pos_at_look,), SIMILARITY_EPS):
                 return SimilarityResult(False, {
                     "robot": i, "j": j, "reason": "footprint",
                     "source": ra.pos_at_look.as_pair(),
                     "replay": rb.pos_at_look.as_pair()})
-            if not same_points(ra.snapshot_local, rb.snapshot_local, eps):
+            if not same_points(ra.snapshot_local, rb.snapshot_local, SIMILARITY_EPS):
                 return SimilarityResult(False, {
                     "robot": i, "j": j, "reason": "snapshot",
                     "source": sorted(p.as_pair() for p in ra.snapshot_local),

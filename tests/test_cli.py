@@ -195,6 +195,8 @@ TRACE_MUTATIONS = {
     "no rows for the robots": lambda recs: recs.clear(),
     "visible robot past the last": lambda recs: recs[0][0].update(visible_set=[0, 99]),
     "negative visible robot": lambda recs: recs[0][0].update(visible_set=[-1, 0]),
+    "visible robot of 1e400": lambda recs: recs[0][0].update(visible_set=[0, 1e400]),
+    "infinite last move end": lambda recs: _set_cycle(recs[1][-1], f=float("inf")),
 }
 
 
@@ -220,6 +222,12 @@ FILE_CASES = {
         lambda: _control_schedule(lambda d: d.update(robots=[5, *d["robots"][1:]])),
     "infinite schedule horizon":
         lambda: _control_schedule(lambda d: d.update(horizon=float("inf"))),
+    "infinite schedule o":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(o=float("inf"))),
+    "schedule o of 1e307":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(o=1e307)),
+    "schedule j of 1e400":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(j=1e400)),
     "hull algorithm without lambda": lambda: ("--algo", {"kind": "hull_contraction"}),
     "scripted entry without snapshot":
         lambda: ("--algo", {"kind": "scripted", "script": [{"route": [[0, 0]]}]}),

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import random_small_inputs
 from robosync.algorithms import HALT, SCRIPTED, AlgorithmSpec, ScriptEntry, as_controller
+from robosync.checker import check_all
 from robosync.engine import (
     Adversary,
     FrameSpec,
@@ -14,8 +18,16 @@ from robosync.engine import (
 )
 from robosync.errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
 from robosync.geometry import Point, Route, point_along, squared_distance
+from robosync.scenarios import necessity_template, random_vicinity_scenario
 from robosync.scheduling import Cycle, Schedule, make_fsync_schedule, sample_async_schedule
-from robosync.synchronizer import SVP, SyncColor, SynchronizerController
+from robosync.synchronizer import (
+    SVP,
+    SyncColor,
+    SynchronizerController,
+    extract_core,
+    run_synchronized,
+)
+from robosync.synthesis import build_plan, replay_plan
 
 IDENT = FrameSpec()
 
@@ -190,22 +202,27 @@ def test_snapshot_self_consistency():
                     if squared_distance(rec.pos_at_look, pos) <= 1.0:
                         seen.append((k, pos))
                 assert frozenset(k for k, _ in seen) | {i} == rec.visible_set
-                frame = trace.scenario.frame_at(i, rec.pos_at_look)
-                local = sorted([Point(0.0, 0.0)] + [to_local(frame, p) for _, p in seen],
+                frame = trace.scenario.frames[i]
+                local = sorted([Point(0.0, 0.0)] + [to_local(frame, rec.pos_at_look, p)
+                                                    for _, p in seen],
                                key=lambda p: (p.x, p.y))
                 assert tuple(local) == tuple(sorted(rec.snapshot_local,
                                                     key=lambda p: (p.x, p.y)))
 
 
-def test_collision_aborts():
+def _collision_setup():
     spec = AlgorithmSpec(SCRIPTED, script=(
         ScriptEntry(snapshot=(Point(0, 0), Point(1, 0)),
                     route=(Point(0, 0), Point(1, 0))),
     ))
     scenario = scen((0, 0), (1, 0), delta=0.25)
     schedule = sched(2, 3, {0: [(0.0, 0.25, 1.0)], 1: [(2.0, 2.25, 2.5)]})
+    return simulate(scenario, schedule, as_controller(spec), Adversary(1, RIGID))
+
+
+def test_collision_aborts():
     with pytest.raises(CollisionError):
-        simulate(scenario, schedule, as_controller(spec), Adversary(1, RIGID))
+        _collision_setup()
 
 
 def test_degenerate_threshold_rejected_at_construction():
@@ -213,7 +230,7 @@ def test_degenerate_threshold_rejected_at_construction():
         scen((0, 0), (1.0 + 2e-10, 0))
 
 
-def test_degenerate_threshold_during_run_aborts():
+def _degenerate_setup():
     spec = AlgorithmSpec(SCRIPTED, script=(
         ScriptEntry(snapshot=(Point(0, 0),),
                     route=(Point(0, 0), Point(0.9999999996, 0))),
@@ -222,8 +239,12 @@ def test_degenerate_threshold_during_run_aborts():
     # later look lands in the ambiguity band around the threshold
     scenario = scen((2, 0), (0, 0), delta=0.25)
     schedule = sched(2, 4, {1: [(0.0, 0.25, 1.0)], 0: [(2.0, 2.25, 2.5)]})
+    return simulate(scenario, schedule, as_controller(spec), Adversary(1, RIGID))
+
+
+def test_degenerate_threshold_during_run_aborts():
     with pytest.raises(DegenerateScenarioError):
-        simulate(scenario, schedule, as_controller(spec), Adversary(1, RIGID))
+        _degenerate_setup()
 
 
 def test_trace_json_round_trip():
@@ -275,3 +296,75 @@ def test_move_start_check_never_changes_a_run():
                 moves += sum(rec["pos_after_move"] != rec["pos_at_look"]
                              for row in now["records"] for rec in row)
     assert moves  # the runs move robots, so the move starts are not all no-ops
+
+
+def _lattice(cols, spacing):
+    return scen(*[(spacing * (k % cols), spacing * (k // cols)) for k in range(cols * cols)])
+
+
+def _svp_core_replay(seed):
+    scenario, spec = random_vicinity_scenario(seed)
+    schedule = sample_async_schedule(seed, scenario.n, 60.0)
+    core = extract_core(run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID)))
+    return replay_plan(scenario, build_plan(core, check_all(core).natural_order))
+
+
+def _digest_runs():
+    """Named groups of engine runs; each run is a thunk returning a trace."""
+    def plain(scenario, schedule, spec, seed, mode=NONRIGID):
+        return lambda: simulate(scenario, schedule, as_controller(spec), Adversary(seed, mode))
+
+    def svp(scenario, schedule, spec, seed):
+        return lambda: run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID))
+
+    groups = {"lattice": [plain(_lattice(3, 0.6), sample_async_schedule(0, 9, 60.0),
+                                AlgorithmSpec(HALT), 0)]}
+    vicinity = [random_vicinity_scenario(seed) for seed in range(3)]
+    groups["vicinity-async-svp"] = [svp(s, sample_async_schedule(seed, s.n, 60.0), spec, seed)
+                                    for seed, (s, spec) in enumerate(vicinity)]
+    groups["vicinity-fsync-hull"] = [plain(s, make_fsync_schedule(10, s.n), spec, seed)
+                                     for seed, (s, spec) in enumerate(vicinity)]
+    groups["templates"] = [
+        plain(run.scenario, run.schedule, run.algorithm, seed, run.adversary_mode)
+        for name in ("stationarity", "pairwise-alignment", "consistency", "serializability")
+        for seed in range(5) for run in [necessity_template(name, seed)]]
+    small = [(seed, *random_small_inputs(seed)) for seed in range(40)]
+    groups["small-plain"] = [plain(s, sample_async_schedule(seed, s.n, 8.0), spec, seed)
+                             for seed, s, spec in small]
+    groups["small-svp"] = [svp(s, sample_async_schedule(seed, s.n, 8.0), spec, seed)
+                           for seed, s, spec in small]
+    groups["svp-core-replay"] = [lambda: _svp_core_replay(0)]
+    groups["collision"] = [_collision_setup]
+    groups["degenerate"] = [_degenerate_setup]
+    return groups
+
+
+# sha256 of json.dumps([outcome, ...], sort_keys=True) per group, where an
+# outcome is the trace's JSON or [error type, message]; recorded from the
+# engine that kept a second copy of each robot's state, so a change to the
+# bytes of any of these runs must be made on purpose and re-recorded
+RECORDED_DIGESTS = {
+    "collision": "9b9b519c2da175e3b6317dafdba58361bd1b08d43f17e03a3d358c1e4dce1b4c",
+    "degenerate": "872ae14d1e1b27849e57fab81f92178b49bfd8daea8b845ec6e2084caf16d485",
+    "lattice": "560a1a7d9ca831476524e8d0a00b47fc8489d1a79088b732eec5329a4439b7f1",
+    "small-plain": "2bdbdfb6104a8d570e358cf57bcf73559fa4b1d04b391d21d8b8bdb170bb644d",
+    "small-svp": "b146e390bc66ac38b0be820c0ce0a27333bdbc738ab024abcbe802938abb123b",
+    "svp-core-replay": "b065a085981cffbaecd91d5abdc0afc17322cf11cb2b588d8bb93fbfa76a70fb",
+    "templates": "0f464b267be25f80379eb7d867f04c8990ba0f2ddbdf8d34d7708d1051bf1baa",
+    "vicinity-async-svp": "d7b0ba57514e2beda370b54118affcf9cce9df6ca06b882fcd65789bcf78f963",
+    "vicinity-fsync-hull": "b7302e8b0dabbc24584ea2e480a3c926065d716b193af2dbc7a0a8b001a80415",
+}
+
+
+def test_runs_match_the_recorded_digests():
+    digests = {}
+    for name, runs in _digest_runs().items():
+        outcomes = []
+        for run in runs:
+            try:
+                outcomes.append(run().to_json())
+            except SimulationError as exc:
+                outcomes.append([type(exc).__name__, str(exc)])
+        digests[name] = hashlib.sha256(
+            json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+    assert digests == RECORDED_DIGESTS

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from robosync.errors import InputError
 from robosync.geometry import (
-    LocalFrame,
+    FrameSpec,
     Point,
     Route,
     convex_hull,
@@ -114,30 +114,29 @@ def test_route_simplicity():
 
 
 def test_frame_examples():
-    ident = LocalFrame(Point(0, 0), 0.0, 1.0)
-    assert to_local(ident, Point(2, 3)) == Point(2, 3)
-    offset = LocalFrame(Point(1, 1), 0.0, 1.0)
-    assert to_local(offset, Point(1, 1)) == Point(0, 0)
-    quarter = LocalFrame(Point(0, 0), math.pi / 2, 2.0)
-    p = to_local(quarter, Point(1, 0))
+    ident = FrameSpec(0.0, 1.0)
+    assert to_local(ident, Point(0, 0), Point(2, 3)) == Point(2, 3)
+    assert to_local(ident, Point(1, 1), Point(1, 1)) == Point(0, 0)
+    quarter = FrameSpec(math.pi / 2, 2.0)
+    p = to_local(quarter, Point(0, 0), Point(1, 0))
     assert abs(p.x - 0.0) <= 1e-9 and abs(p.y - (-0.5)) <= 1e-9
-    back = to_global(quarter, p)
+    back = to_global(quarter, Point(0, 0), p)
     assert abs(back.x - 1) <= 1e-9 and abs(back.y) <= 1e-9
 
 
 def test_frame_round_trip_many():
     rng = random.Random(7)
     for _ in range(1000):
-        frame = LocalFrame(Point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
-                           rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 4.0))
+        origin = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
+        frame = FrameSpec(rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 4.0))
         g = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        back = to_global(frame, to_local(frame, g))
+        back = to_global(frame, origin, to_local(frame, origin, g))
         assert abs(back.x - g.x) <= 1e-9 and abs(back.y - g.y) <= 1e-9
 
 
 def test_frame_rejects_nonpositive_unit():
     with pytest.raises(InputError):
-        LocalFrame(Point(0, 0), 0.0, 0.0)
+        FrameSpec(0.0, 0.0)
 
 
 def test_hull_distance():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,8 @@ def test_cycle_ordering_enforced():
         Cycle(0, 1, 1.0, 1.0, 2.0)
     with pytest.raises(InputError):
         Cycle(0, 0, 0.0, 1.0, 2.0)
+    with pytest.raises(InputError):
+        Cycle(0, 1, 0.0, 1.0, math.inf)
 
 
 def test_fsync_generator_examples():
