@@ -250,71 +250,53 @@ def check_serializable(analysis: ConcurrencyAnalysis) -> CheckResult:
 def _natural_violations(trace: Trace, classes: list[list[CycleId]],
                         order: list[int]) -> list:
     """The first violation of the two naturality clauses under a class order
-    (empty list if none).  A clause whose straddling cycle lies beyond the
-    prefix is skipped."""
-    pos = {k: p for p, k in enumerate(order)}
-    cycle_pos: dict[CycleId, int] = {}
+    (empty list if none).  Every order searched places a robot's cycles at
+    strictly increasing positions (j -> j+1 is an edge and self-loops end the
+    search), so robot i2's cycle straddling position p is the one after the
+    last it has at or before p.  A clause whose straddling cycle lies beyond
+    the prefix is skipped."""
+    pos = [0] * len(classes)
+    for p, k in enumerate(order):
+        pos[k] = p
+    placed: list[list[int]] = [[0] * len(row) for row in trace.records]
     for k, cls in enumerate(classes):
-        for c in cls:
-            cycle_pos[c] = pos[k]
-    violations = []
-    for a in cycle_pos:
-        k = cycle_pos[a]
-        rec = trace.record(*a)
-        for i2 in range(trace.n):
-            if i2 == a[0]:
-                continue
-            jprime = None
-            for j2 in range(1, len(trace.records[i2]) + 1):
-                if cycle_pos[(i2, j2)] > k:
-                    jprime = j2
-                    break
-            if jprime is None:
-                continue
-            if _sees(trace, a, i2):
-                if not rec.cycle.o < trace.record(i2, jprime).cycle.o:
-                    violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 1})
-            else:
-                sq = squared_distance(rec.pos_at_look,
-                                      trace.record(i2, jprime).pos_at_look)
-                if sq <= 1.0:
-                    violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 2})
-            if violations:
-                return violations
-    return violations
-
-
-FOUND = "found"
-NONE_FOUND = "none"
-INCONCLUSIVE = "inconclusive"
-
-
-@dataclass
-class NaturalSortResult:
-    status: str                      # found | none | inconclusive
-    order: list[list[CycleId]] | None
-    sample_violation: list | None = None
+        for i, j in cls:
+            placed[i][j - 1] = pos[k]
+    for k, cls in enumerate(classes):
+        for a in cls:
+            rec = trace.record(*a)
+            for i2 in range(trace.n):
+                j2 = bisect_right(placed[i2], pos[k])
+                if i2 == a[0] or j2 == len(placed[i2]):
+                    continue
+                other = trace.records[i2][j2]
+                if i2 in rec.visible_set:
+                    if not rec.cycle.o < other.cycle.o:
+                        return [{"cycle": list(a), "other": [i2, j2 + 1], "clause": 1}]
+                elif squared_distance(rec.pos_at_look, other.pos_at_look) <= 1.0:
+                    return [{"cycle": list(a), "other": [i2, j2 + 1], "clause": 2}]
+    return []
 
 
 def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis,
-                      node_budget: int = DEFAULT_NODE_BUDGET) -> NaturalSortResult:
+                      node_budget: int = DEFAULT_NODE_BUDGET
+                      ) -> tuple[CheckResult, list[list[CycleId]] | None]:
     """Search the topological orders of the class graph for one satisfying
-    both naturality clauses.  Exhaustion is 'none'; hitting the node budget
-    is 'inconclusive' (a satisfying order may exist beyond it)."""
+    both naturality clauses, and return the verdict with that order.  Running
+    out of orders fails, with the first violation met; hitting the node budget
+    is open-at-horizon (a satisfying order may exist beyond it)."""
     if analysis.self_loops:
-        return NaturalSortResult(NONE_FOUND, None)
-    succ = analysis.successors(True)
-    sample = None
+        return CheckResult(FAIL), None
+    sample: list = []
     try:
-        for order in topological_orders(succ, node_budget):
+        for order in topological_orders(analysis.successors(True), node_budget):
             violations = _natural_violations(trace, analysis.classes, order)
             if not violations:
-                return NaturalSortResult(FOUND, [analysis.classes[k] for k in order])
-            if sample is None:
-                sample = violations
+                return CheckResult(PASS), [analysis.classes[k] for k in order]
+            sample = sample or violations
     except BudgetExhausted:
-        return NaturalSortResult(INCONCLUSIVE, None, sample_violation=sample)
-    return NaturalSortResult(NONE_FOUND, None, sample_violation=sample)
+        return CheckResult(OPEN, [{"reason": "search budget exhausted"}]), None
+    return CheckResult(FAIL, sample), None
 
 
 # -- propositions and the aggregate report ------------------------------------
@@ -389,14 +371,7 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
         # order exists depends on unmaterialized cycles
         natural = CheckResult(OPEN, [{"reason": "precedence loop open at horizon"}])
     else:
-        result = find_natural_sort(trace, analysis, node_budget)
-        if result.status == FOUND:
-            natural = CheckResult(PASS)
-            natural_order = result.order
-        elif result.status == INCONCLUSIVE:
-            natural = CheckResult(OPEN, [{"reason": "search budget exhausted"}])
-        else:
-            natural = CheckResult(FAIL, result.sample_violation or [])
+        natural, natural_order = find_natural_sort(trace, analysis, node_budget)
 
     propositions = {}
     if stationary.ok and aligned.ok and consistent.ok:

@@ -17,6 +17,7 @@ from .engine import Adversary, NONRIGID, RIGID, Trace, simulate
 from .errors import InputError, SimulationError
 from .experiments import (
     NECESSITY_NODE_BUDGET,
+    NECESSITY_ORDER_BUDGET,
     necessity_experiment,
     repro_colorbased,
     repro_greedy_trap,
@@ -75,8 +76,7 @@ def _number(text: str, kind: type, flag: str):
         raise InputError(f"{flag}: cannot read {text!r} as {kind.__name__}") from None
 
 
-def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int,
-                    horizon: float) -> Schedule:
+def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int) -> Schedule:
     if spec is None:
         if bundle["schedule"] is None:
             raise InputError("no schedule: pass --schedule or embed one in the scenario")
@@ -85,8 +85,6 @@ def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int,
         return make_fsync_schedule(_number(spec.split(":", 1)[1], int, "--schedule"), n)
     if spec.startswith("async:"):
         return sample_async_schedule(seed, n, _number(spec.split(":", 1)[1], float, "--schedule"))
-    if spec == "async":
-        return sample_async_schedule(seed, n, horizon)
     return _load(spec, Schedule.from_json)
 
 
@@ -106,7 +104,7 @@ def _parse_algorithm(spec: str | None, bundle: dict) -> AlgorithmSpec:
 def cmd_simulate(args: argparse.Namespace) -> int:
     bundle = _load_bundle(args.scenario)
     scenario = bundle["scenario"]
-    schedule = _parse_schedule(args.schedule, bundle, scenario.n, args.seed, args.horizon)
+    schedule = _parse_schedule(args.schedule, bundle, scenario.n, args.seed)
     if args.fairness_window is not None:
         verdicts = check_fairness_prefix(schedule, args.fairness_window)
         if not all(verdicts):
@@ -217,13 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulation and write its trace")
     p.add_argument("--scenario", required=True,
                    help="scenario JSON path or builtin:<name>")
-    p.add_argument("--schedule", help="fsync:N, async[:horizon], or a schedule JSON path")
+    p.add_argument("--schedule", help="fsync:N, async:H, or a schedule JSON path")
     p.add_argument("--algo", help="halt, hull:<lambda>, or an algorithm JSON path")
     p.add_argument("--machine", choices=["none", *MACHINES],
                    help="'none' forces a plain run even if the scenario embeds a machine")
     p.add_argument("--adversary", choices=[RIGID, NONRIGID])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=float, default=50.0)
     p.add_argument("--fairness-window", type=float,
                    help="refuse schedules where some robot has a look-free "
                         "window of this length")
@@ -254,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*sorted(NECESSITY_TEMPLATES), "all"],
                    help="one violation template, or 'all' for one aggregate per template")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--order-budget", type=int, default=256)
+    p.add_argument("--order-budget", type=int, default=NECESSITY_ORDER_BUDGET)
     common(p)
     budget(p, NECESSITY_NODE_BUDGET)
     p.set_defaults(func=cmd_necessity)

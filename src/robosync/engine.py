@@ -46,6 +46,8 @@ class Scenario:
     delta: float
 
     def __post_init__(self) -> None:
+        if not self.initial_positions:
+            raise InputError("a scenario needs at least one robot")
         if len(self.frames) != len(self.initial_positions):
             raise InputError("one frame spec per robot required")
         if not 0 <= self.delta < math.inf:
@@ -285,8 +287,7 @@ class Simulation:
                 self._on_move_start(robot, cycle)
             else:
                 self._on_move_end(robot, cycle)
-        # a run without robots is reported as plain, whatever its initial color
-        kind = "luminous" if self.initial_color and self.records else "plain"
+        kind = "luminous" if self.initial_color else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
 
     # -- event handlers -----------------------------------------------------

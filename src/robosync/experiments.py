@@ -118,11 +118,13 @@ def repro_colorbased(machine: str = SVP) -> dict:
                          "witness pair is (robot0, robot3)", machine=machine, j0=j0)
 
 
-NECESSITY_NODE_BUDGET = 200_000  # default of `necessity_experiment` and the CLI
+# defaults of `necessity_experiment` and the CLI
+NECESSITY_ORDER_BUDGET = 256
+NECESSITY_NODE_BUDGET = 200_000
 
 
 def necessity_experiment(template: str, num_seeds: int,
-                         order_budget: int = 256,
+                         order_budget: int = NECESSITY_ORDER_BUDGET,
                          node_budget: int = NECESSITY_NODE_BUDGET) -> dict:
     """Monte Carlo sweep: simulate the template under fresh adversary seeds,
     record whether its target condition actually failed, and search for a

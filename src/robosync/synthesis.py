@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checker import CycleId, ConcurrencyAnalysis, analyze
+from .checker import DEFAULT_NODE_BUDGET, CycleId, ConcurrencyAnalysis, analyze
 from .engine import Adversary, Decision, Scenario, Simulation, Trace, RIGID
 from .errors import InputError, SimulationError
 from .geometry import Point, Route, same_points
@@ -132,8 +132,6 @@ INCONCLUSIVE = "inconclusive"
 class CandidateSearchResult:
     verdict: str
     orders_tried: int
-    plan: SsyncPlan | None = None
-    replay: Trace | None = None
 
     def to_json(self) -> dict:
         return {"verdict": self.verdict, "orders_tried": self.orders_tried}
@@ -141,7 +139,7 @@ class CandidateSearchResult:
 
 def candidate_search(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
                      order_budget: int = 512,
-                     node_budget: int = 10 ** 6) -> CandidateSearchResult:
+                     node_budget: int = DEFAULT_NODE_BUDGET) -> CandidateSearchResult:
     """Try every schedule induced by a topological order of the class graph.
 
     A cyclic class graph admits no candidate at all.  The search replays each
@@ -164,7 +162,7 @@ def candidate_search(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
             except (InputError, SimulationError):
                 continue  # candidate is not realizable; it cannot be similar
             if similar(trace, replayed):
-                return CandidateSearchResult(SIMILAR_FOUND, tried, plan, replayed)
+                return CandidateSearchResult(SIMILAR_FOUND, tried)
     except BudgetExhausted:
         return CandidateSearchResult(INCONCLUSIVE, tried)
     return CandidateSearchResult(NONE_AMONG_CANDIDATES, tried)

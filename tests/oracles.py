@@ -1,14 +1,17 @@
 """Brute-force oracles for the checker's fast paths.
 
 The three pairwise cycle relations (overlap, concurrency, happened-before)
-as direct definitions, the transitive closure of concurrency, and the
-stationarity check as a double loop.  `checker.analyze` and
-`checker.check_stationary` must agree with them on every trace.
+as direct definitions, the transitive closure of concurrency, the
+stationarity check as a double loop, and the naturality clauses with a scan
+over each other robot's cycles.  `checker.analyze`,
+`checker.check_stationary` and `checker._natural_violations` must agree with
+them on every trace.
 """
 from __future__ import annotations
 
 from robosync.engine import Trace
 from robosync.errors import InputError
+from robosync.geometry import squared_distance
 
 CycleId = tuple[int, int]
 
@@ -132,3 +135,40 @@ def stationary_oracle(trace: Trace) -> list[dict]:
                     witnesses.append({"observer": [i, j],
                                       "mover": list(rec2.cycle.ident)})
     return witnesses
+
+
+def natural_violations(trace: Trace, classes: list[list[CycleId]],
+                       order: list[int]) -> list:
+    """The first violation of the two naturality clauses under a class order
+    (empty list if none).  A clause whose straddling cycle lies beyond the
+    prefix is skipped."""
+    pos = {k: p for p, k in enumerate(order)}
+    cycle_pos: dict[CycleId, int] = {}
+    for k, cls in enumerate(classes):
+        for c in cls:
+            cycle_pos[c] = pos[k]
+    violations = []
+    for a in cycle_pos:
+        k = cycle_pos[a]
+        rec = trace.record(*a)
+        for i2 in range(trace.n):
+            if i2 == a[0]:
+                continue
+            jprime = None
+            for j2 in range(1, len(trace.records[i2]) + 1):
+                if cycle_pos[(i2, j2)] > k:
+                    jprime = j2
+                    break
+            if jprime is None:
+                continue
+            if _sees(trace, a, i2):
+                if not rec.cycle.o < trace.record(i2, jprime).cycle.o:
+                    violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 1})
+            else:
+                sq = squared_distance(rec.pos_at_look,
+                                      trace.record(i2, jprime).pos_at_look)
+                if sq <= 1.0:
+                    violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 2})
+            if violations:
+                return violations
+    return violations

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,16 +10,15 @@ from oracles import (
     cycles_concurrent,
     cycles_overlap,
     happened_before,
+    natural_violations,
     stationary_oracle,
 )
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.checker import (
     FAIL,
-    FOUND,
-    INCONCLUSIVE,
-    NONE_FOUND,
     OPEN,
     PASS,
+    _natural_violations,
     analyze,
     check_all,
     check_consistent,
@@ -30,6 +30,7 @@ from robosync.checker import (
 from robosync.engine import Adversary, FrameSpec, Scenario, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.geometry import Point
+from robosync.orders import BudgetExhausted, topological_orders
 from robosync.scenarios import NECESSITY_TEMPLATES, greedy_trap_scenario, necessity_template
 from robosync.scheduling import make_fsync_schedule, sample_async_schedule
 from robosync.synchronizer import extract_core, run_synchronized
@@ -232,9 +233,9 @@ def test_open_at_horizon_two_cycle():
 
 def test_natural_sort_single_class_is_trivial():
     solo = build_trace([(0, 0)], [[{"t": (0.0, 0.25, 0.5)}]])
-    result = find_natural_sort(solo, analyze(solo))
-    assert result.status == FOUND
-    assert result.order == [[(0, 1)]]
+    natural, order = find_natural_sort(solo, analyze(solo))
+    assert natural.verdict == PASS
+    assert order == [[(0, 1)]]
 
 
 def test_natural_sort_none_when_reentry_unseen():
@@ -245,9 +246,28 @@ def test_natural_sort_none_when_reentry_unseen():
         [{"t": (0.0, 1.0, 2.0), "pos": (0.5, 0), "after": (0.5, 0)},
          {"t": (6.0, 7.0, 8.0), "pos": (0.5, 0), "sees": {0}}],
     ])
-    result = find_natural_sort(trace, analyze(trace))
-    assert result.status == NONE_FOUND
-    assert result.sample_violation[0]["clause"] == 2
+    natural, order = find_natural_sort(trace, analyze(trace))
+    assert natural.verdict == FAIL and order is None
+    assert natural.witnesses[0]["clause"] == 2
+
+
+def test_natural_sort_fails_when_a_seen_look_is_placed_later():
+    # records constructed directly: robot 3 (Look at 1.9) joins robot 0's
+    # class through robot 1; robot 0 saw robot 2 and ended before robot 2's
+    # Look at 1.5, so the only order places robot 2's cycle after the class,
+    # though robot 3 saw robot 2 and Looked later (clause 1)
+    trace = build_trace([(0, 0), (-0.9, 0), (0.9, 0), (0, 0.3)], [
+        [{"t": (0.0, 1.0, 1.1), "sees": {1, 2}}],
+        [{"t": (0.9, 2.0, 2.1), "sees": {3}}],
+        [{"t": (1.5, 1.95, 2.5)}],
+        [{"t": (1.9, 2.2, 2.3), "sees": {2}}],
+    ])
+    analysis = analyze(trace)
+    assert analysis.classes == [[(0, 1), (1, 1), (3, 1)], [(2, 1)]]
+    assert analysis.class_edges == {(0, 1): True}
+    natural, order = find_natural_sort(trace, analysis)
+    assert natural.verdict == FAIL and order is None
+    assert natural.witnesses == [{"cycle": [3, 1], "other": [2, 1], "clause": 1}]
 
 
 def test_natural_sort_budget_inconclusive():
@@ -257,8 +277,8 @@ def test_natural_sort_budget_inconclusive():
         [{"t": (0.0, 0.25, 0.75)}],
     ])
     analysis = analyze(lonely)
-    assert find_natural_sort(lonely, analysis, node_budget=1).status == INCONCLUSIVE
-    assert find_natural_sort(lonely, analysis).status == FOUND
+    assert find_natural_sort(lonely, analysis, node_budget=1)[0].verdict == OPEN
+    assert find_natural_sort(lonely, analysis)[0].verdict == PASS
 
 
 def test_check_all_on_trap_core():
@@ -340,15 +360,41 @@ def tied_trace(seed):
     return build_trace([(3.0 * i, 0.0) for i in range(n)], rows)
 
 
+def svp_core_trace(seed):
+    scenario, spec = random_small_inputs(seed)
+    schedule = sample_async_schedule(seed, scenario.n, 8.0)
+    return extract_core(run_synchronized(scenario, spec, schedule,
+                                         Adversary(seed, "nonrigid"), "svp"))
+
+
+def flipped_visibility(trace, seed):
+    """A copy of the trace with one other robot added to or removed from the
+    visible set of about a third of its records."""
+    rng = random.Random(f"flip:{seed}")
+    rows = []
+    for row in trace.records:
+        out = []
+        for rec in row:
+            others = [k for k in range(trace.n) if k != rec.cycle.robot]
+            if others and rng.random() < 0.35:
+                rec = dataclasses.replace(
+                    rec, visible_set=rec.visible_set ^ {rng.choice(others)})
+            out.append(rec)
+        rows.append(out)
+    return dataclasses.replace(trace, records=rows)
+
+
 def oracle_traces():
-    """Small random, FSYNC and tied-time traces, every necessity template at
-    a few seeds and one lattice halt trace."""
+    """Small random plain runs and svp cores, FSYNC and tied-time traces,
+    every necessity template at a few seeds and one lattice halt trace, and
+    a copy of each with flipped visible-set entries."""
     traces = []
     for seed in range(40):
-        try:
-            traces.append(random_trace(seed))
-        except SimulationError:
-            pass
+        for run in (random_trace, svp_core_trace):
+            try:
+                traces.append(run(seed))
+            except SimulationError:
+                pass
     for seed in range(10):
         traces.append(fsync_trace(seed))
     for seed in range(100):
@@ -360,7 +406,7 @@ def oracle_traces():
             except SimulationError:
                 pass
     traces.append(lattice_halt_trace())
-    return traces
+    return traces + [flipped_visibility(t, seed) for seed, t in enumerate(traces)]
 
 
 def test_relation_pass_matches_pairwise_oracles():
@@ -383,3 +429,21 @@ def test_relation_pass_matches_pairwise_oracles():
                         expected.append((a, b, horizon_only))
         assert analysis.hb_pairs == expected
         assert check_stationary(trace).witnesses == stationary_oracle(trace)
+
+
+def test_natural_violations_match_the_scan_oracle():
+    clauses = set()
+    orders = 0
+    for trace in oracle_traces():
+        analysis = analyze(trace)
+        if analysis.self_loops:
+            continue  # find_natural_sort never searches these
+        try:
+            for order in topological_orders(analysis.successors(True), 2000):
+                found = _natural_violations(trace, analysis.classes, order)
+                assert found == natural_violations(trace, analysis.classes, order)
+                clauses.update(v["clause"] for v in found)
+                orders += 1
+        except BudgetExhausted:
+            pass
+    assert clauses == {1, 2} and orders > 1000

@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from robosync.cli import main
+from robosync.cli import build_parser, main
 from robosync.experiments import necessity_experiment
 from robosync.scenarios import (
     NECESSITY_TEMPLATES,
@@ -104,6 +105,10 @@ def test_necessity_command_matches_the_api_defaults(tmp_path):
     assert run(["necessity", "--template", "control", "--seeds", "10",
                 "--out", out]) == 0
     assert json.loads(out.read_text()) == necessity_experiment("control", 10)
+    args = build_parser().parse_args(["necessity", "--template", "control"])
+    defaults = inspect.signature(necessity_experiment).parameters
+    assert args.order_budget == defaults["order_budget"].default
+    assert args.budget == defaults["node_budget"].default
 
 
 def _combined_exit(codes) -> int:
@@ -248,11 +253,31 @@ def control_trace(tmp_path, capsys):
 
 
 CONTROL = ["simulate", "--scenario", "builtin:necessity-control"]
+NO_ROBOTS = {"positions": [], "frames": [], "delta": 0.25}
+
+
+def _simulate_no_robots(trace):
+    path = trace.parent / "no-robots.json"
+    path.write_text(json.dumps(NO_ROBOTS))
+    return ["simulate", "--scenario", path, "--schedule", "fsync:2", "--algo", "halt",
+            "--machine", "svp"]
+
+
+def _check_no_robots(trace):
+    raw = json.loads(trace.read_text())
+    raw.update(scenario=NO_ROBOTS, records=[])
+    trace.write_text(json.dumps(raw))
+    return ["check", trace]
+
 
 # each case gives the command line, given the path of a trace that passes
 FLAG_CASES = {
     "fsync:x": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "fsync:x"],
     "async:-5": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async:-5"],
+    "async without a horizon":
+        lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async"],
+    "simulate a scenario with no robots": _simulate_no_robots,
+    "check a trace with no robots": _check_no_robots,
     "NaN fairness window": lambda trace: [*CONTROL, "--fairness-window", "nan"],
     "negative check budget": lambda trace: ["check", trace, "--budget", "-3"],
     "negative order budget":
