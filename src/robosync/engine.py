@@ -1,12 +1,13 @@
 """Deterministic replay engine: runs a decision rule under a schedule and a
 seeded adversary, producing a ground-truth trace of every cycle.
 
-Event processing is strictly time-ordered (ties broken Look < MoveStart <
-MoveEnd, then robot index).  Non-rigid truncation is drawn once per move at
-its start; observations of a robot in mid-move are drawn uniformly over the
-realized prefix and sorted by observation time so progress is monotone.
-All draws are keyed by (seed, robot, cycle, slot), never by call order, so a
-run is a pure function of its inputs.
+Events are Looks and move ends, processed strictly in time order (ties
+broken Look < MoveEnd, then robot index).  A cycle's whole record is built at
+its Look: the snapshot, the Compute, the non-rigid truncation and the points
+at which Looks inside its move see it, drawn uniformly over the realized
+prefix and sorted by observation time so progress is monotone.  All draws
+are keyed by (seed, robot, cycle, slot), never by call order, so a run is a
+pure function of its inputs.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .scheduling import Cycle, Schedule
 RIGID = "rigid"
 NONRIGID = "nonrigid"
 
-LOOK, MOVE_START, MOVE_END = 0, 1, 2
+LOOK, MOVE_END = 0, 1
 
 
 @dataclass
@@ -212,17 +213,6 @@ class Trace:
                 out.append(r.pos_after_move)
         return out
 
-    def rest_position_at(self, robot: int, t: float) -> Point | None:
-        """Position at time t, or None when the robot is strictly mid-move."""
-        pos = self.scenario.initial_positions[robot]
-        for r in self.records[robot]:
-            if t < r.cycle.f:
-                if r.cycle.s < t:
-                    return None
-                return pos
-            pos = r.pos_after_move
-        return pos
-
     def to_json(self) -> dict:
         return {
             "schema": 1,
@@ -273,24 +263,24 @@ class Simulation:
         self._look_times = schedule.look_times()
 
     def run(self) -> Trace:
-        events = []
-        for cycles in self.schedule.robots:
-            for c in cycles:
-                events.append((c.o, LOOK, c.robot, c))
-                events.append((c.s, MOVE_START, c.robot, c))
-                events.append((c.f, MOVE_END, c.robot, c))
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
+        events = sorted(event for cycles in self.schedule.robots for c in cycles
+                        for event in ((c.o, LOOK, c.robot, c), (c.f, MOVE_END, c.robot, c)))
+        now = None
         for t, kind, robot, cycle in events:
+            if t != now:
+                # every event at one instant sees the same positions: a Look
+                # appends a record that reads as its robot's position and color
+                # before it, and a move's end point is set at its Look.  Looks
+                # sort first, so the first event's check is the strongest one
+                now = t
+                positions = self._positions_at(t)
+                self._check_pairs(t, positions, looking=kind == LOOK)
             if kind == LOOK:
-                self._on_look(robot, cycle)
-            elif kind == MOVE_START:
-                self._on_move_start(robot, cycle)
-            else:
-                self._on_move_end(robot, cycle)
+                self._look(robot, cycle, positions)
         kind = "luminous" if self.initial_color else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
 
-    # -- event handlers -----------------------------------------------------
+    # -- state at an instant ------------------------------------------------
 
     def _position_at(self, robot: int, t: float) -> Point | None:
         """None when strictly mid-move and no sample exists for t."""
@@ -337,83 +327,63 @@ class Simulation:
                     raise DegenerateScenarioError(
                         f"robots {a} and {b} at the visibility threshold at t={t}")
 
-    def observe(self, observer: int, t: float) -> tuple[frozenset[int], tuple[Point, ...], tuple[str, ...]]:
-        """Snapshot at a Look instant: visible set, local points, colors.
+    def _look(self, robot: int, cycle: Cycle, positions: list[Point | None]) -> None:
+        """Snapshot, Compute and the adversary's draws for one cycle.
 
         The observer is at rest at its Look; other robots are seen at their
         rest position, or at the sampled point of their in-progress move.
         """
-        positions = self._positions_at(t)
-        self._check_pairs(t, positions, looking=True)
-        me = positions[observer]
-        frame = self.scenario.frames[observer]
+        t = cycle.o
+        here = positions[robot]
+        frame = self.scenario.frames[robot]
         seen: list[tuple[Point, int]] = []
         for i, pos in enumerate(positions):
-            if i == observer:
+            if i == robot:
                 continue
             if pos is None:
                 raise SimulationError(
                     f"no observation sample for robot {i} at t={t}")
-            if is_visible(me, pos):
-                seen.append((to_local(frame, me, pos), i))
+            if is_visible(here, pos):
+                seen.append((to_local(frame, here, pos), i))
         entries = sorted(((p.x, p.y, i) for p, i in seen))
-        visible = frozenset(i for _, _, i in entries) | {observer}
+        visible = frozenset(i for _, _, i in entries) | {robot}
         points = (ORIGIN,) + tuple(Point(x, y) for x, y, _ in entries)
-        colors = tuple([self._color_at(observer, t) or ""]
-                       + [self._color_at(i, t) or "" for _, _, i in entries])
-        return visible, points, colors
-
-    def _on_look(self, robot: int, cycle: Cycle) -> None:
-        here = self._position_at(robot, cycle.o)
-        visible, points, colors = self.observe(robot, cycle.o)
-        own_color = self._color_at(robot, cycle.o)
+        own_color = self._color_at(robot, t)
+        colors = tuple([own_color or ""] + [self._color_at(i, t) or "" for _, _, i in entries])
         luminous = own_color is not None
         decision = self.controller.decide(
             robot, cycle.j, points, colors if luminous else None, own_color)
         if decision.route_global is not None:
-            route_global = decision.route_global
+            route = decision.route_global
         else:
             local = decision.route_local
             if local.start != ORIGIN:
                 raise SimulationError("computed route must start at the local origin")
             if local.length == 0.0:
-                route_global = Route.stay_put(here)
+                route = Route.stay_put(here)
             else:
-                route_global = route_to_global(self.scenario.frames[robot], here, local)
-        if route_global.start != here:
+                route = route_to_global(frame, here, local)
+        if route.start != here:
             raise SimulationError("computed route must start at the robot")
-        self.records[robot].append(CycleRecord(
-            cycle=cycle,
-            pos_at_look=here,
-            visible_set=visible,
-            snapshot_local=points,
-            route_global=route_global,
-            z=1.0,
-            pos_after_move=here,
-            snapshot_colors=colors if luminous else None,
-            color_before=own_color,
-            color_after=decision.color_after if luminous else None,
-            accepted=decision.accepted if luminous else None,
-        ))
-
-    def _on_move_start(self, robot: int, cycle: Cycle) -> None:
-        record = self.records[robot][-1]
-        route = record.route_global
         z = self.adversary.draw_truncation(robot, cycle.j)
         realized = truncated_length(route.length, self.scenario.delta, z)
         looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
         obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
         fractions = self.adversary.draw_observation_fractions(robot, cycle.j, len(obs_times))
-        record.z = z
-        record.pos_after_move = point_along(route, realized)
-        record.mid_move_samples = tuple(zip(obs_times, sorted(f * realized for f in fractions)))
-        # no pair check: a move start changes no position.  Looks at this
-        # instant ran before it and move ends at it run after it, over the
-        # same positions; without either, every robot at rest sat at the same
-        # point at the last earlier Look or move end and was checked there
-
-    def _on_move_end(self, robot: int, cycle: Cycle) -> None:
-        self._check_pairs(cycle.f, self._positions_at(cycle.f), looking=False)
+        self.records[robot].append(CycleRecord(
+            cycle=cycle,
+            pos_at_look=here,
+            visible_set=visible,
+            snapshot_local=points,
+            route_global=route,
+            z=z,
+            pos_after_move=point_along(route, realized),
+            mid_move_samples=tuple(zip(obs_times, sorted(f * realized for f in fractions))),
+            snapshot_colors=colors if luminous else None,
+            color_before=own_color,
+            color_after=decision.color_after if luminous else None,
+            accepted=decision.accepted if luminous else None,
+        ))
 
 
 def simulate(scenario: Scenario, schedule: Schedule, controller: Controller,

@@ -17,7 +17,7 @@ from .engine import Adversary, NONRIGID, RIGID, simulate
 from .errors import InputError, SimulationError
 from .geometry import squared_distance
 from .scheduling import (
-    DurationRanges,
+    ASYNC_FAIRNESS_WINDOW,
     check_fairness_prefix,
     make_fsync_schedule,
     sample_async_schedule,
@@ -76,8 +76,8 @@ def repro_greedy_trap() -> dict:
         _check(checks, f"cycle 1 of robot {robot} accepted",
                trace.record(robot, 1).accepted is True)
 
-    p0 = trace.rest_position_at(0, 1.5)
-    p3 = trace.rest_position_at(3, 1.5)
+    p0 = trace.record(0, 1).pos_after_move  # robot 0 has arrived by t=3/2
+    p3 = trace.record(3, 1).pos_at_look  # robot 3 has not yet left
     sq = squared_distance(p0, p3)
     _check(checks, "squared distance robot0-robot3 at t=3/2 is 25/16",
            abs(sq - 25.0 / 16.0) <= DIST_EPS, sq)
@@ -192,9 +192,7 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
     vicinity = validate_vicinity_scenario(scenario, spec)
     if not vicinity:
         raise InputError(f"sampled scenario is not clique-clustered: {vicinity.reasons}")
-    ranges = DurationRanges()
     schedule = sample_async_schedule(seed, scenario.n, horizon)
-    fairness_window = ranges.between_cycles[1] + 2 * ranges.cycle_span_max + 0.125
     trace = run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID),
                              machine=machine)
     acceptance = [sum(1 for rec in row if rec.accepted) for row in trace.records]
@@ -203,7 +201,7 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
         "n": scenario.n,
         "horizon": horizon,
         "cycles": sum(len(row) for row in trace.records),
-        "schedule_fair": all(check_fairness_prefix(schedule, fairness_window)),
+        "schedule_fair": all(check_fairness_prefix(schedule, ASYNC_FAIRNESS_WINDOW)),
         "acceptance_counts": acceptance,
         "color_lifecycle_problems": check_color_lifecycle(trace),
         "phase_lag_problems": check_neighbor_phase_lag(trace) if machine == SVP else [],

@@ -289,4 +289,7 @@ def to_global(frame: FrameSpec, origin: Point, l: Point) -> Point:
 
 
 def route_to_global(frame: FrameSpec, origin: Point, route: Route) -> Route:
-    return Route(tuple(to_global(frame, origin, v) for v in route.vertices))
+    """The route's global image; a vertex that rounds onto the one before it
+    is dropped, so a target too close to the origin stays put."""
+    verts = [to_global(frame, origin, v) for v in route.vertices]
+    return Route([v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]])

@@ -101,27 +101,27 @@ class Schedule:
         return cls(n=len(robots), horizon=horizon, robots=robots)
 
 
+# uniform (min, max) ranges of the async sampler's three gaps
+LOOK_TO_MOVE = (0.25, 1.0)
+MOVE = (0.25, 1.0)
+BETWEEN_CYCLES = (0.5, 3.0)
+# every sampled gap between consecutive Looks of a robot, and the first Look,
+# fits in the longest pause plus two longest cycle spans, with grid slack
+ASYNC_FAIRNESS_WINDOW = BETWEEN_CYCLES[1] + 2 * (LOOK_TO_MOVE[1] + MOVE[1]) + 0.125
+MAX_CYCLES = 10**6  # generated schedules larger than this are refused
+
+
 def make_fsync_schedule(num_rounds: int, n: int) -> Schedule:
     """Every robot runs cycle (j-1, j-3/4, j-1/4) for j = 1..num_rounds."""
     if num_rounds < 0:
         raise InputError("round count must be non-negative")
+    if num_rounds * n > MAX_CYCLES:
+        raise InputError(f"{num_rounds} rounds of {n} robots exceed {MAX_CYCLES} cycles")
     robots = [
         [Cycle(i, j, float(j - 1), j - 0.75, j - 0.25) for j in range(1, num_rounds + 1)]
         for i in range(n)
     ]
     return Schedule(n=n, horizon=float(num_rounds), robots=robots)
-
-
-@dataclass(frozen=True)
-class DurationRanges:
-    """Uniform ranges (min, max) for the async sampler's three gaps."""
-    look_to_move: tuple[float, float] = (0.25, 1.0)
-    move: tuple[float, float] = (0.25, 1.0)
-    between_cycles: tuple[float, float] = (0.5, 3.0)
-
-    @property
-    def cycle_span_max(self) -> float:
-        return self.look_to_move[1] + self.move[1]
 
 
 def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
@@ -132,7 +132,10 @@ def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
     """
     if not 0 <= horizon < math.inf:
         raise InputError(f"horizon must be finite and non-negative, got {horizon}")
-    params = DurationRanges()
+    shortest_period = LOOK_TO_MOVE[0] + MOVE[0] + BETWEEN_CYCLES[0]
+    if n * horizon / shortest_period > MAX_CYCLES:
+        raise InputError(f"an async schedule of {n} robots up to {horizon} may exceed "
+                         f"{MAX_CYCLES} cycles")
     robots: list[list[Cycle]] = []
     for i in range(n):
         rng = random.Random(f"sched:{seed}:{i}")
@@ -141,15 +144,15 @@ def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
             return max(_STEP, snap_to_grid(rng.uniform(*rg)))
 
         cycles: list[Cycle] = []
-        t = draw(params.between_cycles)
+        t = draw(BETWEEN_CYCLES)
         while True:
             o = t
-            s = o + draw(params.look_to_move)
-            f = s + draw(params.move)
+            s = o + draw(LOOK_TO_MOVE)
+            f = s + draw(MOVE)
             if f > horizon:
                 break
             cycles.append(Cycle(i, len(cycles) + 1, o, s, f))
-            t = f + draw(params.between_cycles)
+            t = f + draw(BETWEEN_CYCLES)
         robots.append(cycles)
     return Schedule(n=n, horizon=horizon, robots=robots)
 

@@ -274,6 +274,9 @@ def _check_no_robots(trace):
 FLAG_CASES = {
     "fsync:x": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "fsync:x"],
     "async:-5": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async:-5"],
+    "async:1e308": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async:1e308"],
+    "fsync:1000000000":
+        lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "fsync:1000000000"],
     "async without a horizon":
         lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async"],
     "simulate a scenario with no robots": _simulate_no_robots,
@@ -304,6 +307,20 @@ def test_malformed_input_gives_one_line_and_exit_2(tmp_path, control_trace, caps
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("input error:")
     assert "Traceback" not in err
+
+
+def test_hull_run_on_a_lattice_whose_targets_round_onto_robots(tmp_path):
+    # on a 4x4 lattice of spacing 0.6 the robot at (0.6, 0.6) computes the
+    # local target (1.23e-17, 0), whose global image is its own position
+    positions = [[0.6 * (k % 4), 0.6 * (k // 4)] for k in range(16)]
+    scenario = tmp_path / "lattice.json"
+    scenario.write_text(json.dumps({"positions": positions, "delta": 0.25,
+                                    "frames": [{"rotation": 0.0, "unit": 1.0}] * 16}))
+    for rounds in (1, 20):
+        out = tmp_path / f"trace{rounds}.json"
+        assert run(["simulate", "--scenario", scenario, "--schedule", f"fsync:{rounds}",
+                    "--algo", "hull:0.5", "--out", out]) == 0
+        assert sum(map(len, json.loads(out.read_text())["records"])) == 16 * rounds
 
 
 def test_budget_is_only_a_search_flag(capsys):

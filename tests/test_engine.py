@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from robosync.algorithms import HALT, SCRIPTED, AlgorithmSpec, ScriptEntry, as_c
 from robosync.checker import check_all
 from robosync.engine import (
     Adversary,
+    Decision,
     FrameSpec,
     NONRIGID,
     RIGID,
@@ -178,6 +180,18 @@ def test_footprint_continuity():
             assert cur.pos_at_look == prev.pos_after_move
 
 
+def _rest_position_at(trace, robot, t):
+    """Position at time t, or None when the robot is strictly mid-move."""
+    pos = trace.scenario.initial_positions[robot]
+    for r in trace.records[robot]:
+        if t < r.cycle.f:
+            if r.cycle.s < t:
+                return None
+            return pos
+        pos = r.pos_after_move
+    return pos
+
+
 def test_snapshot_self_consistency():
     """Recomputing each snapshot from the recorded global state reproduces
     the records exactly."""
@@ -193,7 +207,7 @@ def test_snapshot_self_consistency():
                 for k in range(trace.n):
                     if k == i:
                         continue
-                    pos = trace.rest_position_at(k, t)
+                    pos = _rest_position_at(trace, k, t)
                     if pos is None:
                         move = next(r for r in trace.records[k]
                                     if r.cycle.s < t < r.cycle.f)
@@ -253,12 +267,39 @@ def test_trace_json_round_trip():
     assert again.to_json() == trace.to_json()
 
 
-class _MoveStartChecking(Simulation):
-    """The engine with its former pair check at every move start."""
+class _EveryEventChecking(Simulation):
+    """The engine with three event kinds, fresh positions and a full pair
+    check at every Look, move start and move end."""
 
-    def _on_move_start(self, robot, cycle):
-        super()._on_move_start(robot, cycle)
-        self._check_pairs(cycle.s, self._positions_at(cycle.s), looking=False)
+    def run(self):
+        events = sorted(event for cycles in self.schedule.robots for c in cycles
+                        for event in ((c.o, 0, c.robot, c), (c.s, 1, c.robot, c),
+                                      (c.f, 2, c.robot, c)))
+        for t, kind, robot, cycle in events:
+            positions = self._positions_at(t)
+            self._check_pairs(t, positions, looking=kind == 0)
+            if kind == 0:
+                self._look(robot, cycle, positions)
+        return Trace(self.scenario, self.schedule.horizon, self.records,
+                     kind="luminous" if self.initial_color else "plain")
+
+
+class _Steps:
+    """Controller that moves robot i by `steps[(i, j)]` (local coordinates)
+    in its cycle j and stays put otherwise."""
+
+    def __init__(self, steps):
+        self.steps = steps
+
+    def decide(self, robot, j, snapshot, snapshot_colors, own_color):
+        step = self.steps.get((robot, j))
+        return Decision(Route((Point(0, 0), Point(*step))) if step else Route.stay_put())
+
+
+def _both_raise(scenario, schedule, controller, error, message):
+    for sim in (Simulation, _EveryEventChecking):
+        with pytest.raises(error, match=f"^{message}$"):
+            sim(scenario, schedule, controller, Adversary(1, RIGID)).run()
 
 
 def test_collision_at_a_move_start_is_reported_by_the_move_end():
@@ -269,33 +310,111 @@ def test_collision_at_a_move_start_is_reported_by_the_move_end():
     ))
     scenario = scen((0, 0), (1, 0), (3, 3), delta=0.25)
     schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 2: [(0.125, 1.0, 1.5)]})
-    for sim in (Simulation, _MoveStartChecking):
-        with pytest.raises(CollisionError, match=r"^robots 0 and 1 collide at t=1\.0$"):
-            sim(scenario, schedule, as_controller(spec), Adversary(1, RIGID)).run()
+    _both_raise(scenario, schedule, as_controller(spec), CollisionError,
+                r"robots 0 and 1 collide at t=1\.0")
 
 
-def _outcome(sim, scenario, schedule, controller, seed, color):
+def test_collision_at_a_move_end_tied_with_a_look():
+    # robot 0 lands on robot 1 at t=1, the instant far-away robot 2 looks
+    scenario = scen((0, 0), (1, 0), (3, 3))
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 2: [(1.0, 1.25, 1.5)]})
+    _both_raise(scenario, schedule, _Steps({(0, 1): (1, 0)}), CollisionError,
+                r"robots 0 and 1 collide at t=1\.0")
+
+
+def test_two_arrivals_at_one_instant_collide():
+    # robots 0 and 2 both land on (0.5, 0) at t=1; robot 1 is elsewhere
+    scenario = scen((0, 0), (3, 3), (1, 0))
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 2: [(0.0, 0.5, 1.0)]})
+    _both_raise(scenario, schedule, _Steps({(0, 1): (0.5, 0), (2, 1): (-0.5, 0)}),
+                CollisionError, r"robots 0 and 2 collide at t=1\.0")
+
+
+def test_threshold_pair_at_a_look_tied_with_a_move_end():
+    # robot 1 ends 1.0000000004 from robot 0 at t=1, the instant robot 2
+    # looks; the move end alone would not check the threshold
+    scenario = scen((0, 0), (2, 0), (5, 5))
+    schedule = sched(3, 3, {1: [(0.0, 0.25, 1.0)], 2: [(1.0, 1.25, 1.5)]})
+    _both_raise(scenario, schedule, _Steps({(1, 1): (-0.9999999996, 0)}),
+                DegenerateScenarioError,
+                r"robots 0 and 1 at the visibility threshold at t=1\.0")
+
+
+def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID):
     try:
-        return sim(scenario, schedule, controller, Adversary(seed, NONRIGID),
+        return sim(scenario, schedule, controller, Adversary(seed, mode),
                    initial_color=color).run().to_json()
     except SimulationError as exc:
         return type(exc).__name__, str(exc)
 
 
-def test_move_start_check_never_changes_a_run():
-    moves = 0
+def _compared_runs():
+    """(scenario, schedule, controller, seed, initial color) of the runs the
+    one-check-per-instant engine is compared on."""
     for seed in range(100):
         scenario, spec = random_small_inputs(seed)
-        schedule = sample_async_schedule(seed, scenario.n, 8.0)
-        for controller, color in ((as_controller(spec), None),
-                                  (SynchronizerController(SVP, spec), SyncColor.BK.value)):
-            now = _outcome(Simulation, scenario, schedule, controller, seed, color)
-            assert now == _outcome(_MoveStartChecking, scenario, schedule,
-                                   controller, seed, color)
-            if isinstance(now, dict):
-                moves += sum(rec["pos_after_move"] != rec["pos_at_look"]
-                             for row in now["records"] for rec in row)
+        for schedule in (sample_async_schedule(seed, scenario.n, 8.0),
+                         make_fsync_schedule(4, scenario.n)):
+            yield scenario, schedule, as_controller(spec), seed, None
+            yield (scenario, schedule, SynchronizerController(SVP, spec), seed,
+                   SyncColor.BK.value)
+    for seed in range(3):
+        scenario, spec = random_vicinity_scenario(seed)
+        yield scenario, make_fsync_schedule(10, scenario.n), as_controller(spec), seed, None
+    halt = as_controller(AlgorithmSpec(HALT))
+    yield _lattice(3, 0.6), sample_async_schedule(0, 9, 60.0), halt, 0, None
+    yield _lattice(4, 0.6), make_fsync_schedule(10, 16), halt, 0, None
+
+
+def test_move_start_check_never_changes_a_run():
+    moves = 0
+    for scenario, schedule, controller, seed, color in _compared_runs():
+        now = _outcome(Simulation, scenario, schedule, controller, seed, color)
+        assert now == _outcome(_EveryEventChecking, scenario, schedule,
+                               controller, seed, color)
+        if isinstance(now, dict):
+            moves += sum(rec["pos_after_move"] != rec["pos_at_look"]
+                         for row in now["records"] for rec in row)
     assert moves  # the runs move robots, so the move starts are not all no-ops
+
+
+def _tie_fuzz_run(seed):
+    """Robots on a half-step grid taking half-steps (some a hair short, so
+    pairs can land in the threshold band) with all times on a 1/4 grid, so
+    Looks, move starts and move ends often share an instant.  With delta 0.5
+    every step is traversed whole; the adversary only places mid-move
+    samples."""
+    rng = random.Random(f"ties:{seed}")
+    n = rng.randint(2, 5)
+    cells = rng.sample([(0.5 * x, 0.5 * y) for x in range(4) for y in range(4)], n)
+    schedule = []
+    for i in range(n):
+        t, row = 0.25 * rng.randint(0, 4), []
+        while True:
+            o = t
+            s = o + 0.25 * rng.randint(1, 2)
+            f = s + 0.25 * rng.randint(1, 3)
+            if f > 6.0:
+                break
+            row.append((o, s, f))
+            t = f + 0.25 * rng.randint(1, 3)
+        schedule.append(row)
+    moves = [None, (0.5, 0), (-0.5, 0), (0, 0.5), (0, -0.5), (0.5 - 4e-10, 0)]
+    steps = {(i, j): rng.choice(moves) for i in range(n) for j in range(1, len(schedule[i]) + 1)}
+    return (scen(*cells, delta=0.5), sched(n, 6.0, dict(enumerate(schedule))),
+            _Steps(steps), rng.choice((RIGID, NONRIGID)))
+
+
+def test_tied_instants_match_the_every_event_engine():
+    errors = set()
+    for seed in range(1000):
+        scenario, schedule, controller, mode = _tie_fuzz_run(seed)
+        now = _outcome(Simulation, scenario, schedule, controller, seed, mode=mode)
+        assert now == _outcome(_EveryEventChecking, scenario, schedule,
+                               controller, seed, mode=mode)
+        if isinstance(now, tuple):
+            errors.add(now[0])
+    assert errors == {"CollisionError", "DegenerateScenarioError"}
 
 
 def _lattice(cols, spacing):

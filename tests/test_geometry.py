@@ -14,6 +14,7 @@ from robosync.geometry import (
     is_threshold_degenerate,
     is_visible,
     point_along,
+    route_to_global,
     squared_distance,
     to_global,
     to_local,
@@ -132,6 +133,15 @@ def test_frame_round_trip_many():
         g = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         back = to_global(frame, origin, to_local(frame, origin, g))
         assert abs(back.x - g.x) <= 1e-9 and abs(back.y - g.y) <= 1e-9
+
+
+def test_route_to_global_drops_a_vertex_that_rounds_onto_the_one_before():
+    here = Point(0.6, 0.6)
+    # the hull target (1.23e-17, 0) seen from (0.6, 0.6) maps back onto it
+    tiny = Route((Point(0, 0), Point(1.23e-17, 0)))
+    assert route_to_global(FrameSpec(), here, tiny) == Route.stay_put(here)
+    bent = Route((Point(0, 0), Point(1.23e-17, 0), Point(0.5, 0)))
+    assert route_to_global(FrameSpec(), here, bent) == Route((here, Point(1.1, 0.6)))
 
 
 def test_frame_rejects_nonpositive_unit():

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from robosync.errors import InputError
 from robosync.scheduling import (
+    ASYNC_FAIRNESS_WINDOW,
     Cycle,
-    DurationRanges,
     Schedule,
     check_fairness_prefix,
     make_fsync_schedule,
@@ -79,12 +79,10 @@ def test_fairness_examples():
 
 
 def test_fairness_window_from_generator_bounds():
-    ranges = DurationRanges()
-    span = ranges.cycle_span_max
-    window = ranges.between_cycles[1] + 2 * span + 0.125  # grid slack
+    assert ASYNC_FAIRNESS_WINDOW == 7.125
     for seed in range(25):
         sched = sample_async_schedule(seed, 3, 120.0)
-        assert all(check_fairness_prefix(sched, window))
+        assert all(check_fairness_prefix(sched, ASYNC_FAIRNESS_WINDOW))
 
 
 def test_schedule_json_round_trip_and_grid_rejection():
