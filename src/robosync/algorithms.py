@@ -82,9 +82,14 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
     if spec.kind == HALT:
         return Route.stay_put()
     if spec.kind == HULL_CONTRACTION:
-        pts = sorted(snapshot, key=lambda p: (p.x, p.y))
-        cx = sum(p.x for p in pts) / len(pts)
-        cy = sum(p.y for p in pts) / len(pts)
+        # add left to right: from Python 3.12 on, sum() of floats compensates
+        # rounding and would give other bits than earlier versions
+        cx = cy = 0.0
+        for p in sorted(snapshot, key=lambda p: (p.x, p.y)):
+            cx += p.x
+            cy += p.y
+        cx /= len(snapshot)
+        cy /= len(snapshot)
         target = Point(spec.contraction * cx, spec.contraction * cy)
         if target == ORIGIN:
             return Route.stay_put()

@@ -8,12 +8,25 @@ at which Looks inside its move see it, drawn uniformly over the realized
 prefix and sorted by observation time so progress is monotone.  All draws
 are keyed by (seed, robot, cycle, slot), never by call order, so a run is a
 pure function of its inputs.
+
+Robots must never collide, and at a Look no pair may sit in the ambiguity
+band around the visibility threshold.  The check is incremental: at each
+distinct instant only the robots whose point changed (arrivals, and at a
+Look the movers' fresh samples) are tested, against the robots in their 3x3
+block of a uniform cell grid (fixed-radius near-neighbour search).  A
+threshold pair met at a move end between Looks is kept and retested at the
+next Look.  The cell side, `CELL_SIDE`, exceeds sqrt(1 + VISIBILITY_EPS),
+the farthest a flagged pair can be apart, so such a pair always lies in
+neighbouring cells.  When the detector finds a bad pair, the full O(n^2)
+scan `_check_pairs` runs once and raises the error, so the error names the
+lowest pair exactly as a scan of every pair at every instant would.
 """
 from __future__ import annotations
 
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -30,12 +43,20 @@ from .geometry import (
     to_local,
     truncated_length,
 )
-from .scheduling import Cycle, Schedule
+from .scheduling import Cycle, Schedule, json_index
 
 RIGID = "rigid"
 NONRIGID = "nonrigid"
 
 LOOK, MOVE_END = 0, 1
+
+# Side of the pair-check grid's square cells.  A pair the threshold test can
+# flag lies up to sqrt(1 + VISIBILITY_EPS) apart and must fall in neighbouring
+# cells: with a side of exactly 1, x=0.99999999995 and x=2.0000000002 (squared
+# distance 1.0000000005) fall in cells 0 and 2.  The margin also covers the
+# rounding of x / CELL_SIDE.
+CELL_SIDE = 1.01
+_BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 @dataclass
@@ -168,9 +189,10 @@ class CycleRecord:
     def from_json(cls, data: dict) -> "CycleRecord":
         c = data["cycle"]
         return cls(
-            cycle=Cycle(int(c["robot"]), int(c["j"]), float(c["o"]), float(c["s"]), float(c["f"])),
+            cycle=Cycle(json_index(c["robot"], "robot index"), json_index(c["j"], "cycle index j"),
+                        float(c["o"]), float(c["s"]), float(c["f"])),
             pos_at_look=Point(*map(float, data["pos_at_look"])),
-            visible_set=frozenset(int(i) for i in data["visible_set"]),
+            visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
             snapshot_local=tuple(Point(float(x), float(y)) for x, y in data["snapshot_local"]),
             route_global=Route(tuple(Point(float(x), float(y)) for x, y in data["route_global"])),
             z=float(data["z"]),
@@ -243,10 +265,13 @@ class Simulation:
     """Single sequential run; build one per (scenario, schedule, controller,
     adversary) and call run().
 
-    The records are the only per-robot state: a robot's position and color
-    at an event are read from its last record, or from the scenario and
+    The records are the ground truth: a robot's position and color at an
+    event are read from its last record, or from the scenario and
     `initial_color` before its first Look.  Events run in time order, so
-    every query about a robot comes at or after that robot's last Look.
+    every query about a robot comes at or after that robot's last Look.  For
+    the pair check and the snapshots the run also keeps each robot's latest
+    point in a cell index, moved at its arrivals and at the Looks that sample
+    it mid-move.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -261,6 +286,14 @@ class Simulation:
         self.initial_color = initial_color
         self.records: list[list[CycleRecord]] = [[] for _ in range(scenario.n)]
         self._look_times = schedule.look_times()
+        self._pos = list(scenario.initial_positions)  # latest point per robot
+        self._cell: list[tuple[int, int] | None] = [None] * scenario.n
+        self._near: dict[tuple[int, int], list[int]] = {}
+        for robot, p in enumerate(self._pos):
+            self._place(robot, p)
+        self._arriving: dict[float, list[int]] = {}  # move end -> robots
+        self._open: list[int] = []  # robots between their Look and move end
+        self._pending: list[tuple[int, int]] = []  # pairs to retest at the next Look
 
     def run(self) -> Trace:
         events = sorted(event for cycles in self.schedule.robots for c in cycles
@@ -273,12 +306,100 @@ class Simulation:
                 # before it, and a move's end point is set at its Look.  Looks
                 # sort first, so the first event's check is the strongest one
                 now = t
-                positions = self._positions_at(t)
-                self._check_pairs(t, positions, looking=kind == LOOK)
+                self._check_instant(t, looking=kind == LOOK)
             if kind == LOOK:
-                self._look(robot, cycle, positions)
+                self._look(robot, cycle, self._pos, self._near[self._cell[robot]])
+                self._arriving.setdefault(cycle.f, []).append(robot)
+                self._open.append(robot)
         kind = "luminous" if self.initial_color else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
+
+    # -- the incremental pair check -------------------------------------------
+
+    def _place(self, robot: int, p: Point) -> None:
+        """Move a robot's point in the index.  `_near[c]` lists the robots
+        whose cell is c or one of its eight neighbours."""
+        self._pos[robot] = p
+        key = math.floor(p.x / CELL_SIDE), math.floor(p.y / CELL_SIDE)
+        old = self._cell[robot]
+        if key == old:
+            return
+        near = self._near
+        if old is not None:
+            x, y = old
+            for dx, dy in _BLOCK:
+                near[x + dx, y + dy].remove(robot)
+        x, y = key
+        for dx, dy in _BLOCK:
+            near.setdefault((x + dx, y + dy), []).append(robot)
+        self._cell[robot] = key
+
+    def _check_instant(self, t: float, looking: bool) -> None:
+        """Test the pairs whose positions changed since the last instant, and
+        at a Look the pairs kept since the last Look; on any bad pair the
+        full scan raises the error.
+
+        Only arrivals and, at a Look, the movers sampled past their start
+        change position; every other robot holds the point at which the
+        previous instant passed it.  A mover that is still at its start, or
+        on a zero-length move, is not retested until it arrives; a collision
+        an arrival makes with it while it is mid-move (and so unseen by the
+        scan) is kept for the next Look.
+        """
+        records = self.records
+        changed = []
+        for robot in self._arriving.pop(t, ()):
+            self._open.remove(robot)
+            self._place(robot, records[robot][-1].pos_after_move)
+            changed.append(robot)
+        missing = None
+        if looking:
+            for robot in self._open:
+                record = records[robot][-1]
+                if record.cycle.s < t:
+                    samples = record.mid_move_samples
+                    k = bisect_left(samples, (t,))
+                    if k == len(samples) or samples[k][0] != t:
+                        missing = robot if missing is None else min(missing, robot)
+                    elif samples[k][1] > 0.0:
+                        self._place(robot, point_along(record.route_global, samples[k][1]))
+                        changed.append(robot)
+        bad = False
+        for robot in changed:
+            if self._test(robot, t, looking):
+                bad = True
+                break
+        if looking and self._pending:
+            pos = self._pos
+            for a, b in self._pending:
+                if pos[a] == pos[b] or is_threshold_degenerate(pos[a], pos[b]):
+                    bad = True
+            self._pending.clear()
+        if bad:
+            self._check_pairs(t, self._positions_at(t), looking)
+        if missing is not None:
+            raise SimulationError(f"no observation sample for robot {missing} at t={t}")
+
+    def _test(self, robot: int, t: float, looking: bool) -> bool:
+        """Test one changed robot against the robots near its cell.  At a
+        move-end-only instant a threshold pair, or a collision with a robot
+        that is mid-move, is kept for the next Look; True when a pair fails
+        now."""
+        pos = self._pos
+        p = pos[robot]
+        for other in self._near[self._cell[robot]]:
+            if other == robot:
+                continue
+            q = pos[other]
+            if p.x == q.x and p.y == q.y:
+                if looking or self._position_at(other, t) is not None:
+                    return True
+            elif not is_threshold_degenerate(p, q):
+                continue
+            elif looking:
+                return True
+            self._pending.append((robot, other))
+        return False
 
     # -- state at an instant ------------------------------------------------
 
@@ -327,29 +448,28 @@ class Simulation:
                     raise DegenerateScenarioError(
                         f"robots {a} and {b} at the visibility threshold at t={t}")
 
-    def _look(self, robot: int, cycle: Cycle, positions: list[Point | None]) -> None:
+    def _look(self, robot: int, cycle: Cycle, positions: list[Point],
+              candidates: Iterable[int]) -> None:
         """Snapshot, Compute and the adversary's draws for one cycle.
 
-        The observer is at rest at its Look; other robots are seen at their
+        The observer is at rest at its Look; the others are seen at their
         rest position, or at the sampled point of their in-progress move.
+        `positions` holds every robot's point at t, and `candidates` every
+        robot that may be in range (the observer may be among them).
         """
         t = cycle.o
         here = positions[robot]
         frame = self.scenario.frames[robot]
-        seen: list[tuple[Point, int]] = []
-        for i, pos in enumerate(positions):
-            if i == robot:
-                continue
-            if pos is None:
-                raise SimulationError(
-                    f"no observation sample for robot {i} at t={t}")
-            if is_visible(here, pos):
-                seen.append((to_local(frame, here, pos), i))
-        entries = sorted(((p.x, p.y, i) for p, i in seen))
-        visible = frozenset(i for _, _, i in entries) | {robot}
-        points = (ORIGIN,) + tuple(Point(x, y) for x, y, _ in entries)
+        seen: list[tuple[float, float, int, Point]] = []
+        for i in candidates:
+            if i != robot and is_visible(here, positions[i]):
+                p = to_local(frame, here, positions[i])
+                seen.append((p.x, p.y, i, p))
+        seen.sort()
+        visible = frozenset([robot] + [i for _, _, i, _ in seen])
+        points = (ORIGIN, *[p for _, _, _, p in seen])
         own_color = self._color_at(robot, t)
-        colors = tuple([own_color or ""] + [self._color_at(i, t) or "" for _, _, i in entries])
+        colors = tuple([own_color or ""] + [self._color_at(i, t) or "" for _, _, i, _ in seen])
         luminous = own_color is not None
         decision = self.controller.decide(
             robot, cycle.j, points, colors if luminous else None, own_color)
@@ -369,7 +489,11 @@ class Simulation:
         realized = truncated_length(route.length, self.scenario.delta, z)
         looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
         obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
-        fractions = self.adversary.draw_observation_fractions(robot, cycle.j, len(obs_times))
+        if realized > 0.0:
+            arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
+                robot, cycle.j, len(obs_times)))
+        else:  # every fraction of nothing is 0, so there is nothing to draw
+            arcs = [0.0] * len(obs_times)
         self.records[robot].append(CycleRecord(
             cycle=cycle,
             pos_at_look=here,
@@ -378,7 +502,7 @@ class Simulation:
             route_global=route,
             z=z,
             pos_after_move=point_along(route, realized),
-            mid_move_samples=tuple(zip(obs_times, sorted(f * realized for f in fractions))),
+            mid_move_samples=tuple(zip(obs_times, arcs)),
             snapshot_colors=colors if luminous else None,
             color_before=own_color,
             color_after=decision.color_after if luminous else None,

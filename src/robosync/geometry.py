@@ -190,7 +190,8 @@ class Route:
         for a, b in zip(verts, verts[1:]):
             if a == b:
                 raise InputError("route has a zero-length segment")
-        self._validate_simplicity(verts)
+        if len(verts) > 2:  # one segment is always simple
+            self._validate_simplicity(verts)
         cum = [0.0]
         for a, b in zip(verts, verts[1:]):
             cum.append(cum[-1] + distance(a, b))

@@ -24,6 +24,14 @@ def on_grid(t: float) -> bool:
     return t * TIME_GRID == round(t * TIME_GRID)
 
 
+def json_index(value: object, what: str) -> int:
+    """An index read from JSON: only a JSON integer is one, so a float, a
+    boolean or a string is refused rather than truncated or coerced."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Cycle:
     """One Look-Compute-Move activation: snapshot at o, movement over (s, f)."""
@@ -96,7 +104,7 @@ class Schedule:
                         raise InputError(
                             f"time {t} is not a multiple of 1/{TIME_GRID}; "
                             "align hand-entered times to the grid")
-                row.append(Cycle(i, int(entry["j"]), o, s, f))
+                row.append(Cycle(i, json_index(entry["j"], "cycle index j"), o, s, f))
             robots.append(row)
         return cls(n=len(robots), horizon=horizon, robots=robots)
 

@@ -202,6 +202,11 @@ TRACE_MUTATIONS = {
     "negative visible robot": lambda recs: recs[0][0].update(visible_set=[-1, 0]),
     "visible robot of 1e400": lambda recs: recs[0][0].update(visible_set=[0, 1e400]),
     "infinite last move end": lambda recs: _set_cycle(recs[1][-1], f=float("inf")),
+    "j of 1.7": lambda recs: _set_cycle(recs[0][0], j=1.7),
+    "j of true": lambda recs: _set_cycle(recs[0][0], j=True),
+    'j of "1"': lambda recs: _set_cycle(recs[0][0], j="1"),
+    "robot index of true": lambda recs: _set_cycle(recs[1][0], robot=True),
+    "visible robot of 0.9": lambda recs: recs[0][0].update(visible_set=[0.9, 1]),
 }
 
 
@@ -231,6 +236,10 @@ FILE_CASES = {
         lambda: _control_schedule(lambda d: d["robots"][0][0].update(o=float("inf"))),
     "schedule o of 1e307":
         lambda: _control_schedule(lambda d: d["robots"][0][0].update(o=1e307)),
+    "schedule j of 1.7":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(j=1.7)),
+    "schedule j of true":
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(j=True)),
     "schedule j of 1e400":
         lambda: _control_schedule(lambda d: d["robots"][0][0].update(j=1e400)),
     "hull algorithm without lambda": lambda: ("--algo", {"kind": "hull_contraction"}),

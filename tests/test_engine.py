@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import random_small_inputs
+from robosync import engine
 from robosync.algorithms import HALT, SCRIPTED, AlgorithmSpec, ScriptEntry, as_controller
 from robosync.checker import check_all
 from robosync.engine import (
@@ -19,7 +20,7 @@ from robosync.engine import (
     simulate,
 )
 from robosync.errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
-from robosync.geometry import Point, Route, point_along, squared_distance
+from robosync.geometry import Point, Route, is_threshold_degenerate, point_along, squared_distance
 from robosync.scenarios import necessity_template, random_vicinity_scenario
 from robosync.scheduling import Cycle, Schedule, make_fsync_schedule, sample_async_schedule
 from robosync.synchronizer import (
@@ -279,7 +280,8 @@ class _EveryEventChecking(Simulation):
             positions = self._positions_at(t)
             self._check_pairs(t, positions, looking=kind == 0)
             if kind == 0:
-                self._look(robot, cycle, positions)
+                assert None not in positions  # every Look instant samples every mover
+                self._look(robot, cycle, positions, range(len(positions)))
         return Trace(self.scenario, self.schedule.horizon, self.records,
                      kind="luminous" if self.initial_color else "plain")
 
@@ -340,9 +342,45 @@ def test_threshold_pair_at_a_look_tied_with_a_move_end():
                 r"robots 0 and 1 at the visibility threshold at t=1\.0")
 
 
-def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID):
+def test_threshold_pair_across_two_unit_cells_met_between_looks():
+    # robot 0 steps from x=1 to 0.9999999998 at t=1, when nobody looks: one
+    # unit and a hair from robot 1 at x=2, and in cells 0 and 2 of a grid of
+    # side 1.  The pair is reported at the next Look, robot 2's at t=2
+    scenario = scen((1, 0), (2, 0), (5, 5))
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 2: [(2.0, 2.25, 2.5)]})
+    _both_raise(scenario, schedule, _Steps({(0, 1): (-2e-10, 0)}),
+                DegenerateScenarioError,
+                r"robots 0 and 1 at the visibility threshold at t=2\.0")
+    # robot 1 steps away at t=1.5, before that Look, so the run completes
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 1: [(0.125, 1.25, 1.5)],
+                            2: [(2.0, 2.25, 2.5)]})
+    controller = _Steps({(0, 1): (-2e-10, 0), (1, 1): (0.5, 0)})
+    trace = _outcome(Simulation, scenario, schedule, controller, 1, mode=RIGID)
+    assert trace == _outcome(_EveryEventChecking, scenario, schedule, controller, 1, mode=RIGID)
+    assert trace["records"][1][0]["pos_after_move"] == [2.5, 0.0]
+
+
+def test_movers_collide_halfway_across_a_cell_boundary():
+    # robots 0 and 1 swap places across the cell boundary at x=1.01 and
+    # robot 2's Look at t=1 catches both halfway, at x=1.25
+    scenario = scen((1, 0), (1.5, 0), (5, 5))
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.5)], 1: [(0.0, 0.25, 1.5)],
+                            2: [(1.0, 1.25, 1.5)]})
+    controller = _Steps({(0, 1): (0.5, 0), (1, 1): (-0.5, 0)})
+
+    class Halfway(Adversary):
+        def draw_observation_fractions(self, robot, j, count):
+            return [0.5] * count
+
+    for sim in (Simulation, _EveryEventChecking):
+        with pytest.raises(CollisionError, match=r"^robots 0 and 1 collide at t=1\.0$"):
+            sim(scenario, schedule, controller, Halfway(1, RIGID)).run()
+
+
+def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID,
+             adversary=Adversary):
     try:
-        return sim(scenario, schedule, controller, Adversary(seed, mode),
+        return sim(scenario, schedule, controller, adversary(seed, mode),
                    initial_color=color).run().to_json()
     except SimulationError as exc:
         return type(exc).__name__, str(exc)
@@ -417,8 +455,87 @@ def test_tied_instants_match_the_every_event_engine():
     assert errors == {"CollisionError", "DegenerateScenarioError"}
 
 
-def _lattice(cols, spacing):
-    return scen(*[(spacing * (k % cols), spacing * (k // cols)) for k in range(cols * cols)])
+class _QuarterSamples(Adversary):
+    """Mid-move samples at quarter fractions of the realized prefix, drawn
+    alike for every robot, so two movers that share a cycle window take the
+    same fractions and meet halfway whenever they draw one half."""
+
+    def draw_observation_fractions(self, robot, j, count):
+        rng = random.Random(f"{self.seed}:quarters:{j}")
+        return [rng.randrange(4) / 4 for _ in range(count)]
+
+
+def _cell_fuzz_run(seed):
+    """Robots on a half-step grid reaching x=2, taking half-steps, unit steps
+    and hair steps of 2e-10 (so a robot at x=1 can step to 0.9999999998, one
+    unit and a hair from a robot at x=2: with cells of side 1 that pair is
+    two cells apart), with times on a 1/4 grid so many move ends fall
+    between Looks.  Robots 0 and 1 start half a unit or a unit apart, share
+    their cycle windows and step toward each other in their first cycle."""
+    rng = random.Random(f"cells:{seed}")
+    n = rng.randint(2, 6)
+    spots = [(0.5 * x, 0.5 * y) for x in range(5) for y in range(3)]
+    d = rng.choice((0.5, 1.0))
+    x, y = rng.choice([(x, y) for x, y in spots if x + d <= 2.0])
+    pair = [(x, y), (x + d, y)]
+    cells = pair + rng.sample([p for p in spots if p not in pair], n - 2)
+
+    def row():
+        t, out = 0.25 * rng.randint(0, 8), []
+        while True:
+            o = t
+            s = o + 0.25 * rng.randint(1, 2)
+            f = s + 0.25 * rng.randint(1, 4)
+            if f > 8.0:
+                return out
+            out.append((o, s, f))
+            t = f + 0.25 * rng.randint(1, 4)
+
+    shared = row()
+    schedule = [shared if i < 2 or rng.random() < 0.5 else row() for i in range(n)]
+    moves = [None, (0.5, 0), (-0.5, 0), (1.0, 0), (-1.0, 0), (0, 0.5), (0, -0.5),
+             (-2e-10, 0), (2e-10, 0), (0, 2e-10), (0.5 - 4e-10, 0)]
+    steps = {(i, j): rng.choice(moves) for i in range(n) for j in range(1, len(schedule[i]) + 1)}
+    steps[0, 1], steps[1, 1] = (d, 0), (-d, 0)
+    return scen(*cells, delta=0.5), sched(n, 8.0, dict(enumerate(schedule))), _Steps(steps)
+
+
+def test_cell_index_matches_the_every_event_engine():
+    kinds = set()
+    for seed in range(600):
+        run = (*_cell_fuzz_run(seed), seed)
+        now = _outcome(Simulation, *run, mode=RIGID, adversary=_QuarterSamples)
+        assert now == _outcome(_EveryEventChecking, *run, mode=RIGID, adversary=_QuarterSamples)
+        kinds.add(now[0] if isinstance(now, tuple) else "trace")
+    assert kinds == {"trace", "CollisionError", "DegenerateScenarioError"}
+
+
+def _lattice(cols, spacing, rows=None):
+    return scen(*[(spacing * (k % cols), spacing * (k // cols))
+                  for k in range(cols * (rows or cols))])
+
+
+def test_pair_tests_per_cycle_do_not_grow_with_n(monkeypatch):
+    # halt runs on async lattices of 32 and 128 robots with about 520 cycles
+    # each; the full scan at every Look made 459 threshold tests per cycle at
+    # n=32 and 5894 at n=128
+    runs = [(_lattice(8, 0.6, rows=4), sample_async_schedule(0, 32, 50.0)),
+            (_lattice(16, 0.6, rows=8), sample_async_schedule(0, 128, 12.5))]
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return is_threshold_degenerate(p, q)
+
+    monkeypatch.setattr(engine, "is_threshold_degenerate", counted)
+    per_cycle = []
+    for scenario, schedule in runs:
+        calls = 0
+        trace = simulate(scenario, schedule, as_controller(AlgorithmSpec(HALT)),
+                         Adversary(0, NONRIGID))
+        per_cycle.append(calls / sum(map(len, trace.records)))
+    assert 0 < per_cycle[1] < 2 * per_cycle[0]
 
 
 def _svp_core_replay(seed):
