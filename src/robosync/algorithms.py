@@ -19,6 +19,7 @@ from .geometry import (
     same_points,
     squared_distance,
 )
+from .scheduling import json_number, json_point
 
 POINT_MATCH_EPS = 1e-9
 
@@ -61,12 +62,12 @@ class AlgorithmSpec:
     def from_json(cls, data: dict) -> "AlgorithmSpec":
         kind = data.get("kind")
         if kind == HULL_CONTRACTION:
-            return cls(kind, contraction=float(data["lambda"]))
+            return cls(kind, contraction=json_number(data["lambda"], "lambda"))
         if kind == SCRIPTED:
             entries = tuple(
                 ScriptEntry(
-                    snapshot=tuple(Point(float(x), float(y)) for x, y in e["snapshot"]),
-                    route=tuple(Point(float(x), float(y)) for x, y in e["route"]),
+                    snapshot=tuple(json_point(p, "script snapshot point") for p in e["snapshot"]),
+                    route=tuple(json_point(p, "script route vertex") for p in e["route"]),
                 )
                 for e in data.get("script", []))
             return cls(kind, script=entries)

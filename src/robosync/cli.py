@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: simulate, check, synthesize, repro, necessity.
+Subcommands: simulate, check, synthesize, repro, necessity, sweep.
 Exit codes: 0 pass, 1 condition failure, 2 input error, 3 internal or
 inconclusive.  Output is JSON with sorted keys, so a rerun with identical
 flags produces byte-identical files.
@@ -21,6 +21,7 @@ from .experiments import (
     necessity_experiment,
     repro_colorbased,
     repro_greedy_trap,
+    synchronizer_end_to_end,
 )
 from .scheduling import (
     Schedule,
@@ -165,6 +166,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_repro(args: argparse.Namespace) -> int:
     if args.name == "greedy-lemma":
+        if args.machine is not None:
+            raise InputError("greedy-lemma always runs the greedy machine; "
+                             "--machine applies to colorbased-theorem")
         result = repro_greedy_trap()
     elif args.name == "colorbased-theorem":
         result = repro_colorbased(machine=args.machine or SVP)
@@ -195,6 +199,16 @@ def cmd_necessity(args: argparse.Namespace) -> int:
           else results[args.template], args.out)
     codes = {_necessity_exit(result) for result in results.values()}
     return EXIT_CONDITION if EXIT_CONDITION in codes else max(codes)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise InputError("synchronizer sweeps need at least one seed")
+    results = [synchronizer_end_to_end(seed, horizon=args.horizon, machine=args.machine)
+               for seed in range(args.seeds)]
+    _dump({"schema": 1, "results": results}, args.out)
+    ok = all(r["all_checks_pass"] and r["similar"] for r in results)
+    return EXIT_PASS if ok else EXIT_CONDITION
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,6 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     budget(p, NECESSITY_NODE_BUDGET)
     p.set_defaults(func=cmd_necessity)
+
+    p = sub.add_parser("sweep", help="synchronizer pipeline over random clique-cluster "
+                                     "scenarios, one seed each")
+    p.add_argument("--seeds", type=int, default=100)
+    p.add_argument("--horizon", type=float, default=200.0)
+    p.add_argument("--machine", choices=list(MACHINES), default=SVP)
+    common(p)
+    p.set_defaults(func=cmd_sweep)
 
     return parser
 

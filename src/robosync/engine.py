@@ -13,13 +13,14 @@ Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
 distinct instant only the robots whose point changed (arrivals, and at a
 Look the movers' fresh samples) are tested, against the robots in their 3x3
-block of a uniform cell grid (fixed-radius near-neighbour search).  A
-threshold pair met at a move end between Looks is kept and retested at the
-next Look.  The cell side, `CELL_SIDE`, exceeds sqrt(1 + VISIBILITY_EPS),
-the farthest a flagged pair can be apart, so such a pair always lies in
-neighbouring cells.  When the detector finds a bad pair, the full O(n^2)
-scan `_check_pairs` runs once and raises the error, so the error names the
-lowest pair exactly as a scan of every pair at every instant would.
+block of a uniform cell grid (fixed-radius near-neighbour search), whose
+side `CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS), so a flagged pair always
+lies in neighbouring cells.  On any hit the full O(n^2) scan `_check_pairs`
+runs once, so the error names the lowest pair exactly as a scan of every
+pair at every instant would.  A robot whose hit that scan clears between
+Looks (a threshold pair, or an arrival on a mover's stale point) is tested
+again at the next Look.  A cycle draws one mid-move sample per Look time
+inside its move (zipped strictly), so at a Look every mover's point is known.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .geometry import (
     to_local,
     truncated_length,
 )
-from .scheduling import Cycle, Schedule, json_index
+from .scheduling import Cycle, Schedule, json_index, json_number, json_point
 
 RIGID = "rigid"
 NONRIGID = "nonrigid"
@@ -96,10 +97,11 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
-        positions = [Point(float(x), float(y)) for x, y in data["positions"]]
-        frames = [FrameSpec(float(f["rotation"]), float(f["unit"]))
+        positions = [json_point(p, "position") for p in data["positions"]]
+        frames = [FrameSpec(json_number(f["rotation"], "frame rotation"),
+                            json_number(f["unit"], "frame unit"))
                   for f in data["frames"]]
-        delta = float(data["delta"])
+        delta = json_number(data["delta"], "delta")
         return cls(positions, frames, delta)
 
 
@@ -190,14 +192,16 @@ class CycleRecord:
         c = data["cycle"]
         return cls(
             cycle=Cycle(json_index(c["robot"], "robot index"), json_index(c["j"], "cycle index j"),
-                        float(c["o"]), float(c["s"]), float(c["f"])),
-            pos_at_look=Point(*map(float, data["pos_at_look"])),
+                        json_number(c["o"], "cycle time o"), json_number(c["s"], "cycle time s"),
+                        json_number(c["f"], "cycle time f")),
+            pos_at_look=json_point(data["pos_at_look"], "pos_at_look"),
             visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
-            snapshot_local=tuple(Point(float(x), float(y)) for x, y in data["snapshot_local"]),
-            route_global=Route(tuple(Point(float(x), float(y)) for x, y in data["route_global"])),
-            z=float(data["z"]),
-            pos_after_move=Point(*map(float, data["pos_after_move"])),
-            mid_move_samples=tuple((float(t), float(u)) for t, u in data.get("mid_move_samples", [])),
+            snapshot_local=tuple(json_point(p, "snapshot point") for p in data["snapshot_local"]),
+            route_global=Route(tuple(json_point(p, "route vertex") for p in data["route_global"])),
+            z=json_number(data["z"], "z"),
+            pos_after_move=json_point(data["pos_after_move"], "pos_after_move"),
+            mid_move_samples=tuple((json_number(t, "sample time"), json_number(u, "sample arc"))
+                                   for t, u in data.get("mid_move_samples", [])),
             snapshot_colors=tuple(data["snapshot_colors"]) if "snapshot_colors" in data else None,
             color_before=data.get("color_before"),
             color_after=data.get("color_after"),
@@ -249,7 +253,7 @@ class Trace:
     def from_json(cls, data: dict) -> "Trace":
         scenario = Scenario.from_json(data["scenario"])
         records = [[CycleRecord.from_json(r) for r in row] for row in data["records"]]
-        horizon = float(data["horizon"])
+        horizon = json_number(data["horizon"], "horizon")
         # the cycle rows must form a valid schedule for the scenario's robots
         Schedule(scenario.n, horizon, [[r.cycle for r in row] for row in records])
         for row in records:
@@ -293,7 +297,7 @@ class Simulation:
             self._place(robot, p)
         self._arriving: dict[float, list[int]] = {}  # move end -> robots
         self._open: list[int] = []  # robots between their Look and move end
-        self._pending: list[tuple[int, int]] = []  # pairs to retest at the next Look
+        self._recheck: list[int] = []  # robots to test again at the next Look
 
     def run(self) -> Trace:
         events = sorted(event for cycles in self.schedule.robots for c in cycles
@@ -301,10 +305,10 @@ class Simulation:
         now = None
         for t, kind, robot, cycle in events:
             if t != now:
-                # every event at one instant sees the same positions: a Look
-                # appends a record that reads as its robot's position and color
-                # before it, and a move's end point is set at its Look.  Looks
-                # sort first, so the first event's check is the strongest one
+                # every event at one instant sees the same positions: a Look's
+                # record reads as its robot's position and color before it, and
+                # a move's end point is set at its Look.  Looks sort first, so
+                # the first event's check is the strongest one
                 now = t
                 self._check_instant(t, looking=kind == LOOK)
             if kind == LOOK:
@@ -335,16 +339,15 @@ class Simulation:
         self._cell[robot] = key
 
     def _check_instant(self, t: float, looking: bool) -> None:
-        """Test the pairs whose positions changed since the last instant, and
-        at a Look the pairs kept since the last Look; on any bad pair the
-        full scan raises the error.
+        """Test the robots whose point changed (arrivals and, at a Look, the
+        movers sampled past their start) and at a Look the robots kept since
+        the last Look; on any hit the full scan raises the error at t, if any.
 
-        Only arrivals and, at a Look, the movers sampled past their start
-        change position; every other robot holds the point at which the
-        previous instant passed it.  A mover that is still at its start, or
-        on a zero-length move, is not retested until it arrives; a collision
-        an arrival makes with it while it is mid-move (and so unseen by the
-        scan) is kept for the next Look.
+        At a Look every index point is its robot's position, so a hit always
+        raises.  Between Looks the scan may clear a hit (a threshold pair, or
+        an arrival on a mover's stale point); the robot that hit stays at rest
+        until its own Look and is tested again at the next Look, where its
+        partner has either been tested or held still.
         """
         records = self.records
         changed = []
@@ -352,53 +355,35 @@ class Simulation:
             self._open.remove(robot)
             self._place(robot, records[robot][-1].pos_after_move)
             changed.append(robot)
-        missing = None
         if looking:
             for robot in self._open:
                 record = records[robot][-1]
                 if record.cycle.s < t:
+                    # `_look` drew a sample for each Look time inside (s, f)
                     samples = record.mid_move_samples
-                    k = bisect_left(samples, (t,))
-                    if k == len(samples) or samples[k][0] != t:
-                        missing = robot if missing is None else min(missing, robot)
-                    elif samples[k][1] > 0.0:
-                        self._place(robot, point_along(record.route_global, samples[k][1]))
+                    u = samples[bisect_left(samples, (t,))][1]
+                    if u > 0.0:
+                        self._place(robot, point_along(record.route_global, u))
                         changed.append(robot)
-        bad = False
-        for robot in changed:
-            if self._test(robot, t, looking):
-                bad = True
-                break
-        if looking and self._pending:
-            pos = self._pos
-            for a, b in self._pending:
-                if pos[a] == pos[b] or is_threshold_degenerate(pos[a], pos[b]):
-                    bad = True
-            self._pending.clear()
-        if bad:
+            changed += self._recheck
+            self._recheck.clear()
+        hits = []
+        for robot in changed:  # a plain loop: a comprehension costs more per instant
+            if self._hit(robot):
+                hits.append(robot)
+        if hits:
             self._check_pairs(t, self._positions_at(t), looking)
-        if missing is not None:
-            raise SimulationError(f"no observation sample for robot {missing} at t={t}")
+            self._recheck += hits
 
-    def _test(self, robot: int, t: float, looking: bool) -> bool:
-        """Test one changed robot against the robots near its cell.  At a
-        move-end-only instant a threshold pair, or a collision with a robot
-        that is mid-move, is kept for the next Look; True when a pair fails
-        now."""
+    def _hit(self, robot: int) -> bool:
+        """True when a robot in this one's block shares its point or sits at the threshold."""
         pos = self._pos
         p = pos[robot]
         for other in self._near[self._cell[robot]]:
-            if other == robot:
-                continue
-            q = pos[other]
-            if p.x == q.x and p.y == q.y:
-                if looking or self._position_at(other, t) is not None:
+            if other != robot:
+                q = pos[other]
+                if (p.x == q.x and p.y == q.y) or is_threshold_degenerate(p, q):
                     return True
-            elif not is_threshold_degenerate(p, q):
-                continue
-            elif looking:
-                return True
-            self._pending.append((robot, other))
         return False
 
     # -- state at an instant ------------------------------------------------
@@ -502,7 +487,7 @@ class Simulation:
             route_global=route,
             z=z,
             pos_after_move=point_along(route, realized),
-            mid_move_samples=tuple(zip(obs_times, arcs)),
+            mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
             snapshot_colors=colors if luminous else None,
             color_before=own_color,
             color_after=decision.color_after if luminous else None,

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InputError
+from .geometry import Point
 
 TIME_GRID = 64  # generated times are multiples of 1/64
 _STEP = 1.0 / TIME_GRID
@@ -30,6 +31,26 @@ def json_index(value: object, what: str) -> int:
     if type(value) is not int:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+_NUMBER = (float, int)  # the types json.load gives a JSON number; bool is not one
+
+
+def json_number(value: object, what: str) -> float:
+    """A real read from JSON: only a finite JSON number is one, so a string,
+    a boolean, NaN or an infinity is refused rather than coerced."""
+    if type(value) not in _NUMBER or not math.isfinite(value):
+        raise InputError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def json_point(value: object, what: str) -> Point:
+    """A point read from JSON: a list of exactly two numbers, finite as
+    `Point` requires."""
+    if (type(value) is not list or len(value) != 2
+            or type(value[0]) not in _NUMBER or type(value[1]) not in _NUMBER):
+        raise InputError(f"{what} must be a list of two numbers, got {value!r}")
+    return Point(float(value[0]), float(value[1]))
 
 
 @dataclass(frozen=True)
@@ -93,12 +114,14 @@ class Schedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
-        horizon = float(data["horizon"])
+        horizon = json_number(data["horizon"], "horizon")
         robots = []
         for i, cycles in enumerate(data["robots"]):
             row = []
             for entry in cycles:
-                o, s, f = float(entry["o"]), float(entry["s"]), float(entry["f"])
+                o, s, f = (json_number(entry["o"], "cycle time o"),
+                           json_number(entry["s"], "cycle time s"),
+                           json_number(entry["f"], "cycle time f"))
                 for t in (o, s, f):
                     if not on_grid(t):
                         raise InputError(

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from robosync.cli import build_parser, main
-from robosync.experiments import necessity_experiment
+from robosync.experiments import necessity_experiment, synchronizer_end_to_end
 from robosync.scenarios import (
     NECESSITY_TEMPLATES,
     builtin_bundle,
@@ -109,6 +109,27 @@ def test_necessity_command_matches_the_api_defaults(tmp_path):
     defaults = inspect.signature(necessity_experiment).parameters
     assert args.order_budget == defaults["order_budget"].default
     assert args.budget == defaults["node_budget"].default
+
+
+def test_sweep_command(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["sweep", "--seeds", "2", "--horizon", "30", "--out", a]) == 0
+    assert run(["sweep", "--seeds", "2", "--horizon", "30", "--out", b]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text()) == {
+        "schema": 1,
+        "results": [synchronizer_end_to_end(seed, horizon=30.0) for seed in range(2)]}
+
+
+def test_sweep_fails_unless_every_seed_checks_and_replays(tmp_path, monkeypatch):
+    import robosync.cli
+
+    def fake(seed, horizon, machine):
+        return {"seed": seed, "all_checks_pass": seed != 2, "similar": True}
+
+    monkeypatch.setattr(robosync.cli, "synchronizer_end_to_end", fake)
+    assert run(["sweep", "--seeds", "2", "--out", tmp_path / "ok.json"]) == 0
+    assert run(["sweep", "--seeds", "3", "--out", tmp_path / "bad.json"]) == 1
 
 
 def _combined_exit(codes) -> int:
@@ -249,6 +270,12 @@ FILE_CASES = {
     "infinite frame rotation":
         lambda: _trap_bundle(lambda d: d["frames"][0].update(rotation="inf")),
     "NaN delta": lambda: _trap_bundle(lambda d: d.update(delta="nan")),
+    'schedule o of "0.0"':
+        lambda: _control_schedule(lambda d: d["robots"][0][0].update(o="0.0")),
+    'hull lambda of "0.5"': lambda: ("--algo", {"kind": "hull_contraction", "lambda": "0.5"}),
+    "scripted route vertex of [true, 0]":
+        lambda: ("--algo", {"kind": "scripted",
+                            "script": [{"snapshot": [[0, 0]], "route": [[0, 0], [True, 0]]}]}),
 }
 
 
@@ -272,11 +299,18 @@ def _simulate_no_robots(trace):
             "--machine", "svp"]
 
 
-def _check_no_robots(trace):
-    raw = json.loads(trace.read_text())
-    raw.update(scenario=NO_ROBOTS, records=[])
-    trace.write_text(json.dumps(raw))
-    return ["check", trace]
+def _edited_check(edit):
+    """The check command line on the passing trace, after `edit` of its JSON."""
+    def args(trace):
+        raw = json.loads(trace.read_text())
+        edit(raw)
+        trace.write_text(json.dumps(raw))
+        return ["check", trace]
+    return args
+
+
+def _first_record(**fields):
+    return _edited_check(lambda raw: raw["records"][0][0].update(fields))
 
 
 # each case gives the command line, given the path of a trace that passes
@@ -289,11 +323,23 @@ FLAG_CASES = {
     "async without a horizon":
         lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "async"],
     "simulate a scenario with no robots": _simulate_no_robots,
-    "check a trace with no robots": _check_no_robots,
+    "check a trace with no robots":
+        _edited_check(lambda raw: raw.update(scenario=NO_ROBOTS, records=[])),
+    'pos_at_look of "12"': _first_record(pos_at_look="12"),
+    'cycle o of "0.0"': _edited_check(lambda raw: _set_cycle(raw["records"][0][0], o="0.0")),
+    'horizon of "6"': _edited_check(lambda raw: raw.update(horizon="6")),
+    'z of "nan"': _first_record(z="nan"),
+    'mid-move sample of ["nan", "nan"]': _first_record(mid_move_samples=[["nan", "nan"]]),
+    "position of [false, false]":
+        _edited_check(lambda raw: raw["scenario"].update(positions=[[False, False], [3, 0]])),
     "NaN fairness window": lambda trace: [*CONTROL, "--fairness-window", "nan"],
     "negative check budget": lambda trace: ["check", trace, "--budget", "-3"],
     "negative order budget":
         lambda trace: ["necessity", "--template", "control", "--order-budget", "-1"],
+    "sweep --horizon nan": lambda trace: ["sweep", "--horizon", "nan"],
+    "sweep --seeds 0": lambda trace: ["sweep", "--seeds", "0"],
+    "repro greedy-lemma --machine svp":
+        lambda trace: ["repro", "greedy-lemma", "--machine", "svp"],
 }
 
 

@@ -298,10 +298,19 @@ class _Steps:
         return Decision(Route((Point(0, 0), Point(*step))) if step else Route.stay_put())
 
 
-def _both_raise(scenario, schedule, controller, error, message):
+def _both_raise(scenario, schedule, controller, error, message, adversary=Adversary):
     for sim in (Simulation, _EveryEventChecking):
         with pytest.raises(error, match=f"^{message}$"):
-            sim(scenario, schedule, controller, Adversary(1, RIGID)).run()
+            sim(scenario, schedule, controller, adversary(1, RIGID)).run()
+
+
+def _fixed_fraction(fraction):
+    """An adversary that draws every mid-move sample at `fraction` of the
+    realized prefix."""
+    class Fixed(Adversary):
+        def draw_observation_fractions(self, robot, j, count):
+            return [fraction] * count
+    return Fixed
 
 
 def test_collision_at_a_move_start_is_reported_by_the_move_end():
@@ -360,6 +369,37 @@ def test_threshold_pair_across_two_unit_cells_met_between_looks():
     assert trace["records"][1][0]["pos_after_move"] == [2.5, 0.0]
 
 
+def test_arrival_on_a_movers_start_is_retested_at_the_next_look():
+    # robot 0 lands at t=1, when nobody looks, on the start point of robot 1,
+    # which is mid-move and so has no position the scan can test.  Robot 2's
+    # Look at t=1.5 sees robot 1 at the fraction the adversary draws
+    scenario = scen((0, 0), (0.8, 0), (5, 5))
+    schedule = sched(3, 3, {0: [(0.0, 0.25, 1.0)], 1: [(0.0, 0.25, 2.0)],
+                            2: [(1.5, 1.75, 2.5)]})
+    controller = _Steps({(0, 1): (0.8, 0), (1, 1): (0.5, 0)})
+    # halfway, clear of robot 0: the run completes
+    run = (scenario, schedule, controller, 1)
+    trace = _outcome(Simulation, *run, mode=RIGID, adversary=_fixed_fraction(0.5))
+    assert trace == _outcome(_EveryEventChecking, *run, mode=RIGID,
+                             adversary=_fixed_fraction(0.5))
+    assert trace["records"][1][0]["mid_move_samples"] == [[1.5, 0.25]]
+    # still at its start, on robot 0: the Look reports the collision
+    _both_raise(scenario, schedule, controller, CollisionError,
+                r"robots 0 and 1 collide at t=1\.5", adversary=_fixed_fraction(0.0))
+
+
+def test_an_adversary_draws_one_fraction_per_look_inside_the_move():
+    # robot 1's Look at t=0.5 falls inside robot 0's move, which needs one sample
+    class Short(Adversary):
+        def draw_observation_fractions(self, robot, j, count):
+            return super().draw_observation_fractions(robot, j, count)[1:]
+
+    scenario = scen((0, 0), (5, 5))
+    schedule = sched(2, 3, {0: [(0.0, 0.25, 1.0)], 1: [(0.5, 0.75, 1.5)]})
+    with pytest.raises(ValueError, match="shorter"):
+        simulate(scenario, schedule, _Steps({(0, 1): (0.5, 0)}), Short(1, RIGID))
+
+
 def test_movers_collide_halfway_across_a_cell_boundary():
     # robots 0 and 1 swap places across the cell boundary at x=1.01 and
     # robot 2's Look at t=1 catches both halfway, at x=1.25
@@ -367,14 +407,8 @@ def test_movers_collide_halfway_across_a_cell_boundary():
     schedule = sched(3, 3, {0: [(0.0, 0.25, 1.5)], 1: [(0.0, 0.25, 1.5)],
                             2: [(1.0, 1.25, 1.5)]})
     controller = _Steps({(0, 1): (0.5, 0), (1, 1): (-0.5, 0)})
-
-    class Halfway(Adversary):
-        def draw_observation_fractions(self, robot, j, count):
-            return [0.5] * count
-
-    for sim in (Simulation, _EveryEventChecking):
-        with pytest.raises(CollisionError, match=r"^robots 0 and 1 collide at t=1\.0$"):
-            sim(scenario, schedule, controller, Halfway(1, RIGID)).run()
+    _both_raise(scenario, schedule, controller, CollisionError,
+                r"robots 0 and 1 collide at t=1\.0", adversary=_fixed_fraction(0.5))
 
 
 def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID,
