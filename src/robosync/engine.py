@@ -9,13 +9,26 @@ prefix and sorted by observation time so progress is monotone.  All draws
 are keyed by (seed, robot, cycle, slot), never by call order, so a run is a
 pure function of its inputs.
 
+A route no longer than delta is traversed whole whatever the truncation
+draw z is, so for such a cycle (every stay-put cycle, and so every rejected
+cycle of a luminous run) the engine does not draw z at the Look.  The record
+holds the draw bound to the cycle's own (robot, j) instead and makes it at
+the first read of `CycleRecord.z`: same key, same value.  A copy made by
+`dataclasses.replace` reads z, so it holds the value; `extract_core` copies
+records shallowly, so a core record carries the pending draw, still bound
+to the luminous cycle's (robot, j) although the core re-indexes j.
+Seeding a keyed `random.Random` costs about 9 us (CPython 3.11 on a 2-vCPU
+Xeon VM) and a synchronizer run rejects most cycles, so this skips most of
+the luminous engine's draws; a run whose z values are all read (`to_json`
+reads every one) makes as many draws as before, later.
+
 Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
 distinct instant only the robots whose point changed (arrivals, and at a
 Look the movers' fresh samples) are tested, against the robots in their 3x3
 block of a uniform cell grid (fixed-radius near-neighbour search), whose
-side `CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS), so a flagged pair always
-lies in neighbouring cells.  On any hit the full O(n^2) scan `_check_pairs`
+side `geometry.CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS), so a flagged
+pair always lies in neighbouring cells.  On any hit the full O(n^2) scan `_check_pairs`
 runs once, so the error names the lowest pair exactly as a scan of every
 pair at every instant would.  A robot whose hit that scan clears between
 Looks (a threshold pair, or an arrival on a mover's stale point) is tested
@@ -37,11 +50,11 @@ from .geometry import (
     FrameSpec,
     Point,
     Route,
+    cell,
+    cell_block,
     is_threshold_degenerate,
-    is_visible,
     point_along,
     route_to_global,
-    to_local,
     truncated_length,
 )
 from .scheduling import Cycle, Schedule, json_index, json_number, json_point
@@ -50,14 +63,6 @@ RIGID = "rigid"
 NONRIGID = "nonrigid"
 
 LOOK, MOVE_END = 0, 1
-
-# Side of the pair-check grid's square cells.  A pair the threshold test can
-# flag lies up to sqrt(1 + VISIBILITY_EPS) apart and must fall in neighbouring
-# cells: with a side of exactly 1, x=0.99999999995 and x=2.0000000002 (squared
-# distance 1.0000000005) fall in cells 0 and 2.  The margin also covers the
-# rounding of x / CELL_SIDE.
-CELL_SIDE = 1.01
-_BLOCK = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 @dataclass
@@ -75,14 +80,17 @@ class Scenario:
             raise InputError("one frame spec per robot required")
         if not 0 <= self.delta < math.inf:
             raise InputError(f"delta must be finite and non-negative, got {self.delta}")
+        # a bad pair lies in neighbouring cells of the pair-check grid; on a
+        # hit the scan of every pair names the lowest one
         pts = self.initial_positions
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if pts[a] == pts[b]:
-                    raise InputError(f"robots {a} and {b} share a position")
-                if is_threshold_degenerate(pts[a], pts[b]):
-                    raise InputError(
-                        f"robots {a} and {b} sit at the degenerate visibility threshold")
+        grid: dict[tuple[int, int], list[int]] = {}
+        for b, p in enumerate(pts):
+            key = cell(p)
+            for k in cell_block(key):
+                for a in grid.get(k, ()):
+                    if pts[a] == p or is_threshold_degenerate(pts[a], p):
+                        _reject_lowest_bad_pair(pts)
+            grid.setdefault(key, []).append(b)
 
     @property
     def n(self) -> int:
@@ -103,6 +111,18 @@ class Scenario:
                   for f in data["frames"]]
         delta = json_number(data["delta"], "delta")
         return cls(positions, frames, delta)
+
+
+def _reject_lowest_bad_pair(pts: list[Point]) -> None:
+    """Raise the input error for the lowest pair that shares a point or sits
+    at the threshold, scanning every pair."""
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            if pts[a] == pts[b]:
+                raise InputError(f"robots {a} and {b} share a position")
+            if is_threshold_degenerate(pts[a], pts[b]):
+                raise InputError(
+                    f"robots {a} and {b} sit at the degenerate visibility threshold")
 
 
 class Adversary:
@@ -152,6 +172,24 @@ class AlgorithmController:
         return Decision(route_local=self._compute(snapshot))
 
 
+class _DrawnAtFirstRead:
+    """`CycleRecord.z`: holds a float, or the pending draw `(adversary,
+    robot, j)` bound at the Look, which the first read makes and replaces by
+    its value."""
+
+    def __get__(self, rec, owner=None) -> float:
+        if rec is None:  # class access: the field has no default
+            raise AttributeError("z")
+        z = rec._z
+        if type(z) is tuple:
+            adversary, robot, j = z
+            z = rec._z = adversary.draw_truncation(robot, j)
+        return z
+
+    def __set__(self, rec, value) -> None:
+        rec._z = value
+
+
 @dataclass
 class CycleRecord:
     """Ground truth for one executed cycle."""
@@ -160,7 +198,7 @@ class CycleRecord:
     visible_set: frozenset[int]
     snapshot_local: tuple[Point, ...]
     route_global: Route
-    z: float
+    z: float = _DrawnAtFirstRead()
     pos_after_move: Point
     mid_move_samples: tuple[tuple[float, float], ...] = ()
     snapshot_colors: tuple[str, ...] | None = None
@@ -324,18 +362,16 @@ class Simulation:
         """Move a robot's point in the index.  `_near[c]` lists the robots
         whose cell is c or one of its eight neighbours."""
         self._pos[robot] = p
-        key = math.floor(p.x / CELL_SIDE), math.floor(p.y / CELL_SIDE)
+        key = cell(p)
         old = self._cell[robot]
         if key == old:
             return
         near = self._near
         if old is not None:
-            x, y = old
-            for dx, dy in _BLOCK:
-                near[x + dx, y + dy].remove(robot)
-        x, y = key
-        for dx, dy in _BLOCK:
-            near.setdefault((x + dx, y + dy), []).append(robot)
+            for k in cell_block(old):
+                near[k].remove(robot)
+        for k in cell_block(key):
+            near.setdefault(k, []).append(robot)
         self._cell[robot] = key
 
     def _check_instant(self, t: float, looking: bool) -> None:
@@ -444,20 +480,25 @@ class Simulation:
         """
         t = cycle.o
         here = positions[robot]
+        hx, hy = here.x, here.y
         frame = self.scenario.frames[robot]
+        in_frame = frame.local
         seen: list[tuple[float, float, int, Point]] = []
         for i in candidates:
-            if i != robot and is_visible(here, positions[i]):
-                p = to_local(frame, here, positions[i])
+            q = positions[i]
+            dx = q.x - hx
+            dy = q.y - hy
+            if dx * dx + dy * dy <= 1.0 and i != robot:  # `is_visible`, inlined
+                p = in_frame(dx, dy)
                 seen.append((p.x, p.y, i, p))
         seen.sort()
         visible = frozenset([robot] + [i for _, _, i, _ in seen])
         points = (ORIGIN, *[p for _, _, _, p in seen])
         own_color = self._color_at(robot, t)
-        colors = tuple([own_color or ""] + [self._color_at(i, t) or "" for _, _, i, _ in seen])
         luminous = own_color is not None
-        decision = self.controller.decide(
-            robot, cycle.j, points, colors if luminous else None, own_color)
+        colors = (tuple([own_color] + [self._color_at(i, t) or "" for _, _, i, _ in seen])
+                  if luminous else None)
+        decision = self.controller.decide(robot, cycle.j, points, colors, own_color)
         if decision.route_global is not None:
             route = decision.route_global
         else:
@@ -470,8 +511,13 @@ class Simulation:
                 route = route_to_global(frame, here, local)
         if route.start != here:
             raise SimulationError("computed route must start at the robot")
-        z = self.adversary.draw_truncation(robot, cycle.j)
-        realized = truncated_length(route.length, self.scenario.delta, z)
+        if route.length <= self.scenario.delta:
+            # traversed whole for every z: draw it at the first read
+            z = (self.adversary, robot, cycle.j)
+            realized = route.length
+        else:
+            z = self.adversary.draw_truncation(robot, cycle.j)
+            realized = truncated_length(route.length, self.scenario.delta, z)
         looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
         obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
         if realized > 0.0:
@@ -488,7 +534,7 @@ class Simulation:
             z=z,
             pos_after_move=point_along(route, realized),
             mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
-            snapshot_colors=colors if luminous else None,
+            snapshot_colors=colors,
             color_before=own_color,
             color_after=decision.color_after if luminous else None,
             accepted=decision.accepted if luminous else None,

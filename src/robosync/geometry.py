@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 
@@ -16,6 +16,14 @@ from .errors import InputError
 # exactly 1.0 is visible (closed ball); a pair inside the band but not exactly
 # at it is ambiguous and the scenario is rejected as degenerate.
 VISIBILITY_EPS = 1e-9
+
+# Side of the square cells of the fixed-radius near-neighbour grid (Bentley,
+# Stanat & Williams 1977) that finds the pairs the threshold test can flag.
+# Such a pair lies up to sqrt(1 + VISIBILITY_EPS) apart and must fall in
+# neighbouring cells: with a side of exactly 1, x=0.99999999995 and
+# x=2.0000000002 (squared distance 1.0000000005) fall in cells 0 and 2.  The
+# margin also covers the rounding of x / CELL_SIDE.
+CELL_SIDE = 1.01
 
 EPS = 1e-9
 
@@ -65,6 +73,20 @@ def is_threshold_degenerate(p: Point, q: Point) -> bool:
     """True when the pair is inside the ambiguity band but not exactly at 1."""
     sq = squared_distance(p, q)
     return sq != 1.0 and abs(sq - 1.0) < VISIBILITY_EPS
+
+
+def cell(p: Point) -> tuple[int, int]:
+    """Key of the grid cell holding p."""
+    return math.floor(p.x / CELL_SIDE), math.floor(p.y / CELL_SIDE)
+
+
+def cell_block(key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """Keys of the 3x3 block of cells centred on `key`: every cell that can
+    hold a robot the threshold test flags against one in cell `key`."""
+    x, y = key
+    return ((x - 1, y - 1), (x - 1, y), (x - 1, y + 1),
+            (x, y - 1), (x, y), (x, y + 1),
+            (x + 1, y - 1), (x + 1, y), (x + 1, y + 1))
 
 
 def truncated_length(total: float, delta: float, z: float) -> float:
@@ -262,28 +284,33 @@ def point_along(route: Route, s: float) -> Point:
 @dataclass(frozen=True)
 class FrameSpec:
     """A robot's private coordinate system, rotated and uniformly scaled
-    relative to the global frame; its origin is the robot's position."""
+    relative to the global frame; its origin is the robot's position.  The
+    rotation's cosine and sine are computed once, at construction."""
     rotation: float = 0.0
     unit: float = 1.0
+    cos: float = field(init=False, repr=False, compare=False)
+    sin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.rotation):
             raise InputError(f"frame rotation must be finite, got {self.rotation}")
         if not 0 < self.unit < math.inf:
             raise InputError(f"frame unit must be finite and positive, got {self.unit}")
+        object.__setattr__(self, "cos", math.cos(self.rotation))
+        object.__setattr__(self, "sin", math.sin(self.rotation))
+
+    def local(self, dx: float, dy: float) -> Point:
+        """The global offset (dx, dy) from the frame's origin, in this frame."""
+        c, s = self.cos, self.sin
+        return Point((c * dx + s * dy) / self.unit, (-s * dx + c * dy) / self.unit)
 
 
 def to_local(frame: FrameSpec, origin: Point, g: Point) -> Point:
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
-    dx = g.x - origin.x
-    dy = g.y - origin.y
-    return Point((c * dx + s * dy) / frame.unit, (-s * dx + c * dy) / frame.unit)
+    return frame.local(g.x - origin.x, g.y - origin.y)
 
 
 def to_global(frame: FrameSpec, origin: Point, l: Point) -> Point:
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
+    c, s = frame.cos, frame.sin
     gx = frame.unit * (c * l.x - s * l.y)
     gy = frame.unit * (s * l.x + c * l.y)
     return Point(origin.x + gx, origin.y + gy)

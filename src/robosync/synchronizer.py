@@ -10,11 +10,12 @@ snapshot.  The new color becomes visible at the move start.
 from __future__ import annotations
 
 from bisect import bisect_right
+from copy import copy
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .algorithms import AlgorithmSpec, compute
-from .engine import Adversary, Decision, Scenario, Simulation, Trace
+from .engine import Adversary, CycleRecord, Decision, Scenario, Simulation, Trace
 from .errors import InputError
 from .geometry import Point, Route, is_visible
 from .scheduling import Schedule
@@ -42,8 +43,22 @@ class FsmVerdict:
     output: str
 
 
+# value -> color, read as a dict: `SyncColor(v)` is a much slower Enum call
+_BY_VALUE = {color.value: color for color in SyncColor}
+
+
 def _colors(values) -> frozenset[SyncColor]:
-    return frozenset(SyncColor(v) for v in values)
+    return frozenset([_BY_VALUE[v] for v in values])
+
+
+_BK, _R, _B, _G, _W = SyncColor.BK, SyncColor.R, SyncColor.B, SyncColor.G, SyncColor.W
+_BK_B_W = frozenset((_BK, _B, _W))
+_BK_R_B_W = frozenset((_BK, _R, _B, _W))
+_R_B_W = frozenset((_R, _B, _W))
+_B_G = frozenset((_B, _G))
+_BK_G = frozenset((_BK, _G))
+_B_W = frozenset((_B, _W))
+_ONLY_BK = frozenset((_BK,))
 
 
 def svp_step(state: SyncColor, visible: frozenset[SyncColor] | set[SyncColor]) -> FsmVerdict:
@@ -59,20 +74,19 @@ def svp_step(state: SyncColor, visible: frozenset[SyncColor] | set[SyncColor]) -
       W  + all-of(B,W)               -> Bk reject
     """
     x = frozenset(visible)
-    bk, r, b, g, w = SyncColor.BK, SyncColor.R, SyncColor.B, SyncColor.G, SyncColor.W
-    if state is bk:
-        if x <= {bk, b, w}:
-            return FsmVerdict(r, ACCEPT)
-        if r in x and x <= {bk, r, b, w}:
-            return FsmVerdict(w, REJECT)
-    elif state is r and x <= {r, b, w}:
-        return FsmVerdict(b, REJECT)
-    elif state is b and x <= {b, g}:
-        return FsmVerdict(g, REJECT)
-    elif state is g and x <= {bk, g}:
-        return FsmVerdict(bk, REJECT)
-    elif state is w and x <= {b, w}:
-        return FsmVerdict(bk, REJECT)
+    if state is _BK:
+        if x <= _BK_B_W:
+            return FsmVerdict(_R, ACCEPT)
+        if _R in x and x <= _BK_R_B_W:
+            return FsmVerdict(_W, REJECT)
+    elif state is _R and x <= _R_B_W:
+        return FsmVerdict(_B, REJECT)
+    elif state is _B and x <= _B_G:
+        return FsmVerdict(_G, REJECT)
+    elif state is _G and x <= _BK_G:
+        return FsmVerdict(_BK, REJECT)
+    elif state is _W and x <= _B_W:
+        return FsmVerdict(_BK, REJECT)
     return FsmVerdict(state, REJECT)
 
 
@@ -83,13 +97,14 @@ def greedy_step(state: SyncColor, visible: frozenset[SyncColor] | set[SyncColor]
     it back to black, the minimal lifecycle that makes the mover's red flag
     visible to anyone who still sees it.
     """
-    x = frozenset(visible)
-    if state is SyncColor.BK and x <= {SyncColor.BK}:
-        return FsmVerdict(SyncColor.R, ACCEPT)
-    return FsmVerdict(SyncColor.BK, REJECT)
+    if state is _BK and frozenset(visible) <= _ONLY_BK:
+        return FsmVerdict(_R, ACCEPT)
+    return FsmVerdict(_BK, REJECT)
 
 
 _STEPS = {SVP: svp_step, GREEDY: greedy_step}
+
+_STAY_PUT = Route.stay_put()  # routes are immutable, so every rejection shares one
 
 
 class SynchronizerController:
@@ -104,11 +119,11 @@ class SynchronizerController:
     def decide(self, robot: int, j: int, snapshot: tuple[Point, ...],
                snapshot_colors: tuple[str, ...] | None, own_color: str | None) -> Decision:
         others = _colors(snapshot_colors[1:]) if snapshot_colors else frozenset()
-        verdict = self.step(SyncColor(own_color), others)
+        verdict = self.step(_BY_VALUE[own_color], others)
         if verdict.output == ACCEPT:
             route = compute(self.spec, snapshot)
         else:
-            route = Route.stay_put()
+            route = _STAY_PUT
         return Decision(route_local=route,
                         accepted=verdict.output == ACCEPT,
                         color_after=verdict.next.value)
@@ -141,11 +156,18 @@ def extract_core(trace: Trace) -> Trace:
                     f"rejected cycle {rec.cycle.ident} moved; trace is not a "
                     "synchronizer run")
         accepted = [rec for rec in row if rec.accepted]
-        core_records.append([
-            replace(rec, cycle=replace(rec.cycle, j=k), snapshot_colors=None,
-                    color_before=None, color_after=None, accepted=None)
-            for k, rec in enumerate(accepted, start=1)])
+        core_records.append([_core_record(rec, k) for k, rec in enumerate(accepted, start=1)])
     return Trace(trace.scenario, trace.horizon, core_records, kind="core")
+
+
+def _core_record(rec: CycleRecord, j: int) -> CycleRecord:
+    """The accepted record as core cycle j, without colors.  A shallow copy
+    keeps a pending truncation draw unmade and bound to the luminous cycle's
+    own (robot, j); `dataclasses.replace` would read z and so make it."""
+    core = copy(rec)
+    core.cycle = replace(rec.cycle, j=j)
+    core.snapshot_colors = core.color_before = core.color_after = core.accepted = None
+    return core
 
 
 # -- trace-level color invariants -------------------------------------------
@@ -167,7 +189,7 @@ def _color_changes(trace: Trace, robot: int):
     in order; every light starts black."""
     current = SyncColor.BK
     for rec in trace.records[robot]:
-        after = SyncColor(rec.color_after)
+        after = _BY_VALUE[rec.color_after]
         yield rec, current, after
         current = after
 

@@ -245,6 +245,35 @@ def test_degenerate_threshold_rejected_at_construction():
         scen((0, 0), (1.0 + 2e-10, 0))
 
 
+def test_construction_names_the_lowest_bad_pair_across_cells():
+    # squared distance 1.0000000005, one grid cell apart
+    with pytest.raises(InputError, match="^robots 0 and 1 sit at the degenerate "
+                                         "visibility threshold$"):
+        scen((0.99999999995, 0), (2.0000000002, 0))
+    # the lattice's first and last robots share a point
+    points = [(0.6 * (k % 5), 0.6 * (k // 5)) for k in range(25)] + [(0, 0)]
+    with pytest.raises(InputError, match="^robots 0 and 25 share a position$"):
+        scen(*points)
+
+
+def test_construction_threshold_tests_grow_linearly(monkeypatch):
+    # a scan of every pair made 8128 threshold tests for 128 robots
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return is_threshold_degenerate(p, q)
+
+    monkeypatch.setattr(engine, "is_threshold_degenerate", counted)
+    per_robot = []
+    for cols, rows in ((8, 4), (16, 8)):
+        calls = 0
+        _lattice(cols, 0.6, rows=rows)
+        per_robot.append(calls / (cols * rows))
+    assert 0 < per_robot[1] < 2 * per_robot[0]
+
+
 def _degenerate_setup():
     spec = AlgorithmSpec(SCRIPTED, script=(
         ScriptEntry(snapshot=(Point(0, 0),),
@@ -579,31 +608,48 @@ def _svp_core_replay(seed):
     return replay_plan(scenario, build_plan(core, check_all(core).natural_order))
 
 
+def _plain(scenario, schedule, spec, seed, mode=NONRIGID):
+    return lambda: simulate(scenario, schedule, as_controller(spec), Adversary(seed, mode))
+
+
+def _svp(scenario, schedule, spec, seed):
+    return lambda: run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID))
+
+
+def _keyed_runs():
+    """Digest groups whose runs draw from `Adversary(seed, mode)`: name ->
+    [(seed, mode, thunk returning the trace)]."""
+    vicinity = [random_vicinity_scenario(seed) for seed in range(3)]
+    small = [(seed, *random_small_inputs(seed)) for seed in range(40)]
+    return {
+        "vicinity-async-svp": [
+            (seed, NONRIGID, _svp(s, sample_async_schedule(seed, s.n, 60.0), spec, seed))
+            for seed, (s, spec) in enumerate(vicinity)],
+        "templates": [
+            (seed, run.adversary_mode,
+             _plain(run.scenario, run.schedule, run.algorithm, seed, run.adversary_mode))
+            for name in ("stationarity", "pairwise-alignment", "consistency", "serializability")
+            for seed in range(5) for run in [necessity_template(name, seed)]],
+        "small-svp": [(seed, NONRIGID, _svp(s, sample_async_schedule(seed, s.n, 8.0), spec, seed))
+                      for seed, s, spec in small],
+    }
+
+
 def _digest_runs():
     """Named groups of engine runs; each run is a thunk returning a trace."""
-    def plain(scenario, schedule, spec, seed, mode=NONRIGID):
-        return lambda: simulate(scenario, schedule, as_controller(spec), Adversary(seed, mode))
-
-    def svp(scenario, schedule, spec, seed):
-        return lambda: run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID))
-
-    groups = {"lattice": [plain(_lattice(3, 0.6), sample_async_schedule(0, 9, 60.0),
-                                AlgorithmSpec(HALT), 0)]}
+    groups = {name: [run for _, _, run in runs] for name, runs in _keyed_runs().items()}
+    groups["lattice"] = [_plain(_lattice(3, 0.6), sample_async_schedule(0, 9, 60.0),
+                                AlgorithmSpec(HALT), 0)]
     vicinity = [random_vicinity_scenario(seed) for seed in range(3)]
-    groups["vicinity-async-svp"] = [svp(s, sample_async_schedule(seed, s.n, 60.0), spec, seed)
-                                    for seed, (s, spec) in enumerate(vicinity)]
-    groups["vicinity-fsync-hull"] = [plain(s, make_fsync_schedule(10, s.n), spec, seed)
+    groups["vicinity-fsync-hull"] = [_plain(s, make_fsync_schedule(10, s.n), spec, seed)
                                      for seed, (s, spec) in enumerate(vicinity)]
-    groups["templates"] = [
-        plain(run.scenario, run.schedule, run.algorithm, seed, run.adversary_mode)
-        for name in ("stationarity", "pairwise-alignment", "consistency", "serializability")
-        for seed in range(5) for run in [necessity_template(name, seed)]]
     small = [(seed, *random_small_inputs(seed)) for seed in range(40)]
-    groups["small-plain"] = [plain(s, sample_async_schedule(seed, s.n, 8.0), spec, seed)
+    groups["small-plain"] = [_plain(s, sample_async_schedule(seed, s.n, 8.0), spec, seed)
                              for seed, s, spec in small]
-    groups["small-svp"] = [svp(s, sample_async_schedule(seed, s.n, 8.0), spec, seed)
-                           for seed, s, spec in small]
     groups["svp-core-replay"] = [lambda: _svp_core_replay(0)]
+    groups["svp-core"] = [
+        lambda run=_svp(s, sample_async_schedule(seed, s.n, 60.0), spec, seed): extract_core(run())
+        for seed, (s, spec) in enumerate(map(random_vicinity_scenario, range(10)))]
     groups["collision"] = [_collision_setup]
     groups["degenerate"] = [_degenerate_setup]
     return groups
@@ -619,6 +665,7 @@ RECORDED_DIGESTS = {
     "lattice": "560a1a7d9ca831476524e8d0a00b47fc8489d1a79088b732eec5329a4439b7f1",
     "small-plain": "2bdbdfb6104a8d570e358cf57bcf73559fa4b1d04b391d21d8b8bdb170bb644d",
     "small-svp": "b146e390bc66ac38b0be820c0ce0a27333bdbc738ab024abcbe802938abb123b",
+    "svp-core": "f3ef63046d3670fb27fc50e390646ea962f549a85997c507265b4e9acbcee1b4",
     "svp-core-replay": "b065a085981cffbaecd91d5abdc0afc17322cf11cb2b588d8bb93fbfa76a70fb",
     "templates": "0f464b267be25f80379eb7d867f04c8990ba0f2ddbdf8d34d7708d1051bf1baa",
     "vicinity-async-svp": "d7b0ba57514e2beda370b54118affcf9cce9df6ca06b882fcd65789bcf78f963",
@@ -638,3 +685,46 @@ def test_runs_match_the_recorded_digests():
         digests[name] = hashlib.sha256(
             json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
     assert digests == RECORDED_DIGESTS
+
+
+def test_every_z_is_the_keyed_draw_of_the_records_own_cycle():
+    # a core re-indexes j, so each of its records must hold the draw of the
+    # luminous cycle it came from
+    checked = 0
+    for runs in _keyed_runs().values():
+        for seed, mode, run in runs:
+            fresh = Adversary(seed, mode)
+            trace = run()
+            if trace.kind == "luminous":
+                core = extract_core(trace)
+                for robot, row in enumerate(core.records):
+                    origin = [rec for rec in trace.records[robot] if rec.accepted]
+                    for rec, source in zip(row, origin, strict=True):
+                        assert rec.z == fresh.draw_truncation(robot, source.cycle.j)
+                        checked += 1
+            for rec in trace.all_records():
+                assert rec.z == fresh.draw_truncation(rec.cycle.robot, rec.cycle.j)
+                checked += 1
+    assert checked > 500
+
+
+def test_a_run_draws_z_only_for_routes_longer_than_delta(monkeypatch):
+    draws = 0
+    keyed = Adversary.draw_truncation
+
+    def counted(self, robot, j):
+        nonlocal draws
+        draws += 1
+        return keyed(self, robot, j)
+
+    monkeypatch.setattr(Adversary, "draw_truncation", counted)
+    scenario, spec = random_vicinity_scenario(0)  # one seed of the synchronizer sweep
+    trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
+                             Adversary(0, NONRIGID))
+    records = trace.all_records()
+    longer = sum(rec.route_global.length > scenario.delta for rec in records)
+    assert 0 < longer < len(records) and draws == longer
+    extract_core(trace)
+    assert draws == longer  # a core carries its pending draws unmade
+    assert [rec.z for rec in records] == [rec.z for rec in records]
+    assert draws == len(records)  # a read draws once, and only the first time
