@@ -13,11 +13,10 @@ import sys
 
 from .algorithms import AlgorithmSpec, HALT, HULL_CONTRACTION, as_controller
 from .checker import DEFAULT_NODE_BUDGET, check_all
-from .engine import Adversary, NONRIGID, RIGID, Trace, simulate
+from .engine import Adversary, NONRIGID, Trace, simulate
 from .errors import InputError, SimulationError
 from .experiments import (
     NECESSITY_NODE_BUDGET,
-    NECESSITY_ORDER_BUDGET,
     necessity_experiment,
     repro_colorbased,
     repro_greedy_trap,
@@ -31,7 +30,7 @@ from .scheduling import (
 )
 from .scenarios import NECESSITY_TEMPLATES, builtin_bundle, bundle_from_json
 from .synchronizer import MACHINES, SVP, run_synchronized
-from .synthesis import build_plan, replay_plan, similar
+from .synthesis import DEFAULT_ORDER_BUDGET, build_plan, replay_plan, similar
 
 EXIT_PASS = 0
 EXIT_CONDITION = 1
@@ -114,8 +113,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   f"(window {args.fairness_window})", file=sys.stderr)
             return EXIT_CONDITION
     algorithm = _parse_algorithm(args.algo, bundle)
-    mode = args.adversary or bundle["adversary_mode"] or NONRIGID
-    adversary = Adversary(args.seed, mode)
+    adversary = Adversary(args.seed, bundle["adversary_mode"] or NONRIGID)
     if args.machine is None:
         machine = bundle["machine"]
     else:
@@ -233,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", help="halt, hull:<lambda>, or an algorithm JSON path")
     p.add_argument("--machine", choices=["none", *MACHINES],
                    help="'none' forces a plain run even if the scenario embeds a machine")
-    p.add_argument("--adversary", choices=[RIGID, NONRIGID])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fairness-window", type=float,
                    help="refuse schedules where some robot has a look-free "
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*sorted(NECESSITY_TEMPLATES), "all"],
                    help="one violation template, or 'all' for one aggregate per template")
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--order-budget", type=int, default=NECESSITY_ORDER_BUDGET)
+    p.add_argument("--order-budget", type=int, default=DEFAULT_ORDER_BUDGET)
     common(p)
     budget(p, NECESSITY_NODE_BUDGET)
     p.set_defaults(func=cmd_necessity)

@@ -28,12 +28,12 @@ distinct instant only the robots whose point changed (arrivals, and at a
 Look the movers' fresh samples) are tested, against the robots in their 3x3
 block of a uniform cell grid (fixed-radius near-neighbour search), whose
 side `geometry.CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS), so a flagged
-pair always lies in neighbouring cells.  On any hit the full O(n^2) scan `_check_pairs`
-runs once, so the error names the lowest pair exactly as a scan of every
-pair at every instant would.  A robot whose hit that scan clears between
-Looks (a threshold pair, or an arrival on a mover's stale point) is tested
-again at the next Look.  A cycle draws one mid-move sample per Look time
-inside its move (zipped strictly), so at a Look every mover's point is known.
+pair always lies in neighbouring cells.  The error names the lowest bad pair
+found, which is the pair a scan of every pair at every instant would name.
+A robot whose bad pair does not count between Looks (a threshold pair, or
+an arrival on a mover's stale point) is tested again at the next Look.  A
+cycle draws one mid-move sample per Look time inside its move (zipped
+strictly), so at a Look every mover's point is known.
 """
 from __future__ import annotations
 
@@ -65,6 +65,51 @@ NONRIGID = "nonrigid"
 LOOK, MOVE_END = 0, 1
 
 
+class _CellIndex:
+    """Every robot's latest point on a uniform grid of side `CELL_SIDE`
+    (fixed-radius near-neighbour search): a pair that shares a point or sits
+    at the threshold always lies in neighbouring cells."""
+
+    def __init__(self, points: Iterable[Point]):
+        self.points = list(points)
+        self._cell = [cell(p) for p in self.points]
+        self._near: dict[tuple[int, int], list[int]] = {}  # cell -> robots in its 3x3 block
+        for i, key in enumerate(self._cell):
+            for k in cell_block(key):
+                self._near.setdefault(k, []).append(i)
+
+    def move(self, i: int, p: Point) -> None:
+        self.points[i] = p
+        key = cell(p)
+        old = self._cell[i]
+        if key == old:
+            return
+        near = self._near
+        for k in cell_block(old):
+            near[k].remove(i)
+        for k in cell_block(key):
+            near.setdefault(k, []).append(i)
+        self._cell[i] = key
+
+    def near(self, i: int) -> list[int]:
+        """The robots in point i's 3x3 block, i among them."""
+        return self._near[self._cell[i]]
+
+    def bad_pairs(self, i: int) -> tuple[tuple[int, int, bool], ...]:
+        """Every pair (a, b, same) with a < b, one of them i, whose points
+        coincide (same) or sit at the threshold."""
+        pts = self.points
+        p = pts[i]
+        found = ()  # no allocation when nothing is found
+        for j in self._near[self._cell[i]]:
+            if j != i:
+                q = pts[j]
+                same = p.x == q.x and p.y == q.y
+                if same or is_threshold_degenerate(p, q):
+                    found += ((i, j, same) if i < j else (j, i, same),)
+        return found
+
+
 @dataclass
 class Scenario:
     """Initial configuration: positions, fixed frame parameters, minimum
@@ -80,17 +125,13 @@ class Scenario:
             raise InputError("one frame spec per robot required")
         if not 0 <= self.delta < math.inf:
             raise InputError(f"delta must be finite and non-negative, got {self.delta}")
-        # a bad pair lies in neighbouring cells of the pair-check grid; on a
-        # hit the scan of every pair names the lowest one
-        pts = self.initial_positions
-        grid: dict[tuple[int, int], list[int]] = {}
-        for b, p in enumerate(pts):
-            key = cell(p)
-            for k in cell_block(key):
-                for a in grid.get(k, ()):
-                    if pts[a] == p or is_threshold_degenerate(pts[a], p):
-                        _reject_lowest_bad_pair(pts)
-            grid.setdefault(key, []).append(b)
+        index = _CellIndex(self.initial_positions)
+        for i in range(self.n):
+            bad = index.bad_pairs(i)
+            if bad:  # no robot below i has a bad pair, so min(bad) is the lowest of all
+                a, b, same = min(bad)
+                raise InputError(f"robots {a} and {b} share a position" if same else
+                                 f"robots {a} and {b} sit at the degenerate visibility threshold")
 
     @property
     def n(self) -> int:
@@ -111,18 +152,6 @@ class Scenario:
                   for f in data["frames"]]
         delta = json_number(data["delta"], "delta")
         return cls(positions, frames, delta)
-
-
-def _reject_lowest_bad_pair(pts: list[Point]) -> None:
-    """Raise the input error for the lowest pair that shares a point or sits
-    at the threshold, scanning every pair."""
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if pts[a] == pts[b]:
-                raise InputError(f"robots {a} and {b} share a position")
-            if is_threshold_degenerate(pts[a], pts[b]):
-                raise InputError(
-                    f"robots {a} and {b} sit at the degenerate visibility threshold")
 
 
 class Adversary:
@@ -307,13 +336,12 @@ class Simulation:
     """Single sequential run; build one per (scenario, schedule, controller,
     adversary) and call run().
 
-    The records are the ground truth: a robot's position and color at an
-    event are read from its last record, or from the scenario and
-    `initial_color` before its first Look.  Events run in time order, so
-    every query about a robot comes at or after that robot's last Look.  For
-    the pair check and the snapshots the run also keeps each robot's latest
-    point in a cell index, moved at its arrivals and at the Looks that sample
-    it mid-move.
+    The records are the ground truth: a robot's color at an event is read
+    from its last record, or from `initial_color` before its first Look.
+    Events run in time order, so every query about a robot comes at or after
+    that robot's last Look.  Its point, for the pair check and the snapshots,
+    is read from the cell index, which the run moves at its arrivals and at
+    the Looks that sample it mid-move (one `bisect` into the samples).
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -328,11 +356,7 @@ class Simulation:
         self.initial_color = initial_color
         self.records: list[list[CycleRecord]] = [[] for _ in range(scenario.n)]
         self._look_times = schedule.look_times()
-        self._pos = list(scenario.initial_positions)  # latest point per robot
-        self._cell: list[tuple[int, int] | None] = [None] * scenario.n
-        self._near: dict[tuple[int, int], list[int]] = {}
-        for robot, p in enumerate(self._pos):
-            self._place(robot, p)
+        self._index = _CellIndex(scenario.initial_positions)
         self._arriving: dict[float, list[int]] = {}  # move end -> robots
         self._open: list[int] = []  # robots between their Look and move end
         self._recheck: list[int] = []  # robots to test again at the next Look
@@ -340,6 +364,7 @@ class Simulation:
     def run(self) -> Trace:
         events = sorted(event for cycles in self.schedule.robots for c in cycles
                         for event in ((c.o, LOOK, c.robot, c), (c.f, MOVE_END, c.robot, c)))
+        index = self._index
         now = None
         for t, kind, robot, cycle in events:
             if t != now:
@@ -350,7 +375,7 @@ class Simulation:
                 now = t
                 self._check_instant(t, looking=kind == LOOK)
             if kind == LOOK:
-                self._look(robot, cycle, self._pos, self._near[self._cell[robot]])
+                self._look(robot, cycle, index.points, index.near(robot))
                 self._arriving.setdefault(cycle.f, []).append(robot)
                 self._open.append(robot)
         kind = "luminous" if self.initial_color else "plain"
@@ -358,38 +383,25 @@ class Simulation:
 
     # -- the incremental pair check -------------------------------------------
 
-    def _place(self, robot: int, p: Point) -> None:
-        """Move a robot's point in the index.  `_near[c]` lists the robots
-        whose cell is c or one of its eight neighbours."""
-        self._pos[robot] = p
-        key = cell(p)
-        old = self._cell[robot]
-        if key == old:
-            return
-        near = self._near
-        if old is not None:
-            for k in cell_block(old):
-                near[k].remove(robot)
-        for k in cell_block(key):
-            near.setdefault(k, []).append(robot)
-        self._cell[robot] = key
-
     def _check_instant(self, t: float, looking: bool) -> None:
         """Test the robots whose point changed (arrivals and, at a Look, the
         movers sampled past their start) and at a Look the robots kept since
-        the last Look; on any hit the full scan raises the error at t, if any.
+        the last Look, and raise for the lowest bad pair found that counts.
 
-        At a Look every index point is its robot's position, so a hit always
-        raises.  Between Looks the scan may clear a hit (a threshold pair, or
-        an arrival on a mover's stale point); the robot that hit stays at rest
-        until its own Look and is tested again at the next Look, where its
-        partner has either been tested or held still.
+        At a Look every index point is its robot's position, so every bad
+        pair counts.  Between Looks only a collision of two robots not
+        strictly mid-move counts: a mover's index point is stale.  A robot
+        with a bad pair that does not count stays at rest until its own Look
+        and is tested again at the next Look, where its partner has either
+        been tested or held still.  Every bad pair at t involves a robot
+        tested at t, so the lowest one found is the lowest of all.
         """
         records = self.records
+        index = self._index
         changed = []
         for robot in self._arriving.pop(t, ()):
             self._open.remove(robot)
-            self._place(robot, records[robot][-1].pos_after_move)
+            index.move(robot, records[robot][-1].pos_after_move)
             changed.append(robot)
         if looking:
             for robot in self._open:
@@ -399,46 +411,32 @@ class Simulation:
                     samples = record.mid_move_samples
                     u = samples[bisect_left(samples, (t,))][1]
                     if u > 0.0:
-                        self._place(robot, point_along(record.route_global, u))
+                        index.move(robot, point_along(record.route_global, u))
                         changed.append(robot)
             changed += self._recheck
             self._recheck.clear()
-        hits = []
+        lowest = None
         for robot in changed:  # a plain loop: a comprehension costs more per instant
-            if self._hit(robot):
-                hits.append(robot)
-        if hits:
-            self._check_pairs(t, self._positions_at(t), looking)
-            self._recheck += hits
-
-    def _hit(self, robot: int) -> bool:
-        """True when a robot in this one's block shares its point or sits at the threshold."""
-        pos = self._pos
-        p = pos[robot]
-        for other in self._near[self._cell[robot]]:
-            if other != robot:
-                q = pos[other]
-                if (p.x == q.x and p.y == q.y) or is_threshold_degenerate(p, q):
-                    return True
-        return False
+            for pair in index.bad_pairs(robot):
+                a, b, same = pair
+                if looking or same and not (self._moving(a, t) or self._moving(b, t)):
+                    if lowest is None or pair < lowest:
+                        lowest = pair
+                elif robot not in self._recheck:
+                    self._recheck.append(robot)
+        if lowest:
+            a, b, same = lowest
+            if same:
+                raise CollisionError(f"robots {a} and {b} collide at t={t}")
+            raise DegenerateScenarioError(
+                f"robots {a} and {b} at the visibility threshold at t={t}")
 
     # -- state at an instant ------------------------------------------------
 
-    def _position_at(self, robot: int, t: float) -> Point | None:
-        """None when strictly mid-move and no sample exists for t."""
+    def _moving(self, robot: int, t: float) -> bool:
+        """True when the robot is strictly mid-move at t."""
         row = self.records[robot]
-        if not row:
-            return self.scenario.initial_positions[robot]
-        record = row[-1]
-        if t <= record.cycle.s:
-            return record.pos_at_look
-        if t >= record.cycle.f:
-            return record.pos_after_move
-        samples = record.mid_move_samples
-        k = bisect_left(samples, (t,))
-        if k == len(samples) or samples[k][0] != t:
-            return None
-        return point_along(record.route_global, samples[k][1])
+        return bool(row) and row[-1].cycle.s < t < row[-1].cycle.f
 
     def _color_at(self, robot: int, t: float) -> str | None:
         """A new color shows from the move start on."""
@@ -449,25 +447,6 @@ class Simulation:
         if t >= record.cycle.s and record.color_after:
             return record.color_after
         return record.color_before
-
-    def _positions_at(self, t: float) -> list[Point | None]:
-        return [self._position_at(i, t) for i in range(len(self.records))]
-
-    def _check_pairs(self, t: float, positions: list[Point | None], looking: bool) -> None:
-        n = len(positions)
-        for a in range(n):
-            pa = positions[a]
-            if pa is None:
-                continue
-            for b in range(a + 1, n):
-                pb = positions[b]
-                if pb is None:
-                    continue
-                if pa == pb:
-                    raise CollisionError(f"robots {a} and {b} collide at t={t}")
-                if looking and is_threshold_degenerate(pa, pb):
-                    raise DegenerateScenarioError(
-                        f"robots {a} and {b} at the visibility threshold at t={t}")
 
     def _look(self, robot: int, cycle: Cycle, positions: list[Point],
               candidates: Iterable[int]) -> None:

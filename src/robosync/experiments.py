@@ -37,6 +37,7 @@ from .synchronizer import (
     run_synchronized,
 )
 from .synthesis import (
+    DEFAULT_ORDER_BUDGET,
     NONE_AMONG_CANDIDATES,
     SIMILAR_FOUND,
     build_plan,
@@ -108,7 +109,7 @@ def repro_colorbased(machine: str = SVP) -> dict:
            all(not warm.record(i, j).accepted
                for i in range(5) for j in range(1, j0)))
 
-    spliced = staggered_round_schedule(5, prefix_rounds=j0 - 1)
+    spliced = staggered_round_schedule(prefix_rounds=j0 - 1)
     trace = run_synchronized(scenario, spec, spliced, Adversary(0, RIGID),
                              machine=machine)
     for robot in range(4):
@@ -118,13 +119,12 @@ def repro_colorbased(machine: str = SVP) -> dict:
                          "witness pair is (robot0, robot3)", machine=machine, j0=j0)
 
 
-# defaults of `necessity_experiment` and the CLI
-NECESSITY_ORDER_BUDGET = 256
+# the node budget of `necessity_experiment` and the CLI
 NECESSITY_NODE_BUDGET = 200_000
 
 
 def necessity_experiment(template: str, num_seeds: int,
-                         order_budget: int = NECESSITY_ORDER_BUDGET,
+                         order_budget: int = DEFAULT_ORDER_BUDGET,
                          node_budget: int = NECESSITY_NODE_BUDGET) -> dict:
     """Monte Carlo sweep: simulate the template under fresh adversary seeds,
     record whether its target condition actually failed, and search for a

@@ -305,10 +305,6 @@ class FrameSpec:
         return Point((c * dx + s * dy) / self.unit, (-s * dx + c * dy) / self.unit)
 
 
-def to_local(frame: FrameSpec, origin: Point, g: Point) -> Point:
-    return frame.local(g.x - origin.x, g.y - origin.y)
-
-
 def to_global(frame: FrameSpec, origin: Point, l: Point) -> Point:
     c, s = frame.cos, frame.sin
     gx = frame.unit * (c * l.x - s * l.y)

@@ -57,21 +57,20 @@ def greedy_trap_scenario() -> tuple[Scenario, Schedule, AlgorithmSpec]:
     return scenario, schedule, spec
 
 
-def staggered_round_schedule(n: int, prefix_rounds: int) -> Schedule:
-    """`prefix_rounds` fully synchronous rounds, then one staggered round with
-    the greedy-trap cycle timing shifted to start at the prefix end."""
-    if n != 5:
-        raise InputError("the staggered round is built for five robots")
+def staggered_round_schedule(prefix_rounds: int) -> Schedule:
+    """Five robots: `prefix_rounds` fully synchronous rounds, then one
+    staggered round with the greedy-trap cycle timing shifted to start at the
+    prefix end."""
     base = float(prefix_rounds)
     cycles: dict[int, list[tuple[float, float, float]]] = {
         i: [(float(j), j + 0.25, j + 0.75) for j in range(prefix_rounds)]
-        for i in range(n)
+        for i in range(5)
     }
     stagger = [(0.0, 0.75, 1.0), (0.5, 1.25, 1.5), (1.0, 1.75, 2.0),
                (1.5, 2.25, 2.5), (3.0, 3.75, 4.0)]
     for i, (o, s, f) in enumerate(stagger):
         cycles[i].append((base + o, base + s, base + f))
-    return _schedule(n, base + 4.0, cycles)
+    return _schedule(5, base + 4.0, cycles)
 
 
 # -- necessity templates -------------------------------------------------------

@@ -137,8 +137,11 @@ class CandidateSearchResult:
         return {"verdict": self.verdict, "orders_tried": self.orders_tried}
 
 
+DEFAULT_ORDER_BUDGET = 256  # candidate orders replayed before the search is inconclusive
+
+
 def candidate_search(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
-                     order_budget: int = 512,
+                     order_budget: int = DEFAULT_ORDER_BUDGET,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> CandidateSearchResult:
     """Try every schedule induced by a topological order of the class graph.
 

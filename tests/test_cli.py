@@ -385,6 +385,13 @@ def test_budget_is_only_a_search_flag(capsys):
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
+def test_simulate_takes_the_adversary_mode_from_the_bundle_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--scenario", "builtin:necessity-control", "--adversary", "rigid"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --adversary rigid" in capsys.readouterr().err
+
+
 def test_reruns_are_byte_identical(tmp_path, clean_bundle):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["simulate", "--scenario", clean_bundle, "--schedule", "async:30",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -196,8 +197,6 @@ def _rest_position_at(trace, robot, t):
 def test_snapshot_self_consistency():
     """Recomputing each snapshot from the recorded global state reproduces
     the records exactly."""
-    from robosync.geometry import to_local
-
     for seed in (2, 5):
         trace = _mid_move_setup(seed)
         for row in trace.records:
@@ -218,7 +217,8 @@ def test_snapshot_self_consistency():
                         seen.append((k, pos))
                 assert frozenset(k for k, _ in seen) | {i} == rec.visible_set
                 frame = trace.scenario.frames[i]
-                local = sorted([Point(0.0, 0.0)] + [to_local(frame, rec.pos_at_look, p)
+                o = rec.pos_at_look
+                local = sorted([Point(0.0, 0.0)] + [frame.local(p.x - o.x, p.y - o.y)
                                                     for _, p in seen],
                                key=lambda p: (p.x, p.y))
                 assert tuple(local) == tuple(sorted(rec.snapshot_local,
@@ -254,6 +254,14 @@ def test_construction_names_the_lowest_bad_pair_across_cells():
     points = [(0.6 * (k % 5), 0.6 * (k // 5)) for k in range(25)] + [(0, 0)]
     with pytest.raises(InputError, match="^robots 0 and 25 share a position$"):
         scen(*points)
+
+
+def test_construction_names_the_lowest_of_one_robots_bad_pairs():
+    # robot 0 sits at the threshold from robot 1, in the next cell, and
+    # shares its point with robot 2
+    with pytest.raises(InputError, match="^robots 0 and 1 sit at the degenerate "
+                                         "visibility threshold$"):
+        scen((0, 0), (-1.0000000002, 0), (0, 0))
 
 
 def test_construction_threshold_tests_grow_linearly(monkeypatch):
@@ -313,6 +321,41 @@ class _EveryEventChecking(Simulation):
                 self._look(robot, cycle, positions, range(len(positions)))
         return Trace(self.scenario, self.schedule.horizon, self.records,
                      kind="luminous" if self.initial_color else "plain")
+
+    def _position_at(self, robot: int, t: float) -> Point | None:
+        """None when strictly mid-move and no sample exists for t."""
+        row = self.records[robot]
+        if not row:
+            return self.scenario.initial_positions[robot]
+        record = row[-1]
+        if t <= record.cycle.s:
+            return record.pos_at_look
+        if t >= record.cycle.f:
+            return record.pos_after_move
+        samples = record.mid_move_samples
+        k = bisect_left(samples, (t,))
+        if k == len(samples) or samples[k][0] != t:
+            return None
+        return point_along(record.route_global, samples[k][1])
+
+    def _positions_at(self, t: float) -> list[Point | None]:
+        return [self._position_at(i, t) for i in range(len(self.records))]
+
+    def _check_pairs(self, t: float, positions: list[Point | None], looking: bool) -> None:
+        n = len(positions)
+        for a in range(n):
+            pa = positions[a]
+            if pa is None:
+                continue
+            for b in range(a + 1, n):
+                pb = positions[b]
+                if pb is None:
+                    continue
+                if pa == pb:
+                    raise CollisionError(f"robots {a} and {b} collide at t={t}")
+                if looking and is_threshold_degenerate(pa, pb):
+                    raise DegenerateScenarioError(
+                        f"robots {a} and {b} at the visibility threshold at t={t}")
 
 
 class _Steps:
@@ -438,6 +481,15 @@ def test_movers_collide_halfway_across_a_cell_boundary():
     controller = _Steps({(0, 1): (0.5, 0), (1, 1): (-0.5, 0)})
     _both_raise(scenario, schedule, controller, CollisionError,
                 r"robots 0 and 1 collide at t=1\.0", adversary=_fixed_fraction(0.5))
+
+
+def test_tested_robots_bad_pairs_name_the_lowest_pair():
+    # robots 3 and 1 arrive at t=1 in that order, on robots 2 and 0: robot
+    # 3's pair is found first, robot 1's is the lower
+    scenario = scen((0, 0), (0.5, 0), (3, 0), (3.5, 0))
+    schedule = sched(4, 3, {3: [(0.0, 0.25, 1.0)], 1: [(0.125, 0.25, 1.0)]})
+    _both_raise(scenario, schedule, _Steps({(1, 1): (-0.5, 0), (3, 1): (-0.5, 0)}),
+                CollisionError, r"robots 0 and 1 collide at t=1\.0")
 
 
 def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID,

@@ -17,7 +17,6 @@ from robosync.geometry import (
     route_to_global,
     squared_distance,
     to_global,
-    to_local,
     truncated_length,
 )
 
@@ -116,10 +115,10 @@ def test_route_simplicity():
 
 def test_frame_examples():
     ident = FrameSpec(0.0, 1.0)
-    assert to_local(ident, Point(0, 0), Point(2, 3)) == Point(2, 3)
-    assert to_local(ident, Point(1, 1), Point(1, 1)) == Point(0, 0)
+    assert ident.local(2, 3) == Point(2, 3)
+    assert ident.local(0, 0) == Point(0, 0)
     quarter = FrameSpec(math.pi / 2, 2.0)
-    p = to_local(quarter, Point(0, 0), Point(1, 0))
+    p = quarter.local(1, 0)
     assert abs(p.x - 0.0) <= 1e-9 and abs(p.y - (-0.5)) <= 1e-9
     back = to_global(quarter, Point(0, 0), p)
     assert abs(back.x - 1) <= 1e-9 and abs(back.y) <= 1e-9
@@ -131,7 +130,7 @@ def test_frame_round_trip_many():
         origin = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
         frame = FrameSpec(rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 4.0))
         g = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        back = to_global(frame, origin, to_local(frame, origin, g))
+        back = to_global(frame, origin, frame.local(g.x - origin.x, g.y - origin.y))
         assert abs(back.x - g.x) <= 1e-9 and abs(back.y - g.y) <= 1e-9
 
 
