@@ -56,8 +56,9 @@ from .geometry import (
     point_along,
     route_to_global,
     truncated_length,
+    truncation_draw,
 )
-from .scheduling import Cycle, Schedule, json_index, json_number, json_point
+from .scheduling import Cycle, Schedule, json_cycle, json_index, json_number, json_point
 
 RIGID = "rigid"
 NONRIGID = "nonrigid"
@@ -202,9 +203,9 @@ class AlgorithmController:
 
 
 class _DrawnAtFirstRead:
-    """`CycleRecord.z`: holds a float, or the pending draw `(adversary,
-    robot, j)` bound at the Look, which the first read makes and replaces by
-    its value."""
+    """`CycleRecord.z`: holds a float in [0, 1], or the pending draw
+    `(adversary, robot, j)` bound at the Look, which the first read makes
+    and replaces by its value."""
 
     def __get__(self, rec, owner=None) -> float:
         if rec is None:  # class access: the field has no default
@@ -212,11 +213,11 @@ class _DrawnAtFirstRead:
         z = rec._z
         if type(z) is tuple:
             adversary, robot, j = z
-            z = rec._z = adversary.draw_truncation(robot, j)
+            z = rec._z = truncation_draw(adversary.draw_truncation(robot, j))
         return z
 
     def __set__(self, rec, value) -> None:
-        rec._z = value
+        rec._z = value if type(value) is tuple else truncation_draw(value)
 
 
 @dataclass
@@ -258,9 +259,7 @@ class CycleRecord:
     def from_json(cls, data: dict) -> "CycleRecord":
         c = data["cycle"]
         return cls(
-            cycle=Cycle(json_index(c["robot"], "robot index"), json_index(c["j"], "cycle index j"),
-                        json_number(c["o"], "cycle time o"), json_number(c["s"], "cycle time s"),
-                        json_number(c["f"], "cycle time f")),
+            cycle=json_cycle(c, json_index(c["robot"], "robot index")),
             pos_at_look=json_point(data["pos_at_look"], "pos_at_look"),
             visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
             snapshot_local=tuple(json_point(p, "snapshot point") for p in data["snapshot_local"]),

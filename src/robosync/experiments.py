@@ -183,11 +183,11 @@ def necessity_experiment(template: str, num_seeds: int,
     }
 
 
-def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SVP,
-                            synthesize: bool = True) -> dict:
+def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SVP) -> dict:
     """Full pipeline on one random clique-cluster scenario: luminous run,
     color invariants, core extraction, the five checks, plan construction,
-    rigid replay, and the similarity comparison."""
+    rigid replay, and the similarity comparison.  Both color invariants are
+    svp's, so under greedy their problem lists are empty."""
     scenario, spec = random_vicinity_scenario(seed)
     vicinity = validate_vicinity_scenario(scenario, spec)
     if not vicinity:
@@ -203,11 +203,9 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
         "cycles": sum(len(row) for row in trace.records),
         "schedule_fair": all(check_fairness_prefix(schedule, ASYNC_FAIRNESS_WINDOW)),
         "acceptance_counts": acceptance,
-        "color_lifecycle_problems": check_color_lifecycle(trace),
+        "color_lifecycle_problems": check_color_lifecycle(trace) if machine == SVP else [],
         "phase_lag_problems": check_neighbor_phase_lag(trace) if machine == SVP else [],
     }
-    if not synthesize:
-        return out
     core = extract_core(trace)
     out["core_cycles"] = sum(len(row) for row in core.records)
     out["vicinity_preserved"] = bool(is_vicinity_preserving_run(core))

@@ -89,6 +89,13 @@ def cell_block(key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
             (x + 1, y - 1), (x + 1, y), (x + 1, y + 1))
 
 
+def truncation_draw(z: float) -> float:
+    """z itself, refused unless it is an adversary draw: a number in [0, 1]."""
+    if not 0.0 <= z <= 1.0:
+        raise InputError(f"truncation draw z={z} outside [0, 1]")
+    return z
+
+
 def truncated_length(total: float, delta: float, z: float) -> float:
     """Realized length of a route truncated by the adversary draw z.
 
@@ -98,8 +105,7 @@ def truncated_length(total: float, delta: float, z: float) -> float:
     """
     if total < 0 or delta < 0:
         raise InputError("lengths must be non-negative")
-    if not 0.0 <= z <= 1.0:
-        raise InputError(f"truncation draw z={z} outside [0, 1]")
+    truncation_draw(z)
     if total <= delta:
         return total
     return total * z - delta * (z - 1.0)

@@ -115,21 +115,22 @@ class Schedule:
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
         horizon = json_number(data["horizon"], "horizon")
-        robots = []
-        for i, cycles in enumerate(data["robots"]):
-            row = []
-            for entry in cycles:
-                o, s, f = (json_number(entry["o"], "cycle time o"),
-                           json_number(entry["s"], "cycle time s"),
-                           json_number(entry["f"], "cycle time f"))
-                for t in (o, s, f):
-                    if not on_grid(t):
-                        raise InputError(
-                            f"time {t} is not a multiple of 1/{TIME_GRID}; "
-                            "align hand-entered times to the grid")
-                row.append(Cycle(i, json_index(entry["j"], "cycle index j"), o, s, f))
-            robots.append(row)
+        robots = [[json_cycle(entry, i) for entry in cycles]
+                  for i, cycles in enumerate(data["robots"])]
         return cls(n=len(robots), horizon=horizon, robots=robots)
+
+
+def json_cycle(entry: dict, robot: int) -> Cycle:
+    """A cycle of a schedule or trace row read from JSON: its times are
+    finite numbers on the 1/64 grid and its index j is an integer."""
+    o, s, f = (json_number(entry["o"], "cycle time o"),
+               json_number(entry["s"], "cycle time s"),
+               json_number(entry["f"], "cycle time f"))
+    for t in (o, s, f):
+        if not on_grid(t):
+            raise InputError(f"time {t} is not a multiple of 1/{TIME_GRID}; "
+                             "align hand-entered times to the grid")
+    return Cycle(robot, json_index(entry["j"], "cycle index j"), o, s, f)
 
 
 # uniform (min, max) ranges of the async sampler's three gaps

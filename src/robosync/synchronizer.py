@@ -3,16 +3,16 @@ rules, its greedy cousin, the wrapper that runs either one inside the engine,
 and extraction of the accepted-cycle core from a luminous trace.
 
 A machine step consumes the robot's own color plus the set of colors it sees
-and returns the next color and an accept/reject verdict.  A rejected cycle
-stays put; an accepted cycle runs the wrapped rule on the positions-only
-snapshot.  The new color becomes visible at the move start.
+and returns `(next color, accepted)`.  Colors are the strings a trace stores:
+"Bk", "R", "B", "G" and "W".  A rejected cycle stays put; an accepted cycle
+runs the wrapped rule on the positions-only snapshot.  The new color becomes
+visible at the move start.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from copy import copy
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 
 from .algorithms import AlgorithmSpec, compute
 from .engine import Adversary, CycleRecord, Decision, Scenario, Simulation, Trace
@@ -20,48 +20,23 @@ from .errors import InputError
 from .geometry import Point, Route, is_visible
 from .scheduling import Schedule
 
-
-class SyncColor(str, Enum):
-    BK = "Bk"
-    R = "R"
-    B = "B"
-    G = "G"
-    W = "W"
-
-
-ACCEPT = "accept"
-REJECT = "reject"
+BK, R, B, G, W = "Bk", "R", "B", "G", "W"
+COLORS = (BK, R, B, G, W)
 
 SVP = "svp"
 GREEDY = "greedy"
 MACHINES = (SVP, GREEDY)
 
-
-@dataclass(frozen=True)
-class FsmVerdict:
-    next: SyncColor
-    output: str
-
-
-# value -> color, read as a dict: `SyncColor(v)` is a much slower Enum call
-_BY_VALUE = {color.value: color for color in SyncColor}
+_BK_B_W = frozenset((BK, B, W))
+_BK_R_B_W = frozenset((BK, R, B, W))
+_R_B_W = frozenset((R, B, W))
+_B_G = frozenset((B, G))
+_BK_G = frozenset((BK, G))
+_B_W = frozenset((B, W))
+_ONLY_BK = frozenset((BK,))
 
 
-def _colors(values) -> frozenset[SyncColor]:
-    return frozenset([_BY_VALUE[v] for v in values])
-
-
-_BK, _R, _B, _G, _W = SyncColor.BK, SyncColor.R, SyncColor.B, SyncColor.G, SyncColor.W
-_BK_B_W = frozenset((_BK, _B, _W))
-_BK_R_B_W = frozenset((_BK, _R, _B, _W))
-_R_B_W = frozenset((_R, _B, _W))
-_B_G = frozenset((_B, _G))
-_BK_G = frozenset((_BK, _G))
-_B_W = frozenset((_B, _W))
-_ONLY_BK = frozenset((_BK,))
-
-
-def svp_step(state: SyncColor, visible: frozenset[SyncColor] | set[SyncColor]) -> FsmVerdict:
+def svp_step(state: str, visible: frozenset[str] | set[str]) -> tuple[str, bool]:
     """One transition of the five-color machine.
 
     Rows, in guard order (an input matching no row holds the state and
@@ -73,33 +48,32 @@ def svp_step(state: SyncColor, visible: frozenset[SyncColor] | set[SyncColor]) -
       G  + all-of(Bk,G)              -> Bk reject
       W  + all-of(B,W)               -> Bk reject
     """
-    x = frozenset(visible)
-    if state is _BK:
-        if x <= _BK_B_W:
-            return FsmVerdict(_R, ACCEPT)
-        if _R in x and x <= _BK_R_B_W:
-            return FsmVerdict(_W, REJECT)
-    elif state is _R and x <= _R_B_W:
-        return FsmVerdict(_B, REJECT)
-    elif state is _B and x <= _B_G:
-        return FsmVerdict(_G, REJECT)
-    elif state is _G and x <= _BK_G:
-        return FsmVerdict(_BK, REJECT)
-    elif state is _W and x <= _B_W:
-        return FsmVerdict(_BK, REJECT)
-    return FsmVerdict(state, REJECT)
+    if state == BK:
+        if visible <= _BK_B_W:
+            return R, True
+        if R in visible and visible <= _BK_R_B_W:
+            return W, False
+    elif state == R and visible <= _R_B_W:
+        return B, False
+    elif state == B and visible <= _B_G:
+        return G, False
+    elif state == G and visible <= _BK_G:
+        return BK, False
+    elif state == W and visible <= _B_W:
+        return BK, False
+    return state, False
 
 
-def greedy_step(state: SyncColor, visible: frozenset[SyncColor] | set[SyncColor]) -> FsmVerdict:
+def greedy_step(state: str, visible: frozenset[str] | set[str]) -> tuple[str, bool]:
     """Accept exactly when everything in sight (self included) is black.
 
     On acceptance the light turns red for the move; any other Compute turns
     it back to black, the minimal lifecycle that makes the mover's red flag
     visible to anyone who still sees it.
     """
-    if state is _BK and frozenset(visible) <= _ONLY_BK:
-        return FsmVerdict(_R, ACCEPT)
-    return FsmVerdict(_BK, REJECT)
+    if state == BK and visible <= _ONLY_BK:
+        return R, True
+    return BK, False
 
 
 _STEPS = {SVP: svp_step, GREEDY: greedy_step}
@@ -118,24 +92,16 @@ class SynchronizerController:
 
     def decide(self, robot: int, j: int, snapshot: tuple[Point, ...],
                snapshot_colors: tuple[str, ...] | None, own_color: str | None) -> Decision:
-        others = _colors(snapshot_colors[1:]) if snapshot_colors else frozenset()
-        verdict = self.step(_BY_VALUE[own_color], others)
-        if verdict.output == ACCEPT:
-            route = compute(self.spec, snapshot)
-        else:
-            route = _STAY_PUT
-        return Decision(route_local=route,
-                        accepted=verdict.output == ACCEPT,
-                        color_after=verdict.next.value)
+        color, accepted = self.step(own_color, frozenset(snapshot_colors[1:]))
+        route = compute(self.spec, snapshot) if accepted else _STAY_PUT
+        return Decision(route_local=route, accepted=accepted, color_after=color)
 
 
 def run_synchronized(scenario: Scenario, spec: AlgorithmSpec, schedule: Schedule,
                      adversary: Adversary, machine: str = SVP) -> Trace:
     """Luminous run: all lights start black, colors recorded per cycle."""
     controller = SynchronizerController(machine, spec)
-    sim = Simulation(scenario, schedule, controller, adversary,
-                     initial_color=SyncColor.BK.value)
-    trace = sim.run()
+    trace = Simulation(scenario, schedule, controller, adversary, initial_color=BK).run()
     trace.machine = machine
     return trace
 
@@ -172,24 +138,17 @@ def _core_record(rec: CycleRecord, j: int) -> CycleRecord:
 
 # -- trace-level color invariants -------------------------------------------
 
-_ALLOWED_NEXT = {
-    SyncColor.BK: {SyncColor.R, SyncColor.W},
-    SyncColor.W: {SyncColor.BK},
-    SyncColor.R: {SyncColor.B},
-    SyncColor.B: {SyncColor.G},
-    SyncColor.G: {SyncColor.BK},
-}
+_ALLOWED_NEXT = {BK: {R, W}, W: {BK}, R: {B}, B: {G}, G: {BK}}
 
-_VIRTUAL = {SyncColor.BK: "Y", SyncColor.R: "Y", SyncColor.W: "Y",
-            SyncColor.B: "B", SyncColor.G: "G"}
+_VIRTUAL = {BK: "Y", R: "Y", W: "Y", B: "B", G: "G"}
 
 
 def _color_changes(trace: Trace, robot: int):
     """(record, color before, color after) for each of the robot's cycles,
     in order; every light starts black."""
-    current = SyncColor.BK
+    current = BK
     for rec in trace.records[robot]:
-        after = _BY_VALUE[rec.color_after]
+        after = rec.color_after
         yield rec, current, after
         current = after
 
@@ -200,13 +159,13 @@ def check_color_lifecycle(trace: Trace) -> list[str]:
     problems = []
     for i in range(trace.n):
         for rec, current, after in _color_changes(trace, i):
-            if after is not current and after not in _ALLOWED_NEXT[current]:
-                problems.append(f"robot {i} cycle {rec.cycle.j}: {current.value}->{after.value}")
-            went_red = current is SyncColor.BK and after is SyncColor.R
+            if after != current and after not in _ALLOWED_NEXT[current]:
+                problems.append(f"robot {i} cycle {rec.cycle.j}: {current}->{after}")
+            went_red = current == BK and after == R
             if bool(rec.accepted) != went_red:
                 problems.append(
                     f"robot {i} cycle {rec.cycle.j}: accepted={rec.accepted} "
-                    f"but transition {current.value}->{after.value}")
+                    f"but transition {current}->{after}")
     return problems
 
 

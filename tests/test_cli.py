@@ -228,6 +228,7 @@ TRACE_MUTATIONS = {
     'j of "1"': lambda recs: _set_cycle(recs[0][0], j="1"),
     "robot index of true": lambda recs: _set_cycle(recs[1][0], robot=True),
     "visible robot of 0.9": lambda recs: recs[0][0].update(visible_set=[0.9, 1]),
+    "off-grid trace time": lambda recs: _set_cycle(recs[0][0], o=0.1),
 }
 
 
@@ -329,6 +330,7 @@ FLAG_CASES = {
     'cycle o of "0.0"': _edited_check(lambda raw: _set_cycle(raw["records"][0][0], o="0.0")),
     'horizon of "6"': _edited_check(lambda raw: raw.update(horizon="6")),
     'z of "nan"': _first_record(z="nan"),
+    "z of 7.0": _first_record(z=7.0),
     'mid-move sample of ["nan", "nan"]': _first_record(mid_move_samples=[["nan", "nan"]]),
     "position of [false, false]":
         _edited_check(lambda raw: raw["scenario"].update(positions=[[False, False], [3, 0]])),

@@ -25,8 +25,8 @@ from robosync.geometry import Point, Route, is_threshold_degenerate, point_along
 from robosync.scenarios import necessity_template, random_vicinity_scenario
 from robosync.scheduling import Cycle, Schedule, make_fsync_schedule, sample_async_schedule
 from robosync.synchronizer import (
+    BK,
     SVP,
-    SyncColor,
     SynchronizerController,
     extract_core,
     run_synchronized,
@@ -509,8 +509,7 @@ def _compared_runs():
         for schedule in (sample_async_schedule(seed, scenario.n, 8.0),
                          make_fsync_schedule(4, scenario.n)):
             yield scenario, schedule, as_controller(spec), seed, None
-            yield (scenario, schedule, SynchronizerController(SVP, spec), seed,
-                   SyncColor.BK.value)
+            yield scenario, schedule, SynchronizerController(SVP, spec), seed, BK
     for seed in range(3):
         scenario, spec = random_vicinity_scenario(seed)
         yield scenario, make_fsync_schedule(10, scenario.n), as_controller(spec), seed, None
@@ -758,6 +757,18 @@ def test_every_z_is_the_keyed_draw_of_the_records_own_cycle():
                 assert rec.z == fresh.draw_truncation(rec.cycle.robot, rec.cycle.j)
                 checked += 1
     assert checked > 500
+
+
+def test_a_record_refuses_a_z_outside_the_unit_interval():
+    # a halt run never draws at the Look, so the range is checked at the read
+    class Wild(Adversary):
+        def draw_truncation(self, robot, j):
+            return 1.5
+
+    trace = simulate(scen((0, 0)), make_fsync_schedule(1, 1),
+                     as_controller(AlgorithmSpec(HALT)), Wild(0, NONRIGID))
+    with pytest.raises(InputError, match=r"^truncation draw z=1\.5 outside \[0, 1\]$"):
+        trace.to_json()
 
 
 def test_a_run_draws_z_only_for_routes_longer_than_delta(monkeypatch):

@@ -9,10 +9,12 @@ from robosync.geometry import Point
 from robosync.scheduling import Cycle, Schedule, make_fsync_schedule
 from robosync.scenarios import greedy_trap_scenario
 from robosync.synchronizer import (
-    ACCEPT,
-    FsmVerdict,
-    REJECT,
-    SyncColor,
+    B,
+    BK,
+    COLORS,
+    G,
+    R,
+    W,
     check_color_lifecycle,
     check_neighbor_phase_lag,
     extract_core,
@@ -21,36 +23,34 @@ from robosync.synchronizer import (
     svp_step,
 )
 
-BK, R, B, G, W = SyncColor.BK, SyncColor.R, SyncColor.B, SyncColor.G, SyncColor.W
-
 
 def test_svp_rows():
-    assert svp_step(BK, {BK, B}) == FsmVerdict(R, ACCEPT)
-    assert svp_step(BK, {R, W}) == FsmVerdict(W, REJECT)
-    assert svp_step(BK, set()) == FsmVerdict(R, ACCEPT)
-    assert svp_step(R, {BK, B}) == FsmVerdict(R, REJECT)  # no row matches: hold state
-    assert svp_step(R, {R, B, W}) == FsmVerdict(B, REJECT)
-    assert svp_step(B, {B, G}) == FsmVerdict(G, REJECT)
-    assert svp_step(G, {BK, G}) == FsmVerdict(BK, REJECT)
-    assert svp_step(W, {B, W}) == FsmVerdict(BK, REJECT)
-    assert svp_step(W, set()) == FsmVerdict(BK, REJECT)
+    assert svp_step(BK, {BK, B}) == (R, True)
+    assert svp_step(BK, {R, W}) == (W, False)
+    assert svp_step(BK, set()) == (R, True)
+    assert svp_step(R, {BK, B}) == (R, False)  # no row matches: hold state
+    assert svp_step(R, {R, B, W}) == (B, False)
+    assert svp_step(B, {B, G}) == (G, False)
+    assert svp_step(G, {BK, G}) == (BK, False)
+    assert svp_step(W, {B, W}) == (BK, False)
+    assert svp_step(W, set()) == (BK, False)
 
 
 def test_svp_accept_only_from_black():
-    for state in SyncColor:
+    for state in COLORS:
         for size in range(6):
-            for combo in itertools.combinations(list(SyncColor), size):
-                verdict = svp_step(state, frozenset(combo))
-                if verdict.output == ACCEPT:
-                    assert state is BK and verdict.next is R
+            for combo in itertools.combinations(COLORS, size):
+                color, accepted = svp_step(state, frozenset(combo))
+                if accepted:
+                    assert state == BK and color == R
 
 
 def test_greedy_rule():
-    assert greedy_step(BK, {BK}) == FsmVerdict(R, ACCEPT)
-    assert greedy_step(BK, {R}).output == REJECT
-    assert greedy_step(BK, set()) == FsmVerdict(R, ACCEPT)
-    assert greedy_step(R, {BK}).output == REJECT
-    assert greedy_step(R, set()) == FsmVerdict(BK, REJECT)  # revert after the move
+    assert greedy_step(BK, {BK}) == (R, True)
+    assert greedy_step(BK, {R})[1] is False
+    assert greedy_step(BK, set()) == (R, True)
+    assert greedy_step(R, {BK})[1] is False
+    assert greedy_step(R, set()) == (BK, False)  # revert after the move
 
 
 def test_single_robot_color_wheel():
@@ -131,6 +131,22 @@ def test_extract_core_requires_luminous_trace():
         extract_core(plain)
 
 
+def test_the_pipeline_checks_the_color_invariants_under_svp_only():
+    from robosync.experiments import synchronizer_end_to_end
+    from robosync.scenarios import random_vicinity_scenario
+    from robosync.scheduling import sample_async_schedule
+
+    # greedy reverts R->Bk after every accepted move, which svp's lifecycle forbids
+    greedy = synchronizer_end_to_end(0, horizon=30.0, machine="greedy")
+    assert greedy["color_lifecycle_problems"] == greedy["phase_lag_problems"] == []
+    svp = synchronizer_end_to_end(0, horizon=30.0, machine="svp")
+    scenario, spec = random_vicinity_scenario(0)
+    trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 30.0),
+                             Adversary(0, NONRIGID), "svp")
+    assert svp["color_lifecycle_problems"] == check_color_lifecycle(trace)
+    assert svp["phase_lag_problems"] == check_neighbor_phase_lag(trace)
+
+
 def test_phase_lag_holds_on_clustered_run():
     from robosync.scenarios import random_vicinity_scenario
     from robosync.scheduling import sample_async_schedule
@@ -148,8 +164,8 @@ def _oracle_color_changes(trace, robot):
     out = []
     current = BK
     for rec in trace.records[robot]:
-        after = SyncColor(rec.color_after)
-        if after is not current:
+        after = rec.color_after
+        if after != current:
             out.append((rec.cycle.s, after))
             current = after
     return out
@@ -192,14 +208,14 @@ def _oracle_lifecycle(trace):
     for i in range(trace.n):
         current = BK
         for rec in trace.records[i]:
-            after = SyncColor(rec.color_after)
-            if after is not current and after not in allowed[current]:
-                problems.append(f"robot {i} cycle {rec.cycle.j}: {current.value}->{after.value}")
-            went_red = current is BK and after is R
+            after = rec.color_after
+            if after != current and after not in allowed[current]:
+                problems.append(f"robot {i} cycle {rec.cycle.j}: {current}->{after}")
+            went_red = current == BK and after == R
             if bool(rec.accepted) != went_red:
                 problems.append(
                     f"robot {i} cycle {rec.cycle.j}: accepted={rec.accepted} "
-                    f"but transition {current.value}->{after.value}")
+                    f"but transition {current}->{after}")
             current = after
     return problems
 
@@ -222,7 +238,7 @@ def test_color_invariants_match_the_per_look_rebuild_on_mutated_traces():
         for _ in range(6):
             rec = rng.choice(records)
             if rng.random() < 0.75:
-                rec.color_after = rng.choice(list(SyncColor)).value
+                rec.color_after = rng.choice(COLORS)
             else:
                 rec.accepted = not rec.accepted
             phase_lag = check_neighbor_phase_lag(trace)
