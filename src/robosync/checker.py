@@ -26,10 +26,6 @@ OPEN = "open-at-horizon"
 DEFAULT_NODE_BUDGET = 10 ** 6
 
 
-def _sees(trace: Trace, a: CycleId, other: int) -> bool:
-    return other in trace.record(*a).visible_set
-
-
 # -- the relation pass -------------------------------------------------------
 
 class _UnionFind:
@@ -54,7 +50,7 @@ class _UnionFind:
 class ConcurrencyAnalysis:
     """The three cycle relations: concurrency and the classes of its closure,
     the overlapping pairs that are not concurrent, and the precedence
-    structure."""
+    structure; and the Looks that land inside a visible robot's move."""
     cycles: list[CycleId]
     classes: list[list[CycleId]]  # ordered by earliest Look, robot breaking ties
     class_of: dict[CycleId, int]
@@ -63,6 +59,7 @@ class ConcurrencyAnalysis:
     hb_pairs: list[tuple[CycleId, CycleId, bool]]  # (a, b, only_at_horizon)
     class_edges: dict[tuple[int, int], bool]       # edge -> firm?
     self_loops: list[int]
+    stationary: list[tuple[CycleId, CycleId]]      # (observer, mover), sorted
 
     @property
     def num_classes(self) -> int:
@@ -85,12 +82,6 @@ class _Timeline(NamedTuple):
     ends: list[float]
 
 
-def _timelines(trace: Trace) -> list[_Timeline]:
-    return [_Timeline([r.cycle.ident for r in row], [r.cycle.o for r in row],
-                      [r.cycle.s for r in row], [r.cycle.f for r in row])
-            for row in trace.records]
-
-
 def _ordered(a: CycleId, b: CycleId) -> tuple[CycleId, CycleId]:
     return (a, b) if a < b else (b, a)
 
@@ -103,13 +94,19 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
     holds is found from the cycle that sees the other robot: for concurrency
     and case 3 the earlier Look, for overlap and case 4 the later one.  A
     robot's own cycles are never concurrent and precede each other j -> j+1.
-    The direct pairwise definitions are the tests' oracles (tests/oracles.py).
+    The overlap probe also finds the stationarity witnesses: o < s < f and
+    f_k < o_{k+1} put a move of r holding x's Look, if any, in r's last
+    cycle with a Look at or before x's.  The direct pairwise definitions are
+    the tests' oracles (tests/oracles.py).
     """
     ids = trace.cycle_ids()
-    timelines = _timelines(trace)
+    timelines = [_Timeline([r.cycle.ident for r in row], [r.cycle.o for r in row],
+                           [r.cycle.s for r in row], [r.cycle.f for r in row])
+                 for row in trace.records]
     uf = _UnionFind(ids)
     concurrent: set[tuple[CycleId, CycleId]] = set()
     overlapping: set[tuple[CycleId, CycleId]] = set()
+    stationary: list[tuple[CycleId, CycleId]] = []
     hb: dict[tuple[CycleId, CycleId], bool] = {  # (a, b) -> only_at_horizon
         (line.ids[k], line.ids[k + 1]): False
         for line in timelines for k in range(len(line.ids) - 1)}
@@ -131,6 +128,8 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
             k = bisect_right(looks, x.o) - 1
             if k >= 0 and x.o <= ends[k]:
                 overlapping.add(_ordered(a, line.ids[k]))
+                if line.starts[k] < x.o < ends[k]:
+                    stationary.append((a, line.ids[k]))
             # case 3, x -> v: the first Look of r after x ends, r at rest at x's Look
             k = bisect_right(looks, x.f)
             if k < len(looks) and (k == 0 or ends[k - 1] < x.o):
@@ -164,7 +163,7 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
         else:
             class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
     return ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,
-                               hb_pairs, class_edges, self_loops)
+                               hb_pairs, class_edges, self_loops, sorted(stationary))
 
 
 # -- condition checks --------------------------------------------------------
@@ -182,20 +181,10 @@ class CheckResult:
         return {"verdict": self.verdict, "witnesses": self.witnesses}
 
 
-def check_stationary(trace: Trace) -> CheckResult:
-    """No Look may land strictly inside the move window of a visible robot.
-    A robot's move windows are disjoint, so only its last move starting
-    before the Look can contain it."""
-    timelines = _timelines(trace)
-    witnesses = []
-    for rec in trace.all_records():
-        i, j = rec.cycle.ident
-        o = rec.cycle.o
-        for i2 in sorted(rec.visible_set - {i}):
-            line = timelines[i2]
-            k = bisect_left(line.starts, o) - 1
-            if k >= 0 and o < line.ends[k]:
-                witnesses.append({"observer": [i, j], "mover": list(line.ids[k])})
+def check_stationary(analysis: ConcurrencyAnalysis) -> CheckResult:
+    """No Look may land strictly inside the move window of a visible robot
+    (`analyze` finds these pairs)."""
+    witnesses = [{"observer": list(a), "mover": list(b)} for a, b in analysis.stationary]
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
@@ -211,22 +200,19 @@ def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult
     visibility range at their Looks."""
     witnesses = []
     for cls in analysis.classes:
-        for x in range(len(cls)):
-            for y in range(x + 1, len(cls)):
-                a, b = cls[x], cls[y]
-                sees_ab = _sees(trace, a, b[0])
-                sees_ba = _sees(trace, b, a[0])
+        recs = [trace.record(*c) for c in cls]
+        for x, (a, ra) in enumerate(zip(cls, recs)):
+            for b, rb in zip(cls[x + 1:], recs[x + 1:]):
+                sees_ab = b[0] in ra.visible_set
+                sees_ba = a[0] in rb.visible_set
                 if sees_ab != sees_ba:
                     witnesses.append({"pair": [list(a), list(b)], "clause": 1})
                     continue
                 if sees_ab:
                     if (a, b) not in analysis.concurrent:
                         witnesses.append({"pair": [list(a), list(b)], "clause": 2})
-                else:
-                    sq = squared_distance(trace.record(*a).pos_at_look,
-                                          trace.record(*b).pos_at_look)
-                    if sq <= 1.0:
-                        witnesses.append({"pair": [list(a), list(b)], "clause": 3})
+                elif squared_distance(ra.pos_at_look, rb.pos_at_look) <= 1.0:
+                    witnesses.append({"pair": [list(a), list(b)], "clause": 3})
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
@@ -358,7 +344,7 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
     """Run the five checks (none short-circuits) and, when the first three
     pass, assert the structural propositions they imply."""
     analysis = analyze(trace)
-    stationary = check_stationary(trace)
+    stationary = check_stationary(analysis)
     aligned = check_pairwise_aligned(analysis)
     consistent = check_consistent(trace, analysis)
     serializable = check_serializable(analysis)

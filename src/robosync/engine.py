@@ -65,6 +65,10 @@ NONRIGID = "nonrigid"
 
 LOOK, MOVE_END = 0, 1
 
+# the five light colors a luminous trace stores (see synchronizer.py)
+BK, R, B, G, W = "Bk", "R", "B", "G", "W"
+COLORS = (BK, R, B, G, W)
+
 
 class _CellIndex:
     """Every robot's latest point on a uniform grid of side `CELL_SIDE`
@@ -257,22 +261,41 @@ class CycleRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycleRecord":
+        """A color field, when present, holds one of COLORS, `accepted` a
+        boolean, and `snapshot_colors` one color per snapshot point."""
         c = data["cycle"]
+        snapshot = tuple(json_point(p, "snapshot point") for p in data["snapshot_local"])
+        colors = None
+        if "snapshot_colors" in data:
+            colors = tuple(_json_color(k, "snapshot color") for k in data["snapshot_colors"])
+            if len(colors) != len(snapshot):
+                raise InputError(f"{len(colors)} snapshot colors for {len(snapshot)} "
+                                 "snapshot points")
+        if "accepted" in data and type(data["accepted"]) is not bool:
+            raise InputError(f"accepted must be true or false, got {data['accepted']!r}")
         return cls(
             cycle=json_cycle(c, json_index(c["robot"], "robot index")),
             pos_at_look=json_point(data["pos_at_look"], "pos_at_look"),
             visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
-            snapshot_local=tuple(json_point(p, "snapshot point") for p in data["snapshot_local"]),
+            snapshot_local=snapshot,
             route_global=Route(tuple(json_point(p, "route vertex") for p in data["route_global"])),
             z=json_number(data["z"], "z"),
             pos_after_move=json_point(data["pos_after_move"], "pos_after_move"),
             mid_move_samples=tuple((json_number(t, "sample time"), json_number(u, "sample arc"))
                                    for t, u in data.get("mid_move_samples", [])),
-            snapshot_colors=tuple(data["snapshot_colors"]) if "snapshot_colors" in data else None,
-            color_before=data.get("color_before"),
-            color_after=data.get("color_after"),
+            snapshot_colors=colors,
+            color_before=(_json_color(data["color_before"], "color_before")
+                          if "color_before" in data else None),
+            color_after=(_json_color(data["color_after"], "color_after")
+                         if "color_after" in data else None),
             accepted=data.get("accepted"),
         )
+
+
+def _json_color(value: object, what: str) -> str:
+    if value not in COLORS:
+        raise InputError(f"{what} must be one of {', '.join(COLORS)}, got {value!r}")
+    return value
 
 
 @dataclass

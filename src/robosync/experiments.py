@@ -152,11 +152,7 @@ def necessity_experiment(template: str, num_seeds: int,
         if run.target is None:
             violated = not report.all_pass
         else:
-            field = TEMPLATE_TARGET_FIELD[run.target]
-            result = {"stationary": report.stationary, "aligned": report.aligned,
-                      "consistent": report.consistent,
-                      "serializable": report.serializable}[field]
-            violated = result.verdict == FAIL
+            violated = getattr(report, TEMPLATE_TARGET_FIELD[run.target]).verdict == FAIL
         search = candidate_search(trace, report.analysis, order_budget=order_budget,
                                   node_budget=node_budget)
         if violated:

@@ -3,10 +3,10 @@ rules, its greedy cousin, the wrapper that runs either one inside the engine,
 and extraction of the accepted-cycle core from a luminous trace.
 
 A machine step consumes the robot's own color plus the set of colors it sees
-and returns `(next color, accepted)`.  Colors are the strings a trace stores:
-"Bk", "R", "B", "G" and "W".  A rejected cycle stays put; an accepted cycle
-runs the wrapped rule on the positions-only snapshot.  The new color becomes
-visible at the move start.
+and returns `(next color, accepted)`.  Colors are the strings a trace stores,
+`engine.COLORS`: "Bk", "R", "B", "G" and "W".  A rejected cycle stays put;
+an accepted cycle runs the wrapped rule on the positions-only snapshot.  The
+new color becomes visible at the move start.
 """
 from __future__ import annotations
 
@@ -15,13 +15,23 @@ from copy import copy
 from dataclasses import replace
 
 from .algorithms import AlgorithmSpec, compute
-from .engine import Adversary, CycleRecord, Decision, Scenario, Simulation, Trace
+from .engine import (
+    BK,
+    COLORS,
+    B,
+    G,
+    R,
+    W,
+    Adversary,
+    CycleRecord,
+    Decision,
+    Scenario,
+    Simulation,
+    Trace,
+)
 from .errors import InputError
 from .geometry import Point, Route, is_visible
 from .scheduling import Schedule
-
-BK, R, B, G, W = "Bk", "R", "B", "G", "W"
-COLORS = (BK, R, B, G, W)
 
 SVP = "svp"
 GREEDY = "greedy"

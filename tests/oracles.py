@@ -2,13 +2,15 @@
 
 The three pairwise cycle relations (overlap, concurrency, happened-before)
 as direct definitions, the transitive closure of concurrency, the
-stationarity check as a double loop, and the naturality clauses with a scan
-over each other robot's cycles.  `checker.analyze`,
-`checker.check_stationary` and `checker._natural_violations` must agree with
-them on every trace.
+stationarity check as a double loop, the consistency check with a record
+lookup per pair, and the naturality clauses with a scan over each other
+robot's cycles.  `checker.analyze`, `checker.check_stationary`,
+`checker.check_consistent` and `checker._natural_violations` must agree
+with them on every trace.
 """
 from __future__ import annotations
 
+from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis
 from robosync.engine import Trace
 from robosync.errors import InputError
 from robosync.geometry import squared_distance
@@ -135,6 +137,29 @@ def stationary_oracle(trace: Trace) -> list[dict]:
                     witnesses.append({"observer": [i, j],
                                       "mover": list(rec2.cycle.ident)})
     return witnesses
+
+
+def consistency_oracle(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult:
+    """Every pair within each concurrency class, in class order."""
+    witnesses = []
+    for cls in analysis.classes:
+        for x in range(len(cls)):
+            for y in range(x + 1, len(cls)):
+                a, b = cls[x], cls[y]
+                sees_ab = _sees(trace, a, b[0])
+                sees_ba = _sees(trace, b, a[0])
+                if sees_ab != sees_ba:
+                    witnesses.append({"pair": [list(a), list(b)], "clause": 1})
+                    continue
+                if sees_ab:
+                    if (a, b) not in analysis.concurrent:
+                        witnesses.append({"pair": [list(a), list(b)], "clause": 2})
+                else:
+                    sq = squared_distance(trace.record(*a).pos_at_look,
+                                          trace.record(*b).pos_at_look)
+                    if sq <= 1.0:
+                        witnesses.append({"pair": [list(a), list(b)], "clause": 3})
+    return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
 def natural_violations(trace: Trace, classes: list[list[CycleId]],

@@ -155,7 +155,7 @@ def test_criterion_5_proposition_suite():
                         and cycles_concurrent(trace, a, b):
                     violations.append((seed, "ordered pair is concurrent"))
 
-        first_three = (check_stationary(trace).ok
+        first_three = (check_stationary(analyze(trace)).ok
                        and check_pairwise_aligned(analysis).ok
                        and check_consistent(trace, analysis).ok)
         if first_three:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import build_trace, random_small_inputs
 from oracles import (
     closure_partition,
+    consistency_oracle,
     cycles_concurrent,
     cycles_overlap,
     happened_before,
@@ -27,7 +28,7 @@ from robosync.checker import (
     check_stationary,
     find_natural_sort,
 )
-from robosync.engine import Adversary, FrameSpec, Scenario, simulate
+from robosync.engine import Adversary, FrameSpec, Scenario, Trace, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.geometry import Point
 from robosync.orders import BudgetExhausted, topological_orders
@@ -116,10 +117,10 @@ def test_classes_on_trap_and_singletons():
 
 
 def test_stationary_check():
-    assert check_stationary(trap_core()).verdict == PASS
+    assert check_stationary(analyze(trap_core())).verdict == PASS
     for seed in range(10):
         trace = run_template("stationarity", seed)
-        result = check_stationary(trace)
+        result = check_stationary(analyze(trace))
         saw_mover = 1 in trace.record(0, 1).visible_set
         assert (result.verdict == FAIL) == saw_mover
         if saw_mover:
@@ -145,7 +146,7 @@ def test_stationary_passes_when_mover_is_out_of_reach():
     for seed in range(10):
         trace = simulate(scenario, schedule, as_controller(spec),
                          Adversary(seed, "nonrigid"))
-        assert check_stationary(trace).verdict == PASS
+        assert check_stationary(analyze(trace)).verdict == PASS
 
 
 def test_classes_of_synchronous_round_follow_visibility_components():
@@ -175,7 +176,7 @@ def test_pairwise_alignment_check():
         # long-pending one at its second look
         saw = 0 in trace.record(1, 2).visible_set
         assert (result.verdict == FAIL) == saw
-        assert check_stationary(trace).verdict == PASS
+        assert check_stationary(analyze(trace)).verdict == PASS
         assert check_consistent(trace, analyze(trace)).verdict == PASS
 
 
@@ -190,7 +191,7 @@ def test_consistency_check_on_trap():
 
 def test_serializability_two_cycle():
     trace = run_template("serializability", 0)
-    assert check_stationary(trace).verdict == PASS
+    assert check_stationary(analyze(trace)).verdict == PASS
     assert check_pairwise_aligned(analyze(trace)).verdict == PASS
     assert check_consistent(trace, analyze(trace)).verdict == PASS
     result = check_serializable(analyze(trace))
@@ -428,7 +429,35 @@ def test_relation_pass_matches_pairwise_oracles():
                     if holds:
                         expected.append((a, b, horizon_only))
         assert analysis.hb_pairs == expected
-        assert check_stationary(trace).witnesses == stationary_oracle(trace)
+        assert check_stationary(analyze(trace)).witnesses == stationary_oracle(trace)
+
+
+def test_consistency_check_matches_the_pair_oracle():
+    clauses = set()
+    for trace in oracle_traces():
+        analysis = analyze(trace)
+        result = check_consistent(trace, analysis)
+        assert result == consistency_oracle(trace, analysis)
+        clauses.update(w["clause"] for w in result.witnesses)
+    assert clauses == {1, 2, 3}
+
+
+def test_consistency_check_reads_each_record_once(monkeypatch):
+    # 296 cycles in classes of up to 10 members, 622 pairs inside classes; a
+    # record lookup per pair makes 1,706
+    trace = lattice_halt_trace()
+    analysis = analyze(trace)
+    assert max(len(cls) for cls in analysis.classes) > 2
+    calls = []
+    record = Trace.record
+
+    def counted(self, robot, j):
+        calls.append((robot, j))
+        return record(self, robot, j)
+
+    monkeypatch.setattr(Trace, "record", counted)
+    check_consistent(trace, analysis)
+    assert len(calls) <= len(analysis.cycles)
 
 
 def test_natural_violations_match_the_scan_oracle():

@@ -314,6 +314,17 @@ def _first_record(**fields):
     return _edited_check(lambda raw: raw["records"][0][0].update(fields))
 
 
+def _greedy_first_record(**fields):
+    """The check command line on a luminous greedy-trap trace, after setting
+    `fields` in its first record."""
+    def args(trace):
+        path = trace.parent / "greedy.json"
+        assert run(["simulate", "--scenario", "builtin:greedy-trap", "--machine", "greedy",
+                    "--out", path]) == 0
+        return _first_record(**fields)(path)
+    return args
+
+
 # each case gives the command line, given the path of a trace that passes
 FLAG_CASES = {
     "fsync:x": lambda trace: [*CONTROL, "--algo", "halt", "--schedule", "fsync:x"],
@@ -342,6 +353,12 @@ FLAG_CASES = {
     "sweep --seeds 0": lambda trace: ["sweep", "--seeds", "0"],
     "repro greedy-lemma --machine svp":
         lambda trace: ["repro", "greedy-lemma", "--machine", "svp"],
+    'accepted of "no"': _greedy_first_record(accepted="no"),
+    "accepted of 1": _greedy_first_record(accepted=1),
+    "color_after of 5": _greedy_first_record(color_after=5),
+    'color_before of "X"': _greedy_first_record(color_before="X"),
+    'snapshot_colors of ["Q"]': _greedy_first_record(snapshot_colors=["Q"]),
+    'snapshot_colors of ["Bk"] for three points': _greedy_first_record(snapshot_colors=["Bk"]),
 }
 
 

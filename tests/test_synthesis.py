@@ -90,7 +90,7 @@ def test_full_pipeline_on_svp_cores():
         assert similar(core, replayed)
         # normal-form replays are stationary by construction
         from robosync.checker import check_stationary
-        assert check_stationary(replayed).verdict == "pass"
+        assert check_stationary(analyze(replayed)).verdict == "pass"
         again = replay_plan(scenario, plan)
         assert again.to_json() == replayed.to_json()
 
