@@ -2,25 +2,28 @@
 seeded adversary, producing a ground-truth trace of every cycle.
 
 Events are Looks and move ends, processed strictly in time order (ties
-broken Look < MoveEnd, then robot index).  A cycle's whole record is built at
-its Look: the snapshot, the Compute, the non-rigid truncation and the points
+broken Look < MoveEnd, then robot index).  A Look asks the controller for
+a verdict on the colors in sight and, on accept only, for a route from the
+snapshot (`Controller`).  It draws the non-rigid truncation and the points
 at which Looks inside its move see it, drawn uniformly over the realized
 prefix and sorted by observation time so progress is monotone.  All draws
 are keyed by (seed, robot, cycle, slot), never by call order, so a run is a
 pure function of its inputs.
 
-A route no longer than delta is traversed whole whatever the truncation
-draw z is, so for such a cycle (every stay-put cycle, and so every rejected
-cycle of a luminous run) the engine does not draw z at the Look.  The record
-holds the draw bound to the cycle's own (robot, j) instead and makes it at
-the first read of `CycleRecord.z`: same key, same value.  A copy made by
-`dataclasses.replace` reads z, so it holds the value; `extract_core` copies
-records shallowly, so a core record carries the pending draw, still bound
-to the luminous cycle's (robot, j) although the core re-indexes j.
-Seeding a keyed `random.Random` costs about 9 us (CPython 3.11 on a 2-vCPU
-Xeon VM) and a synchronizer run rejects most cycles, so this skips most of
-the luminous engine's draws; a run whose z values are all read (`to_json`
-reads every one) makes as many draws as before, later.
+A rejected cycle stays put, and no stage of a synchronizer run reads its
+snapshot or route, so its record keeps what its Look saw and builds them at
+their first read (`_BuiltAtFirstRead`).  Likewise a route no longer than
+delta is traversed whole whatever the truncation draw z is, so for such a
+cycle (every stay-put cycle) the engine does not draw z at the Look.  The
+record holds the draw bound to the cycle's own (robot, j) instead and makes
+it at the first read of `CycleRecord.z`: same key, same value.  A copy made
+by `dataclasses.replace` reads every field, so it holds the values;
+`extract_core` copies records shallowly, so a core record carries the
+pending draw, still bound to the luminous cycle's (robot, j) although the
+core re-indexes j.  Seeding a keyed `random.Random` costs about 9 us
+(CPython 3.11 on a 2-vCPU Xeon VM) and a synchronizer run rejects most
+cycles, so this skips most of the luminous engine's draws and frame
+rotations; `to_json` reads every field, and so does the same work, later.
 
 Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
@@ -180,20 +183,32 @@ class Adversary:
                 for k in range(count)]
 
 
-@dataclass
-class Decision:
-    """Outcome of one Compute: the route to trace and, for luminous runs, the
-    accept/reject verdict and the color shown from the move start onward."""
-    route_local: Route
-    accepted: bool = True
-    color_after: str | None = None
-    route_global: Route | None = None  # exact-target replays bypass the frame
-
-
 class Controller(Protocol):
-    def decide(self, robot: int, j: int, snapshot: tuple[Point, ...],
-               snapshot_colors: tuple[str, ...] | None, own_color: str | None) -> Decision:
+    """One Compute in two steps.  `verdict` rules on the robot's own color
+    and the set of colors it sees (both None-free on a luminous run; a plain
+    run passes None and the empty set) and returns `(color shown from the
+    move start on, accepted)`.  `route` runs on accept only: it gets the
+    local snapshot, sorted as `CycleRecord.snapshot_local` holds it, and
+    returns the global route, which must start at `here`.  A rejected cycle
+    stays put."""
+
+    def verdict(self, own_color: str | None,
+                seen_colors: frozenset[str]) -> tuple[str | None, bool]:
         ...
+
+    def route(self, robot: int, j: int, here: Point, frame: FrameSpec,
+              snapshot: tuple[Point, ...]) -> Route:
+        ...
+
+
+def global_route(frame: FrameSpec, here: Point, local: Route) -> Route:
+    """A route computed in the robot's frame, from its local origin, as the
+    global route from `here`; a route of length zero stays put."""
+    if local.start != ORIGIN:
+        raise SimulationError("computed route must start at the local origin")
+    if local.length == 0.0:
+        return Route.stay_put(here)
+    return route_to_global(frame, here, local)
 
 
 class AlgorithmController:
@@ -202,8 +217,71 @@ class AlgorithmController:
     def __init__(self, compute: Callable[[tuple[Point, ...]], Route]):
         self._compute = compute
 
-    def decide(self, robot, j, snapshot, snapshot_colors, own_color) -> Decision:
-        return Decision(route_local=self._compute(snapshot))
+    def verdict(self, own_color, seen_colors):
+        return None, True
+
+    def route(self, robot, j, here, frame, snapshot):
+        return global_route(frame, here, self._compute(snapshot))
+
+
+def _local_snapshot(frame: FrameSpec, seen: list[tuple[int, float, float]],
+                    own_color: str | None, colors: list[str] | None
+                    ) -> tuple[tuple[Point, ...], tuple[str, ...] | None]:
+    """The snapshot in the observer's frame, the observer first at its
+    origin and the robots in sight, given by their global offsets, sorted by
+    (local x, local y, robot); and, on a luminous run, the colors in the same
+    order."""
+    in_frame = frame.local
+    rows = []
+    for k, (i, dx, dy) in enumerate(seen):
+        p = in_frame(dx, dy)
+        rows.append((p.x, p.y, i, p, k))
+    rows.sort()
+    points = (ORIGIN, *[row[3] for row in rows])
+    if colors is None:
+        return points, None
+    return points, (own_color, *[colors[row[4]] for row in rows])
+
+
+class _BuiltAtFirstRead:
+    """`CycleRecord.snapshot_local`, `snapshot_colors` and `route_global`.
+
+    A record holds these fields in its `__dict__`, which shadows this
+    non-data descriptor, so reading them costs no call.  A rejected cycle's
+    record lacks them (`leave`) and holds instead, in `_seen`, what its Look
+    saw: the arguments of `_local_snapshot`, with the colors read at the
+    Look, since they change later.  The first read of either snapshot field
+    builds both, and the first read of the route builds the stay-put route
+    at `pos_at_look`; a field already set on the record (as `_core_record`
+    sets the colors) is kept."""
+
+    def __init__(self, *default):
+        self.default = default  # () or (the dataclass default,)
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:  # class access: the field's default
+            if self.default:
+                return self.default[0]
+            raise AttributeError(self.name)
+        fields = rec.__dict__
+        if self.name == "route_global":
+            fields["route_global"] = Route.stay_put(rec.pos_at_look)
+        else:
+            points, colors = _local_snapshot(*rec._seen)
+            fields.setdefault("snapshot_local", points)
+            fields.setdefault("snapshot_colors", colors)
+        return fields[self.name]
+
+    @staticmethod
+    def leave(rec, seen: tuple) -> None:
+        """Leave the record's three fields to their first read, from the
+        `_local_snapshot` arguments its Look saw."""
+        fields = rec.__dict__
+        del fields["snapshot_local"], fields["snapshot_colors"], fields["route_global"]
+        fields["_seen"] = seen
 
 
 class _DrawnAtFirstRead:
@@ -230,12 +308,12 @@ class CycleRecord:
     cycle: Cycle
     pos_at_look: Point
     visible_set: frozenset[int]
-    snapshot_local: tuple[Point, ...]
-    route_global: Route
+    snapshot_local: tuple[Point, ...] = _BuiltAtFirstRead()
+    route_global: Route = _BuiltAtFirstRead()
     z: float = _DrawnAtFirstRead()
     pos_after_move: Point
     mid_move_samples: tuple[tuple[float, float], ...] = ()
-    snapshot_colors: tuple[str, ...] | None = None
+    snapshot_colors: tuple[str, ...] | None = _BuiltAtFirstRead(None)
     color_before: str | None = None
     color_after: str | None = None
     accepted: bool | None = None
@@ -262,7 +340,9 @@ class CycleRecord:
     @classmethod
     def from_json(cls, data: dict) -> "CycleRecord":
         """A color field, when present, holds one of COLORS, `accepted` a
-        boolean, and `snapshot_colors` one color per snapshot point."""
+        boolean, and `snapshot_colors` one color per snapshot point.  The
+        visible set holds the record's own robot, and the snapshot one point
+        per visible robot."""
         c = data["cycle"]
         snapshot = tuple(json_point(p, "snapshot point") for p in data["snapshot_local"])
         colors = None
@@ -273,7 +353,7 @@ class CycleRecord:
                                  "snapshot points")
         if "accepted" in data and type(data["accepted"]) is not bool:
             raise InputError(f"accepted must be true or false, got {data['accepted']!r}")
-        return cls(
+        record = cls(
             cycle=json_cycle(c, json_index(c["robot"], "robot index")),
             pos_at_look=json_point(data["pos_at_look"], "pos_at_look"),
             visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
@@ -290,6 +370,14 @@ class CycleRecord:
                          if "color_after" in data else None),
             accepted=data.get("accepted"),
         )
+        cycle, visible = record.cycle, record.visible_set
+        if cycle.robot not in visible:
+            raise InputError(f"cycle {cycle.ident} does not see its own robot: "
+                             f"visible_set {sorted(visible)}")
+        if len(snapshot) != len(visible):
+            raise InputError(f"cycle {cycle.ident}: {len(snapshot)} snapshot points for "
+                             f"{len(visible)} visible robots")
+        return record
 
 
 def _json_color(value: object, what: str) -> str:
@@ -477,48 +565,38 @@ class Simulation:
         The observer is at rest at its Look; the others are seen at their
         rest position, or at the sampled point of their in-progress move.
         `positions` holds every robot's point at t, and `candidates` every
-        robot that may be in range (the observer may be among them).
+        robot that may be in range (the observer may be among them).  The
+        controller rules on the colors first; a rejected cycle stays put,
+        and its record builds its snapshot and route at their first read.
         """
         t = cycle.o
         here = positions[robot]
         hx, hy = here.x, here.y
-        frame = self.scenario.frames[robot]
-        in_frame = frame.local
-        seen: list[tuple[float, float, int, Point]] = []
+        seen: list[tuple[int, float, float]] = []  # (robot, global offset)
         for i in candidates:
             q = positions[i]
             dx = q.x - hx
             dy = q.y - hy
             if dx * dx + dy * dy <= 1.0 and i != robot:  # `is_visible`, inlined
-                p = in_frame(dx, dy)
-                seen.append((p.x, p.y, i, p))
-        seen.sort()
-        visible = frozenset([robot] + [i for _, _, i, _ in seen])
-        points = (ORIGIN, *[p for _, _, _, p in seen])
+                seen.append((i, dx, dy))
         own_color = self._color_at(robot, t)
         luminous = own_color is not None
-        colors = (tuple([own_color] + [self._color_at(i, t) or "" for _, _, i, _ in seen])
-                  if luminous else None)
-        decision = self.controller.decide(robot, cycle.j, points, colors, own_color)
-        if decision.route_global is not None:
-            route = decision.route_global
-        else:
-            local = decision.route_local
-            if local.start != ORIGIN:
-                raise SimulationError("computed route must start at the local origin")
-            if local.length == 0.0:
-                route = Route.stay_put(here)
-            else:
-                route = route_to_global(frame, here, local)
-        if route.start != here:
-            raise SimulationError("computed route must start at the robot")
-        if route.length <= self.scenario.delta:
-            # traversed whole for every z: draw it at the first read
-            z = (self.adversary, robot, cycle.j)
+        colors = [self._color_at(i, t) or "" for i, _, _ in seen] if luminous else None
+        color_after, accepted = self.controller.verdict(own_color, frozenset(colors or ()))
+        frame = self.scenario.frames[robot]
+        points = route = snapshot_colors = None  # a rejected cycle's, built at first read
+        realized = 0.0
+        z = (self.adversary, robot, cycle.j)  # drawn at the first read
+        if accepted:
+            points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
+            route = self.controller.route(robot, cycle.j, here, frame, points)
+            if route.start != here:
+                raise SimulationError("computed route must start at the robot")
             realized = route.length
-        else:
-            z = self.adversary.draw_truncation(robot, cycle.j)
-            realized = truncated_length(route.length, self.scenario.delta, z)
+            if realized > self.scenario.delta:
+                z = self.adversary.draw_truncation(robot, cycle.j)
+                realized = truncated_length(route.length, self.scenario.delta, z)
+            # else traversed whole for every z: draw it at the first read
         looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
         obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
         if realized > 0.0:
@@ -526,20 +604,23 @@ class Simulation:
                 robot, cycle.j, len(obs_times)))
         else:  # every fraction of nothing is 0, so there is nothing to draw
             arcs = [0.0] * len(obs_times)
-        self.records[robot].append(CycleRecord(
+        record = CycleRecord(
             cycle=cycle,
             pos_at_look=here,
-            visible_set=visible,
+            visible_set=frozenset([robot, *[i for i, _, _ in seen]]),
             snapshot_local=points,
             route_global=route,
             z=z,
-            pos_after_move=point_along(route, realized),
+            pos_after_move=point_along(route, realized) if accepted else here,
             mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
-            snapshot_colors=colors,
+            snapshot_colors=snapshot_colors,
             color_before=own_color,
-            color_after=decision.color_after if luminous else None,
-            accepted=decision.accepted if luminous else None,
-        ))
+            color_after=color_after if luminous else None,
+            accepted=accepted if luminous else None,
+        )
+        if not accepted:
+            _BuiltAtFirstRead.leave(record, (frame, seen, own_color, colors))
+        self.records[robot].append(record)
 
 
 def simulate(scenario: Scenario, schedule: Schedule, controller: Controller,

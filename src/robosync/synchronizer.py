@@ -23,14 +23,14 @@ from .engine import (
     R,
     W,
     Adversary,
+    AlgorithmController,
     CycleRecord,
-    Decision,
     Scenario,
     Simulation,
     Trace,
 )
 from .errors import InputError
-from .geometry import Point, Route, is_visible
+from .geometry import is_visible
 from .scheduling import Schedule
 
 SVP = "svp"
@@ -88,23 +88,16 @@ def greedy_step(state: str, visible: frozenset[str] | set[str]) -> tuple[str, bo
 
 _STEPS = {SVP: svp_step, GREEDY: greedy_step}
 
-_STAY_PUT = Route.stay_put()  # routes are immutable, so every rejection shares one
 
-
-class SynchronizerController:
-    """Engine controller: machine verdict first, wrapped rule only on accept."""
+class SynchronizerController(AlgorithmController):
+    """Engine controller: the machine's verdict, and the wrapped rule's
+    route on accept only."""
 
     def __init__(self, machine: str, spec: AlgorithmSpec):
         if machine not in _STEPS:
             raise InputError(f"unknown machine {machine!r}")
-        self.step = _STEPS[machine]
-        self.spec = spec
-
-    def decide(self, robot: int, j: int, snapshot: tuple[Point, ...],
-               snapshot_colors: tuple[str, ...] | None, own_color: str | None) -> Decision:
-        color, accepted = self.step(own_color, frozenset(snapshot_colors[1:]))
-        route = compute(self.spec, snapshot) if accepted else _STAY_PUT
-        return Decision(route_local=route, accepted=accepted, color_after=color)
+        super().__init__(lambda snapshot: compute(spec, snapshot))
+        self.verdict = _STEPS[machine]  # the machine step is the verdict
 
 
 def run_synchronized(scenario: Scenario, spec: AlgorithmSpec, schedule: Schedule,

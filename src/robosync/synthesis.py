@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checker import DEFAULT_NODE_BUDGET, CycleId, ConcurrencyAnalysis, analyze
-from .engine import Adversary, Decision, Scenario, Simulation, Trace, RIGID
+from .engine import Adversary, Scenario, Simulation, Trace, RIGID
 from .errors import InputError, SimulationError
 from .geometry import Point, Route, same_points
 from .orders import BudgetExhausted, find_cycle, topological_orders
@@ -67,13 +67,16 @@ class _PlanController:
         self.plan = plan
         self.scenario = scenario
 
-    def decide(self, robot, j, snapshot, snapshot_colors, own_color) -> Decision:
-        # a rigid move reaches its target, so cycle j starts at cycle j-1's
+    def verdict(self, own_color, seen_colors):
+        return None, True
+
+    def route(self, robot, j, here, frame, snapshot):
+        # a rigid move reaches its target, so cycle j starts at cycle j-1's;
+        # the engine refuses the route when that is not where the robot is
         targets = self.plan.targets
-        here = targets[(robot, j - 1)] if j > 1 else self.scenario.initial_positions[robot]
+        start = targets[(robot, j - 1)] if j > 1 else self.scenario.initial_positions[robot]
         target = targets[(robot, j)]
-        route = Route.stay_put(here) if target == here else Route((here, target))
-        return Decision(route_local=Route.stay_put(), route_global=route)
+        return Route.stay_put(start) if target == start else Route((start, target))
 
 
 def replay_plan(scenario: Scenario, plan: SsyncPlan) -> Trace:

@@ -6,14 +6,16 @@ stationarity check as a double loop, the consistency check with a record
 lookup per pair, and the naturality clauses with a scan over each other
 robot's cycles.  `checker.analyze`, `checker.check_stationary`,
 `checker.check_consistent` and `checker._natural_violations` must agree
-with them on every trace.
+with them on every trace.  Also the engine's snapshot as a Look once built
+it whole, from every robot's point and color at the Look, which a record
+whose Look left it to the first read must match.
 """
 from __future__ import annotations
 
 from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis
-from robosync.engine import Trace
+from robosync.engine import BK, Trace
 from robosync.errors import InputError
-from robosync.geometry import squared_distance
+from robosync.geometry import ORIGIN, Point, point_along, squared_distance
 
 CycleId = tuple[int, int]
 
@@ -197,3 +199,51 @@ def natural_violations(trace: Trace, classes: list[list[CycleId]],
             if violations:
                 return violations
     return violations
+
+
+# -- the engine's snapshot, built eagerly ------------------------------------
+
+def point_at(trace: Trace, robot: int, t: float) -> Point:
+    """The robot's point as a Look at t sees it: its rest position, or the
+    sample of its move in progress (a move ending at t has ended)."""
+    pos = trace.scenario.initial_positions[robot]
+    for rec in trace.records[robot]:
+        if t < rec.cycle.f:
+            if rec.cycle.s < t:
+                u = dict(rec.mid_move_samples)[t]
+                return point_along(rec.route_global, u) if u > 0.0 else pos
+            return pos
+        pos = rec.pos_after_move
+    return pos
+
+
+def color_at(trace: Trace, robot: int, t: float) -> str:
+    """The robot's light as a Look at t sees it: black before its first
+    Look, and a new color from its move start on."""
+    color = BK
+    for rec in trace.records[robot]:
+        if rec.cycle.o >= t:
+            break
+        color = rec.color_after if t >= rec.cycle.s and rec.color_after else rec.color_before
+    return color
+
+
+def snapshot_oracle(trace: Trace, robot: int, j: int
+                    ) -> tuple[frozenset[int], tuple[Point, ...], tuple[str, ...]]:
+    """The visible set, local snapshot and snapshot colors of a luminous
+    cycle, from every robot's point and color at its Look: the observer
+    first at its origin, the others sorted by (local x, local y, robot)."""
+    cycle = trace.record(robot, j).cycle
+    here = point_at(trace, robot, cycle.o)
+    frame = trace.scenario.frames[robot]
+    rows = []
+    for k in range(trace.n):
+        p = point_at(trace, k, cycle.o)
+        dx, dy = p.x - here.x, p.y - here.y
+        if k != robot and dx * dx + dy * dy <= 1.0:
+            q = frame.local(dx, dy)
+            rows.append((q.x, q.y, k, q, color_at(trace, k, cycle.o)))
+    rows.sort()
+    return (frozenset([robot, *[row[2] for row in rows]]),
+            (ORIGIN, *[row[3] for row in rows]),
+            (color_at(trace, robot, cycle.o), *[row[4] for row in rows]))

@@ -314,12 +314,12 @@ def _first_record(**fields):
     return _edited_check(lambda raw: raw["records"][0][0].update(fields))
 
 
-def _greedy_first_record(**fields):
-    """The check command line on a luminous greedy-trap trace, after setting
-    `fields` in its first record."""
+def _trap_first_record(machine, **fields):
+    """The check command line on a luminous greedy-trap trace under `machine`,
+    after setting `fields` in its first record."""
     def args(trace):
-        path = trace.parent / "greedy.json"
-        assert run(["simulate", "--scenario", "builtin:greedy-trap", "--machine", "greedy",
+        path = trace.parent / f"{machine}.json"
+        assert run(["simulate", "--scenario", "builtin:greedy-trap", "--machine", machine,
                     "--out", path]) == 0
         return _first_record(**fields)(path)
     return args
@@ -353,12 +353,15 @@ FLAG_CASES = {
     "sweep --seeds 0": lambda trace: ["sweep", "--seeds", "0"],
     "repro greedy-lemma --machine svp":
         lambda trace: ["repro", "greedy-lemma", "--machine", "svp"],
-    'accepted of "no"': _greedy_first_record(accepted="no"),
-    "accepted of 1": _greedy_first_record(accepted=1),
-    "color_after of 5": _greedy_first_record(color_after=5),
-    'color_before of "X"': _greedy_first_record(color_before="X"),
-    'snapshot_colors of ["Q"]': _greedy_first_record(snapshot_colors=["Q"]),
-    'snapshot_colors of ["Bk"] for three points': _greedy_first_record(snapshot_colors=["Bk"]),
+    'accepted of "no"': _trap_first_record("greedy", accepted="no"),
+    "accepted of 1": _trap_first_record("greedy", accepted=1),
+    "color_after of 5": _trap_first_record("greedy", color_after=5),
+    'color_before of "X"': _trap_first_record("greedy", color_before="X"),
+    'snapshot_colors of ["Q"]': _trap_first_record("greedy", snapshot_colors=["Q"]),
+    'snapshot_colors of ["Bk"] for three points':
+        _trap_first_record("greedy", snapshot_colors=["Bk"]),
+    "visible_set of [] (svp)": _trap_first_record("svp", visible_set=[]),
+    "snapshot_local of []": _first_record(snapshot_local=[]),
 }
 
 

@@ -11,13 +11,13 @@ from robosync.algorithms import HALT, SCRIPTED, AlgorithmSpec, ScriptEntry, as_c
 from robosync.checker import check_all
 from robosync.engine import (
     Adversary,
-    Decision,
     FrameSpec,
     NONRIGID,
     RIGID,
     Scenario,
     Simulation,
     Trace,
+    global_route,
     simulate,
 )
 from robosync.errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
@@ -365,9 +365,13 @@ class _Steps:
     def __init__(self, steps):
         self.steps = steps
 
-    def decide(self, robot, j, snapshot, snapshot_colors, own_color):
+    def verdict(self, own_color, seen_colors):
+        return None, True
+
+    def route(self, robot, j, here, frame, snapshot):
         step = self.steps.get((robot, j))
-        return Decision(Route((Point(0, 0), Point(*step))) if step else Route.stay_put())
+        return global_route(frame, here,
+                            Route((Point(0, 0), Point(*step))) if step else Route.stay_put())
 
 
 def _both_raise(scenario, schedule, controller, error, message, adversary=Adversary):

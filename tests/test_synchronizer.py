@@ -1,20 +1,26 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
+from conftest import random_small_inputs
+from oracles import color_at, snapshot_oracle
+from robosync import experiments
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.engine import Adversary, FrameSpec, NONRIGID, RIGID, Scenario, simulate
-from robosync.errors import InputError
-from robosync.geometry import Point
-from robosync.scheduling import Cycle, Schedule, make_fsync_schedule
-from robosync.scenarios import greedy_trap_scenario
+from robosync.errors import InputError, SimulationError
+from robosync.geometry import Point, Route
+from robosync.scheduling import Cycle, Schedule, make_fsync_schedule, sample_async_schedule
+from robosync.scenarios import greedy_trap_scenario, random_vicinity_scenario
 from robosync.synchronizer import (
+    MACHINES,
     B,
     BK,
     COLORS,
     G,
     R,
     W,
+    _core_record,
     check_color_lifecycle,
     check_neighbor_phase_lag,
     extract_core,
@@ -249,3 +255,77 @@ def test_color_invariants_match_the_per_look_rebuild_on_mutated_traces():
             broken += bool(lifecycle)
     # the comparisons cover non-empty problem lists of both checks
     assert lagging >= 20 and broken >= 20
+
+
+def _luminous_runs():
+    """svp and greedy runs over small random inputs and a few sweep seeds."""
+    inputs = [(seed, *random_small_inputs(seed), 8.0) for seed in range(20)]
+    inputs += [(seed, *random_vicinity_scenario(seed), 60.0) for seed in range(3)]
+    for seed, scenario, spec, horizon in inputs:
+        schedule = sample_async_schedule(seed, scenario.n, horizon)
+        for machine in MACHINES:
+            try:
+                yield run_synchronized(scenario, spec, schedule, Adversary(seed, NONRIGID),
+                                       machine)
+            except SimulationError:
+                continue
+
+
+def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
+    rejected = stale = 0
+    for trace in _luminous_runs():
+        for rec in trace.all_records():
+            visible, points, colors = snapshot_oracle(trace, *rec.cycle.ident)
+            assert rec.visible_set == visible
+            if rec.accepted:
+                assert (rec.snapshot_local, rec.snapshot_colors) == (points, colors)
+                continue
+            rejected += 1
+            # the colors shown now, long after the Look, are not the ones it saw
+            o = rec.cycle.o
+            stale += any(color_at(trace, k, o) != color_at(trace, k, float("inf"))
+                         for k in visible)
+            assert "snapshot_local" not in vars(rec)  # no stage of the run read it
+            stay = Route.stay_put(rec.pos_at_look)
+            # a shallow copy, as the core takes one, builds its own fields and
+            # keeps the colors it cleared
+            core = _core_record(rec, 1)
+            assert (core.snapshot_local, core.snapshot_colors, core.route_global) == (
+                points, None, stay)
+            assert "snapshot_local" not in vars(rec)
+            copied = replace(rec)
+            assert (copied.snapshot_local, copied.snapshot_colors, copied.route_global) == (
+                points, colors, stay)
+            eager = replace(rec, snapshot_local=points, snapshot_colors=colors,
+                            route_global=stay)
+            assert rec == eager and rec.to_json() == eager.to_json()
+    assert rejected > 500 and stale > 400
+
+
+def test_a_sweep_pass_rotates_no_rejected_snapshot_until_it_is_written(monkeypatch):
+    calls = 0
+    local = FrameSpec.local
+
+    def counted(frame, dx, dy):
+        nonlocal calls
+        calls += 1
+        return local(frame, dx, dy)
+
+    runs = {}
+    luminous, replay = experiments.run_synchronized, experiments.replay_plan
+    monkeypatch.setattr(FrameSpec, "local", counted)
+    monkeypatch.setattr(experiments, "run_synchronized",
+                        lambda *args, **kwargs: runs.setdefault("luminous",
+                                                                luminous(*args, **kwargs)))
+    monkeypatch.setattr(experiments, "replay_plan",
+                        lambda *args: runs.setdefault("replay", replay(*args)))
+    assert experiments.synchronizer_end_to_end(0, horizon=200)["similar"]
+    during = calls
+    trace = runs["luminous"]
+    seen = {accepted: sum(len(rec.visible_set) - 1 for rec in trace.all_records()
+                          if rec.accepted is accepted)
+            for accepted in (True, False)}
+    replayed = sum(len(rec.visible_set) - 1 for rec in runs["replay"].all_records())
+    assert during <= seen[True] + replayed
+    trace.to_json()
+    assert calls - during == seen[False] > 500
