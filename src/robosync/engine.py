@@ -8,16 +8,18 @@ snapshot (`Controller`).  It draws the non-rigid truncation and the points
 at which Looks inside its move see it, drawn uniformly over the realized
 prefix and sorted by observation time so progress is monotone.  All draws
 are keyed by (seed, robot, cycle, slot), never by call order, so a run is a
-pure function of its inputs.
+pure function of its inputs.  Each robot has one light, set at its Look: a
+new color shows from its move start on.
 
-A rejected cycle stays put, and no stage of a synchronizer run reads its
-snapshot or route, so its record keeps what its Look saw and builds them at
-their first read (`_BuiltAtFirstRead`).  Likewise a route no longer than
-delta is traversed whole whatever the truncation draw z is, so for such a
-cycle (every stay-put cycle) the engine does not draw z at the Look.  The
-record holds the draw bound to the cycle's own (robot, j) instead and makes
-it at the first read of `CycleRecord.z`: same key, same value.  A copy made
-by `dataclasses.replace` reads every field, so it holds the values;
+A cycle that stays put costs only its verdict and its record.  No stage of
+a synchronizer run reads a rejected cycle's snapshot, route or mid-move
+samples (each at its start), so its record holds what its Look fixed and
+builds them at their first read (`_BuiltAtFirstRead`).  Likewise a route no longer than delta is traversed whole
+whatever the truncation draw z is, so for such a cycle (every stay-put
+cycle) the engine does not draw z at the Look.  The record holds the draw
+bound to the cycle's own (robot, j) instead and makes it at the first read
+of `CycleRecord.z`: same key, same value.  A copy made by
+`dataclasses.replace` reads every field, so it holds the values;
 `extract_core` copies records shallowly, so a core record carries the
 pending draw, still bound to the luminous cycle's (robot, j) although the
 core re-indexes j.  Seeding a keyed `random.Random` costs about 9 us
@@ -35,8 +37,9 @@ pair always lies in neighbouring cells.  The error names the lowest bad pair
 found, which is the pair a scan of every pair at every instant would name.
 A robot whose bad pair does not count between Looks (a threshold pair, or
 an arrival on a mover's stale point) is tested again at the next Look.  A
-cycle draws one mid-move sample per Look time inside its move (zipped
-strictly), so at a Look every mover's point is known.
+cycle has one mid-move sample per Look time inside its move (zipped
+strictly), so at a Look every mover's point is known; only a cycle that
+moves is sampled there.
 """
 from __future__ import annotations
 
@@ -71,6 +74,10 @@ LOOK, MOVE_END = 0, 1
 # the five light colors a luminous trace stores (see synchronizer.py)
 BK, R, B, G, W = "Bk", "R", "B", "G", "W"
 COLORS = (BK, R, B, G, W)
+# the light machines a luminous trace names, and the kinds of trace
+SVP, GREEDY = "svp", "greedy"
+MACHINES = (SVP, GREEDY)
+KINDS = ("plain", "luminous", "core", "replay")
 
 
 class _CellIndex:
@@ -243,17 +250,24 @@ def _local_snapshot(frame: FrameSpec, seen: list[tuple[int, float, float]],
     return points, (own_color, *[colors[row[4]] for row in rows])
 
 
+def _inside(looks: list[float], cycle: Cycle) -> list[float]:
+    """The sorted Look times strictly inside the cycle's move."""
+    return looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
+
+
 class _BuiltAtFirstRead:
-    """`CycleRecord.snapshot_local`, `snapshot_colors` and `route_global`.
+    """`CycleRecord.snapshot_local`, `snapshot_colors`, `route_global` and
+    `mid_move_samples`.
 
     A record holds these fields in its `__dict__`, which shadows this
     non-data descriptor, so reading them costs no call.  A rejected cycle's
-    record lacks them (`leave`) and holds instead, in `_seen`, what its Look
-    saw: the arguments of `_local_snapshot`, with the colors read at the
-    Look, since they change later.  The first read of either snapshot field
-    builds both, and the first read of the route builds the stay-put route
-    at `pos_at_look`; a field already set on the record (as `_core_record`
-    sets the colors) is kept."""
+    record lacks them and holds instead, in `_seen`, what its Look saw: the
+    run's Look times and the arguments of `_local_snapshot`, with the colors
+    read at the Look, since they change later.  The first read of either
+    snapshot field builds both, the first read of the route builds the
+    stay-put route at `pos_at_look`, and that of the samples puts one at arc
+    0 at each Look time inside the move; a field already set on the record
+    (as `_core_record` sets the colors) is kept."""
 
     def __init__(self, *default):
         self.default = default  # () or (the dataclass default,)
@@ -267,21 +281,16 @@ class _BuiltAtFirstRead:
                 return self.default[0]
             raise AttributeError(self.name)
         fields = rec.__dict__
+        looks, *snapshot = rec._seen
         if self.name == "route_global":
             fields["route_global"] = Route.stay_put(rec.pos_at_look)
+        elif self.name == "mid_move_samples":
+            fields["mid_move_samples"] = tuple((t, 0.0) for t in _inside(looks, rec.cycle))
         else:
-            points, colors = _local_snapshot(*rec._seen)
+            points, colors = _local_snapshot(*snapshot)
             fields.setdefault("snapshot_local", points)
             fields.setdefault("snapshot_colors", colors)
         return fields[self.name]
-
-    @staticmethod
-    def leave(rec, seen: tuple) -> None:
-        """Leave the record's three fields to their first read, from the
-        `_local_snapshot` arguments its Look saw."""
-        fields = rec.__dict__
-        del fields["snapshot_local"], fields["snapshot_colors"], fields["route_global"]
-        fields["_seen"] = seen
 
 
 class _DrawnAtFirstRead:
@@ -312,7 +321,7 @@ class CycleRecord:
     route_global: Route = _BuiltAtFirstRead()
     z: float = _DrawnAtFirstRead()
     pos_after_move: Point
-    mid_move_samples: tuple[tuple[float, float], ...] = ()
+    mid_move_samples: tuple[tuple[float, float], ...] = _BuiltAtFirstRead(())
     snapshot_colors: tuple[str, ...] | None = _BuiltAtFirstRead(None)
     color_before: str | None = None
     color_after: str | None = None
@@ -347,7 +356,7 @@ class CycleRecord:
         snapshot = tuple(json_point(p, "snapshot point") for p in data["snapshot_local"])
         colors = None
         if "snapshot_colors" in data:
-            colors = tuple(_json_color(k, "snapshot color") for k in data["snapshot_colors"])
+            colors = tuple(_json_choice(k, "snapshot color") for k in data["snapshot_colors"])
             if len(colors) != len(snapshot):
                 raise InputError(f"{len(colors)} snapshot colors for {len(snapshot)} "
                                  "snapshot points")
@@ -364,9 +373,9 @@ class CycleRecord:
             mid_move_samples=tuple((json_number(t, "sample time"), json_number(u, "sample arc"))
                                    for t, u in data.get("mid_move_samples", [])),
             snapshot_colors=colors,
-            color_before=(_json_color(data["color_before"], "color_before")
+            color_before=(_json_choice(data["color_before"], "color_before")
                           if "color_before" in data else None),
-            color_after=(_json_color(data["color_after"], "color_after")
+            color_after=(_json_choice(data["color_after"], "color_after")
                          if "color_after" in data else None),
             accepted=data.get("accepted"),
         )
@@ -380,9 +389,10 @@ class CycleRecord:
         return record
 
 
-def _json_color(value: object, what: str) -> str:
-    if value not in COLORS:
-        raise InputError(f"{what} must be one of {', '.join(COLORS)}, got {value!r}")
+def _json_choice(value, what: str, choices: tuple = COLORS):
+    if value not in choices:
+        raise InputError(f"{what} must be one of {', '.join(map(str, choices))}, "
+                         f"got {value!r}")
     return value
 
 
@@ -392,7 +402,7 @@ class Trace:
     scenario: Scenario
     horizon: float
     records: list[list[CycleRecord]]
-    kind: str = "plain"  # plain | luminous | core
+    kind: str = "plain"  # one of KINDS
     machine: str | None = None
 
     @property
@@ -439,19 +449,21 @@ class Trace:
                     raise InputError(f"cycle {r.cycle.ident} sees a robot outside "
                                      f"0..{scenario.n - 1}: {sorted(r.visible_set)}")
         return cls(scenario, horizon, records,
-                   kind=data.get("kind", "plain"), machine=data.get("machine"))
+                   kind=_json_choice(data.get("kind", "plain"), "trace kind", KINDS),
+                   machine=_json_choice(data.get("machine"), "trace machine", (None, *MACHINES)))
 
 
 class Simulation:
     """Single sequential run; build one per (scenario, schedule, controller,
     adversary) and call run().
 
-    The records are the ground truth: a robot's color at an event is read
-    from its last record, or from `initial_color` before its first Look.
-    Events run in time order, so every query about a robot comes at or after
-    that robot's last Look.  Its point, for the pair check and the snapshots,
+    The records are the ground truth.  Each robot's light `(s, color before,
+    color after)` is set with its record (`initial_color` before its first
+    Look).  Events run in time order, so every query about a robot comes at
+    or after its last Look.  Its point, for the pair check and the snapshots,
     is read from the cell index, which the run moves at its arrivals and at
-    the Looks that sample it mid-move (one `bisect` into the samples).
+    the Looks that sample it mid-move (one `bisect` into the samples): only
+    a cycle that moves is open between its Look and its move end.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -465,10 +477,11 @@ class Simulation:
         self.adversary = adversary
         self.initial_color = initial_color
         self.records: list[list[CycleRecord]] = [[] for _ in range(scenario.n)]
+        self._lights = [(-math.inf, initial_color, initial_color)] * scenario.n
         self._look_times = schedule.look_times()
         self._index = _CellIndex(scenario.initial_positions)
         self._arriving: dict[float, list[int]] = {}  # move end -> robots
-        self._open: list[int] = []  # robots between their Look and move end
+        self._open: dict[int, CycleRecord] = {}  # movers between their Look and move end
         self._recheck: list[int] = []  # robots to test again at the next Look
 
     def run(self) -> Trace:
@@ -485,9 +498,9 @@ class Simulation:
                 now = t
                 self._check_instant(t, looking=kind == LOOK)
             if kind == LOOK:
-                self._look(robot, cycle, index.points, index.near(robot))
+                if self._look(robot, cycle, index.points, index.near(robot)):  # it moves
+                    self._open[robot] = self.records[robot][-1]
                 self._arriving.setdefault(cycle.f, []).append(robot)
-                self._open.append(robot)
         kind = "luminous" if self.initial_color else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
 
@@ -510,12 +523,11 @@ class Simulation:
         index = self._index
         changed = []
         for robot in self._arriving.pop(t, ()):
-            self._open.remove(robot)
+            self._open.pop(robot, None)
             index.move(robot, records[robot][-1].pos_after_move)
             changed.append(robot)
         if looking:
-            for robot in self._open:
-                record = records[robot][-1]
+            for robot, record in self._open.items():
                 if record.cycle.s < t:
                     # `_look` drew a sample for each Look time inside (s, f)
                     samples = record.mid_move_samples
@@ -548,26 +560,16 @@ class Simulation:
         row = self.records[robot]
         return bool(row) and row[-1].cycle.s < t < row[-1].cycle.f
 
-    def _color_at(self, robot: int, t: float) -> str | None:
-        """A new color shows from the move start on."""
-        row = self.records[robot]
-        if not row:
-            return self.initial_color
-        record = row[-1]
-        if t >= record.cycle.s and record.color_after:
-            return record.color_after
-        return record.color_before
-
     def _look(self, robot: int, cycle: Cycle, positions: list[Point],
-              candidates: Iterable[int]) -> None:
-        """Snapshot, Compute and the adversary's draws for one cycle.
+              candidates: Iterable[int]) -> bool:
+        """Snapshot, Compute, draws and light for one cycle; True if it moves.
 
         The observer is at rest at its Look; the others are seen at their
         rest position, or at the sampled point of their in-progress move.
         `positions` holds every robot's point at t, and `candidates` every
         robot that may be in range (the observer may be among them).  The
         controller rules on the colors first; a rejected cycle stays put,
-        and its record builds its snapshot and route at their first read.
+        and its record builds the other fields at their first read.
         """
         t = cycle.o
         here = positions[robot]
@@ -579,26 +581,37 @@ class Simulation:
             dy = q.y - hy
             if dx * dx + dy * dy <= 1.0 and i != robot:  # `is_visible`, inlined
                 seen.append((i, dx, dy))
-        own_color = self._color_at(robot, t)
+        lights = self._lights  # a new color shows from the move start on
+        s, before, after = lights[robot]
+        own_color = after if t >= s else before
         luminous = own_color is not None
-        colors = [self._color_at(i, t) or "" for i, _, _ in seen] if luminous else None
+        colors = [after if t >= s else before for s, before, after in
+                  [lights[i] for i, _, _ in seen]] if luminous else None
         color_after, accepted = self.controller.verdict(own_color, frozenset(colors or ()))
+        color_after = color_after if luminous else None
+        lights[robot] = (cycle.s, own_color, color_after or own_color)
         frame = self.scenario.frames[robot]
-        points = route = snapshot_colors = None  # a rejected cycle's, built at first read
-        realized = 0.0
+        visible = frozenset([robot, *[i for i, _, _ in seen]])
         z = (self.adversary, robot, cycle.j)  # drawn at the first read
-        if accepted:
-            points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
-            route = self.controller.route(robot, cycle.j, here, frame, points)
-            if route.start != here:
-                raise SimulationError("computed route must start at the robot")
-            realized = route.length
-            if realized > self.scenario.delta:
-                z = self.adversary.draw_truncation(robot, cycle.j)
-                realized = truncated_length(route.length, self.scenario.delta, z)
-            # else traversed whole for every z: draw it at the first read
-        looks = self._look_times  # sorted, so the Looks inside (s, f) are one slice
-        obs_times = looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
+        if not accepted:  # only what the Look fixed; `_BuiltAtFirstRead` has the rest
+            record = object.__new__(CycleRecord)
+            record.__dict__ = {
+                "cycle": cycle, "pos_at_look": here, "visible_set": visible, "_z": z,
+                "pos_after_move": here, "color_before": own_color, "color_after": color_after,
+                "accepted": accepted if luminous else None,
+                "_seen": (self._look_times, frame, seen, own_color, colors)}
+            self.records[robot].append(record)
+            return False
+        points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
+        route = self.controller.route(robot, cycle.j, here, frame, points)
+        if route.start != here:
+            raise SimulationError("computed route must start at the robot")
+        realized = route.length
+        if realized > self.scenario.delta:
+            z = self.adversary.draw_truncation(robot, cycle.j)
+            realized = truncated_length(route.length, self.scenario.delta, z)
+        # else traversed whole for every z: draw it at the first read
+        obs_times = _inside(self._look_times, cycle)
         if realized > 0.0:
             arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
                 robot, cycle.j, len(obs_times)))
@@ -607,20 +620,19 @@ class Simulation:
         record = CycleRecord(
             cycle=cycle,
             pos_at_look=here,
-            visible_set=frozenset([robot, *[i for i, _, _ in seen]]),
+            visible_set=visible,
             snapshot_local=points,
             route_global=route,
             z=z,
-            pos_after_move=point_along(route, realized) if accepted else here,
+            pos_after_move=point_along(route, realized),
             mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
             snapshot_colors=snapshot_colors,
             color_before=own_color,
-            color_after=color_after if luminous else None,
+            color_after=color_after,
             accepted=accepted if luminous else None,
         )
-        if not accepted:
-            _BuiltAtFirstRead.leave(record, (frame, seen, own_color, colors))
         self.records[robot].append(record)
+        return realized > 0.0
 
 
 def simulate(scenario: Scenario, schedule: Schedule, controller: Controller,

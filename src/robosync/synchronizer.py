@@ -18,6 +18,9 @@ from .algorithms import AlgorithmSpec, compute
 from .engine import (
     BK,
     COLORS,
+    GREEDY,
+    MACHINES,
+    SVP,
     B,
     G,
     R,
@@ -32,10 +35,6 @@ from .engine import (
 from .errors import InputError
 from .geometry import is_visible
 from .scheduling import Schedule
-
-SVP = "svp"
-GREEDY = "greedy"
-MACHINES = (SVP, GREEDY)
 
 _BK_B_W = frozenset((BK, B, W))
 _BK_R_B_W = frozenset((BK, R, B, W))

@@ -7,8 +7,9 @@ lookup per pair, and the naturality clauses with a scan over each other
 robot's cycles.  `checker.analyze`, `checker.check_stationary`,
 `checker.check_consistent` and `checker._natural_violations` must agree
 with them on every trace.  Also the engine's snapshot as a Look once built
-it whole, from every robot's point and color at the Look, which a record
-whose Look left it to the first read must match.
+it whole, from every robot's point and color at the Look, and a stay-put
+cycle's mid-move samples, from the schedule's Look times, which a record
+whose Look left them to the first read must match.
 """
 from __future__ import annotations
 
@@ -247,3 +248,11 @@ def snapshot_oracle(trace: Trace, robot: int, j: int
     return (frozenset([robot, *[row[2] for row in rows]]),
             (ORIGIN, *[row[3] for row in rows]),
             (color_at(trace, robot, cycle.o), *[row[4] for row in rows]))
+
+
+def stay_put_samples(trace: Trace, robot: int, j: int) -> tuple[tuple[float, float], ...]:
+    """The mid-move samples of a cycle that stays put: arc 0 at each Look
+    time of the trace's schedule strictly inside its move."""
+    cycle = trace.record(robot, j).cycle
+    looks = sorted({rec.cycle.o for rec in trace.all_records()})
+    return tuple((t, 0.0) for t in looks if cycle.s < t < cycle.f)

@@ -362,6 +362,8 @@ FLAG_CASES = {
         _trap_first_record("greedy", snapshot_colors=["Bk"]),
     "visible_set of [] (svp)": _trap_first_record("svp", visible_set=[]),
     "snapshot_local of []": _first_record(snapshot_local=[]),
+    "trace kind of 5": _edited_check(lambda raw: raw.update(kind=5)),
+    'trace machine of ["x"]': _edited_check(lambda raw: raw.update(machine=["x"])),
 }
 
 
@@ -398,6 +400,17 @@ def test_hull_run_on_a_lattice_whose_targets_round_onto_robots(tmp_path):
         assert run(["simulate", "--scenario", scenario, "--schedule", f"fsync:{rounds}",
                     "--algo", "hull:0.5", "--out", out]) == 0
         assert sum(map(len, json.loads(out.read_text())["records"])) == 16 * rounds
+
+
+def test_the_replay_that_synthesize_writes_loads_as_a_trace(tmp_path, control_trace):
+    # a replay's kind is "replay", which a trace may name besides plain,
+    # luminous and core
+    out, replay = tmp_path / "synth.json", tmp_path / "replay.json"
+    assert run(["synthesize", control_trace, "--out", out]) == 0
+    written = json.loads(out.read_text())["replay"]
+    assert written["kind"] == "replay"
+    replay.write_text(json.dumps(written))
+    assert run(["check", replay]) == 0
 
 
 def test_budget_is_only_a_search_flag(capsys):

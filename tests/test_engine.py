@@ -505,6 +505,22 @@ def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGI
         return type(exc).__name__, str(exc)
 
 
+def test_a_new_color_shows_from_the_move_start_in_both_engines():
+    # robot 0 accepts at t=0 and shows red from its move start at t=1; robot
+    # 1 looks one grid step before it and sees black, robot 2 looks at it
+    scenario = scen((0, 0), (0.5, 0), (0, 0.5))
+    step = 1 / 64
+    schedule = sched(3, 3, {0: [(0.0, 1.0, 2.0)], 1: [(1.0 - step, 1.5, 2.0)],
+                            2: [(1.0, 1.5, 2.0)]})
+    controller = SynchronizerController(SVP, AlgorithmSpec(HALT))
+    trace = _outcome(Simulation, scenario, schedule, controller, 0, BK)
+    assert trace == _outcome(_EveryEventChecking, scenario, schedule, controller, 0, BK)
+    # in snapshot order (local x, then local y): the observer's own color,
+    # then robot 0's, then the third robot's
+    assert trace["records"][1][0]["snapshot_colors"] == [BK, BK, BK]
+    assert trace["records"][2][0]["snapshot_colors"] == [BK, "R", BK]
+
+
 def _compared_runs():
     """(scenario, schedule, controller, seed, initial color) of the runs the
     one-check-per-instant engine is compared on."""
@@ -654,6 +670,25 @@ def test_pair_tests_per_cycle_do_not_grow_with_n(monkeypatch):
                          Adversary(0, NONRIGID))
         per_cycle.append(calls / sum(map(len, trace.records)))
     assert 0 < per_cycle[1] < 2 * per_cycle[0]
+
+
+def test_looks_sample_only_the_cycles_that_move(monkeypatch):
+    # a Look reads the sample of every open cycle past its move start, one
+    # `bisect` for the key (t,) each; a stay-put cycle's samples all sit at
+    # its start, so it is not open (157 lookups here when every cycle was)
+    lookups = 0
+
+    def counted(a, x, *args):
+        nonlocal lookups
+        lookups += type(x) is tuple
+        return bisect_left(a, x, *args)
+
+    monkeypatch.setattr(engine, "bisect_left", counted)
+    scenario, spec = random_vicinity_scenario(0)  # one seed of the synchronizer sweep
+    trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
+                             Adversary(0, NONRIGID))
+    moving = [rec for rec in trace.all_records() if rec.route_global.length > 0.0]
+    assert 0 < lookups == sum(len(rec.mid_move_samples) for rec in moving) == 14
 
 
 def _svp_core_replay(seed):

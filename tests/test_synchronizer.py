@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_small_inputs
-from oracles import color_at, snapshot_oracle
+from oracles import color_at, snapshot_oracle, stay_put_samples
 from robosync import experiments
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.engine import Adversary, FrameSpec, NONRIGID, RIGID, Scenario, simulate
@@ -272,9 +272,22 @@ def _luminous_runs():
 
 
 def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
-    rejected = stale = 0
+    rejected = stale = sampled = 0
     for trace in _luminous_runs():
-        for rec in trace.all_records():
+        records = trace.all_records()
+        # first, since the snapshot oracle reads the samples of every move
+        # in progress at a Look
+        for rec in records:
+            if not rec.accepted:
+                # no stage of the run read them
+                assert "snapshot_local" not in vars(rec) and "mid_move_samples" not in vars(rec)
+                samples = stay_put_samples(trace, *rec.cycle.ident)
+                sampled += bool(samples)
+                # a shallow copy, as the core takes one, builds its own samples
+                assert _core_record(rec, 1).mid_move_samples == samples
+                assert "mid_move_samples" not in vars(rec)
+                assert rec.mid_move_samples == samples  # its first read
+        for rec in records:
             visible, points, colors = snapshot_oracle(trace, *rec.cycle.ident)
             assert rec.visible_set == visible
             if rec.accepted:
@@ -285,21 +298,20 @@ def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
             o = rec.cycle.o
             stale += any(color_at(trace, k, o) != color_at(trace, k, float("inf"))
                          for k in visible)
-            assert "snapshot_local" not in vars(rec)  # no stage of the run read it
             stay = Route.stay_put(rec.pos_at_look)
-            # a shallow copy, as the core takes one, builds its own fields and
-            # keeps the colors it cleared
+            samples = stay_put_samples(trace, *rec.cycle.ident)
+            # a shallow copy builds its own fields and keeps the colors it cleared
             core = _core_record(rec, 1)
             assert (core.snapshot_local, core.snapshot_colors, core.route_global) == (
                 points, None, stay)
             assert "snapshot_local" not in vars(rec)
             copied = replace(rec)
-            assert (copied.snapshot_local, copied.snapshot_colors, copied.route_global) == (
-                points, colors, stay)
+            assert (copied.snapshot_local, copied.snapshot_colors, copied.route_global,
+                    copied.mid_move_samples) == (points, colors, stay, samples)
             eager = replace(rec, snapshot_local=points, snapshot_colors=colors,
-                            route_global=stay)
+                            route_global=stay, mid_move_samples=samples)
             assert rec == eager and rec.to_json() == eager.to_json()
-    assert rejected > 500 and stale > 400
+    assert rejected > 500 and stale > 400 and sampled > 300
 
 
 def test_a_sweep_pass_rotates_no_rejected_snapshot_until_it_is_written(monkeypatch):
