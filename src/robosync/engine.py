@@ -12,34 +12,37 @@ pure function of its inputs.  Each robot has one light, set at its Look: a
 new color shows from its move start on.
 
 A cycle that stays put costs only its verdict and its record.  No stage of
-a synchronizer run reads a rejected cycle's snapshot, route or mid-move
-samples (each at its start), so its record holds what its Look fixed and
-builds them at their first read (`_BuiltAtFirstRead`).  Likewise a route no longer than delta is traversed whole
-whatever the truncation draw z is, so for such a cycle (every stay-put
-cycle) the engine does not draw z at the Look.  The record holds the draw
-bound to the cycle's own (robot, j) instead and makes it at the first read
-of `CycleRecord.z`: same key, same value.  A copy made by
-`dataclasses.replace` reads every field, so it holds the values;
-`extract_core` copies records shallowly, so a core record carries the
-pending draw, still bound to the luminous cycle's (robot, j) although the
-core re-indexes j.  Seeding a keyed `random.Random` costs about 9 us
-(CPython 3.11 on a 2-vCPU Xeon VM) and a synchronizer run rejects most
-cycles, so this skips most of the luminous engine's draws and frame
-rotations; `to_json` reads every field, and so does the same work, later.
+a synchronizer run reads a rejected cycle's visible set, snapshot, route or
+mid-move samples (each at its start), so its record holds what its Look
+fixed and builds them at their first read (`_BuiltAtFirstRead`).  Likewise
+a route no longer than delta is traversed whole whatever the truncation
+draw z is, so for such a cycle (every stay-put cycle) the engine does not
+draw z at the Look.  The record holds the draw bound to the cycle's own
+(robot, j) instead and makes it at the first read of `CycleRecord.z`: same
+key, same value.  A copy made by `dataclasses.replace` reads every field,
+so it holds the values; `extract_core` copies records shallowly, so a core
+record carries the pending draw, still bound to the luminous cycle's
+(robot, j) although the core re-indexes j.  Seeding a keyed `random.Random`
+costs about 9 us (CPython 3.11 on a 2-vCPU Xeon VM) and a synchronizer run
+rejects most cycles, so this skips most of the luminous engine's draws and
+frame rotations; `to_json` reads every field, and so does the same work,
+later.
 
 Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
-distinct instant only the robots whose point changed (arrivals, and at a
-Look the movers' fresh samples) are tested, against the robots in their 3x3
-block of a uniform cell grid (fixed-radius near-neighbour search), whose
-side `geometry.CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS), so a flagged
-pair always lies in neighbouring cells.  The error names the lowest bad pair
-found, which is the pair a scan of every pair at every instant would name.
-A robot whose bad pair does not count between Looks (a threshold pair, or
-an arrival on a mover's stale point) is tested again at the next Look.  A
-cycle has one mid-move sample per Look time inside its move (zipped
-strictly), so at a Look every mover's point is known; only a cycle that
-moves is sampled there.
+distinct instant only the robots whose point changed (arrivals that moved,
+and at a Look the movers' fresh samples) are tested, against the robots in
+their 3x3 block of a uniform cell grid (fixed-radius near-neighbour
+search), whose side `geometry.CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS),
+so a flagged pair always lies in neighbouring cells.  The error names the
+lowest bad pair found, which is the pair a scan of every pair at every
+instant would name.  A robot whose bad pair does not count between Looks (a
+threshold pair, or a shared point with a robot inside its move window) is
+tested again at the next Look.  An arrival that stays put keeps its Look
+point, so it is tested only while such a robot waits: its pair may count
+from its move end on.  A cycle has one mid-move sample per Look time inside
+its move (zipped strictly), so at a Look every mover's point is known; only
+a cycle that moves is sampled there.
 """
 from __future__ import annotations
 
@@ -250,24 +253,30 @@ def _local_snapshot(frame: FrameSpec, seen: list[tuple[int, float, float]],
     return points, (own_color, *[colors[row[4]] for row in rows])
 
 
+def _visible(robot: int, seen: list[tuple[int, float, float]]) -> frozenset[int]:
+    """The observer and the robots in sight."""
+    return frozenset([robot, *[i for i, _, _ in seen]])
+
+
 def _inside(looks: list[float], cycle: Cycle) -> list[float]:
     """The sorted Look times strictly inside the cycle's move."""
     return looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
 
 
 class _BuiltAtFirstRead:
-    """`CycleRecord.snapshot_local`, `snapshot_colors`, `route_global` and
-    `mid_move_samples`.
+    """`CycleRecord.visible_set`, `snapshot_local`, `snapshot_colors`,
+    `route_global` and `mid_move_samples`.
 
     A record holds these fields in its `__dict__`, which shadows this
     non-data descriptor, so reading them costs no call.  A rejected cycle's
     record lacks them and holds instead, in `_seen`, what its Look saw: the
     run's Look times and the arguments of `_local_snapshot`, with the colors
-    read at the Look, since they change later.  The first read of either
-    snapshot field builds both, the first read of the route builds the
-    stay-put route at `pos_at_look`, and that of the samples puts one at arc
-    0 at each Look time inside the move; a field already set on the record
-    (as `_core_record` sets the colors) is kept."""
+    read at the Look, since they change later.  The first read of the
+    visible set builds it from the robots seen, that of either snapshot
+    field builds both, that of the route builds the stay-put route at
+    `pos_at_look`, and that of the samples puts one at arc 0 at each Look
+    time inside the move; a field already set on the record (as
+    `_core_record` sets the colors) is kept."""
 
     def __init__(self, *default):
         self.default = default  # () or (the dataclass default,)
@@ -281,15 +290,17 @@ class _BuiltAtFirstRead:
                 return self.default[0]
             raise AttributeError(self.name)
         fields = rec.__dict__
-        looks, *snapshot = rec._seen
-        if self.name == "route_global":
+        looks, frame, seen, *colors = rec._seen
+        if self.name == "visible_set":
+            fields["visible_set"] = _visible(rec.cycle.robot, seen)
+        elif self.name == "route_global":
             fields["route_global"] = Route.stay_put(rec.pos_at_look)
         elif self.name == "mid_move_samples":
             fields["mid_move_samples"] = tuple((t, 0.0) for t in _inside(looks, rec.cycle))
         else:
-            points, colors = _local_snapshot(*snapshot)
+            points, snapshot_colors = _local_snapshot(frame, seen, *colors)
             fields.setdefault("snapshot_local", points)
-            fields.setdefault("snapshot_colors", colors)
+            fields.setdefault("snapshot_colors", snapshot_colors)
         return fields[self.name]
 
 
@@ -316,7 +327,7 @@ class CycleRecord:
     """Ground truth for one executed cycle."""
     cycle: Cycle
     pos_at_look: Point
-    visible_set: frozenset[int]
+    visible_set: frozenset[int] = _BuiltAtFirstRead()
     snapshot_local: tuple[Point, ...] = _BuiltAtFirstRead()
     route_global: Route = _BuiltAtFirstRead()
     z: float = _DrawnAtFirstRead()
@@ -461,9 +472,10 @@ class Simulation:
     color after)` is set with its record (`initial_color` before its first
     Look).  Events run in time order, so every query about a robot comes at
     or after its last Look.  Its point, for the pair check and the snapshots,
-    is read from the cell index, which the run moves at its arrivals and at
-    the Looks that sample it mid-move (one `bisect` into the samples): only
-    a cycle that moves is open between its Look and its move end.
+    is read from the cell index, which the run moves at the end of a move
+    and at the Looks that sample it mid-move (one `bisect` into the
+    samples): only a cycle that moves is open between its Look and its move
+    end, and a stay-put cycle's move end changes no point.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -507,25 +519,32 @@ class Simulation:
     # -- the incremental pair check -------------------------------------------
 
     def _check_instant(self, t: float, looking: bool) -> None:
-        """Test the robots whose point changed (arrivals and, at a Look, the
-        movers sampled past their start) and at a Look the robots kept since
-        the last Look, and raise for the lowest bad pair found that counts.
+        """Test the robots whose point changed (arrivals that moved and, at a
+        Look, the movers sampled past their start) and at a Look the robots
+        kept since the last Look, and raise for the lowest bad pair found
+        that counts.
 
         At a Look every index point is its robot's position, so every bad
         pair counts.  Between Looks only a collision of two robots not
         strictly mid-move counts: a mover's index point is stale.  A robot
         with a bad pair that does not count stays at rest until its own Look
         and is tested again at the next Look, where its partner has either
-        been tested or held still.  Every bad pair at t involves a robot
-        tested at t, so the lowest one found is the lowest of all.
+        been tested or held still.  An arrival that stayed put holds its
+        Look point, so a bad pair of its was found when the partner's point
+        last changed: it raised then, or the partner waits in `_recheck`.
+        Only then is the arrival tested, since its pair counts from its move
+        end on.  Every bad pair at t involves a robot tested at t, so the
+        lowest one found is the lowest of all.
         """
-        records = self.records
         index = self._index
         changed = []
         for robot in self._arriving.pop(t, ()):
-            self._open.pop(robot, None)
-            index.move(robot, records[robot][-1].pos_after_move)
-            changed.append(robot)
+            record = self._open.pop(robot, None)
+            if record is not None:
+                index.move(robot, record.pos_after_move)
+                changed.append(robot)
+            elif self._recheck:  # a pair it holds may count from now on
+                changed.append(robot)
         if looking:
             for robot, record in self._open.items():
                 if record.cycle.s < t:
@@ -585,19 +604,22 @@ class Simulation:
         s, before, after = lights[robot]
         own_color = after if t >= s else before
         luminous = own_color is not None
-        colors = [after if t >= s else before for s, before, after in
-                  [lights[i] for i, _, _ in seen]] if luminous else None
+        colors = None
+        if luminous:
+            colors = []
+            for i, _, _ in seen:
+                s, before, after = lights[i]
+                colors.append(after if t >= s else before)
         color_after, accepted = self.controller.verdict(own_color, frozenset(colors or ()))
         color_after = color_after if luminous else None
         lights[robot] = (cycle.s, own_color, color_after or own_color)
         frame = self.scenario.frames[robot]
-        visible = frozenset([robot, *[i for i, _, _ in seen]])
         z = (self.adversary, robot, cycle.j)  # drawn at the first read
         if not accepted:  # only what the Look fixed; `_BuiltAtFirstRead` has the rest
             record = object.__new__(CycleRecord)
             record.__dict__ = {
-                "cycle": cycle, "pos_at_look": here, "visible_set": visible, "_z": z,
-                "pos_after_move": here, "color_before": own_color, "color_after": color_after,
+                "cycle": cycle, "pos_at_look": here, "_z": z, "pos_after_move": here,
+                "color_before": own_color, "color_after": color_after,
                 "accepted": accepted if luminous else None,
                 "_seen": (self._look_times, frame, seen, own_color, colors)}
             self.records[robot].append(record)
@@ -620,7 +642,7 @@ class Simulation:
         record = CycleRecord(
             cycle=cycle,
             pos_at_look=here,
-            visible_set=visible,
+            visible_set=_visible(robot, seen),
             snapshot_local=points,
             route_global=route,
             z=z,

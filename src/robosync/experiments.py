@@ -207,7 +207,11 @@ def synchronizer_end_to_end(seed: int, horizon: float = 200.0, machine: str = SV
     out["vicinity_preserved"] = bool(is_vicinity_preserving_run(core))
     report = check_all(core)
     out["all_checks_pass"] = report.all_pass
-    out["verdicts"] = {k: v["verdict"] for k, v in report.to_json()["verdicts"].items()}
+    out["verdicts"] = {"stationary": report.stationary.verdict,
+                       "pairwise_aligned": report.aligned.verdict,
+                       "consistent": report.consistent.verdict,
+                       "serializable": report.serializable.verdict,
+                       "natural": report.natural.verdict}
     if report.all_pass:
         plan = build_plan(core, report.natural_order)
         replayed = replay_plan(scenario, plan)

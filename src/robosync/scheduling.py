@@ -17,10 +17,6 @@ TIME_GRID = 64  # generated times are multiples of 1/64
 _STEP = 1.0 / TIME_GRID
 
 
-def snap_to_grid(t: float) -> float:
-    return round(t * TIME_GRID) / TIME_GRID
-
-
 def on_grid(t: float) -> bool:
     return t * TIME_GRID == round(t * TIME_GRID)
 
@@ -168,23 +164,22 @@ def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
     if n * horizon / shortest_period > MAX_CYCLES:
         raise InputError(f"an async schedule of {n} robots up to {horizon} may exceed "
                          f"{MAX_CYCLES} cycles")
+    (a0, a1), (m0, m1), (b0, b1) = LOOK_TO_MOVE, MOVE, BETWEEN_CYCLES
     robots: list[list[Cycle]] = []
     for i in range(n):
-        rng = random.Random(f"sched:{seed}:{i}")
-
-        def draw(rg: tuple[float, float]) -> float:
-            return max(_STEP, snap_to_grid(rng.uniform(*rg)))
-
+        # each gap is `random.uniform` (lo + (hi - lo) * unit()) snapped to the
+        # grid and at least one grid step, inlined
+        unit = random.Random(f"sched:{seed}:{i}").random
         cycles: list[Cycle] = []
-        t = draw(BETWEEN_CYCLES)
+        t = max(_STEP, round((b0 + (b1 - b0) * unit()) * TIME_GRID) / TIME_GRID)
         while True:
             o = t
-            s = o + draw(LOOK_TO_MOVE)
-            f = s + draw(MOVE)
+            s = o + max(_STEP, round((a0 + (a1 - a0) * unit()) * TIME_GRID) / TIME_GRID)
+            f = s + max(_STEP, round((m0 + (m1 - m0) * unit()) * TIME_GRID) / TIME_GRID)
             if f > horizon:
                 break
             cycles.append(Cycle(i, len(cycles) + 1, o, s, f))
-            t = f + draw(BETWEEN_CYCLES)
+            t = f + max(_STEP, round((b0 + (b1 - b0) * unit()) * TIME_GRID) / TIME_GRID)
         robots.append(cycles)
     return Schedule(n=n, horizon=horizon, robots=robots)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from copy import copy
-from dataclasses import replace
 
 from .algorithms import AlgorithmSpec, compute
 from .engine import (
@@ -34,7 +33,7 @@ from .engine import (
 )
 from .errors import InputError
 from .geometry import is_visible
-from .scheduling import Schedule
+from .scheduling import Cycle, Schedule
 
 _BK_B_W = frozenset((BK, B, W))
 _BK_R_B_W = frozenset((BK, R, B, W))
@@ -119,7 +118,9 @@ def extract_core(trace: Trace) -> Trace:
     core_records = []
     for row in trace.records:
         for rec in row:
-            if not rec.accepted and rec.pos_after_move != rec.pos_at_look:
+            after = rec.pos_after_move
+            # the engine's rejected record holds its Look point as both
+            if not rec.accepted and after is not rec.pos_at_look and after != rec.pos_at_look:
                 raise InputError(
                     f"rejected cycle {rec.cycle.ident} moved; trace is not a "
                     "synchronizer run")
@@ -132,8 +133,9 @@ def _core_record(rec: CycleRecord, j: int) -> CycleRecord:
     """The accepted record as core cycle j, without colors.  A shallow copy
     keeps a pending truncation draw unmade and bound to the luminous cycle's
     own (robot, j); `dataclasses.replace` would read z and so make it."""
+    c = rec.cycle
     core = copy(rec)
-    core.cycle = replace(rec.cycle, j=j)
+    core.cycle = Cycle(c.robot, j, c.o, c.s, c.f)
     core.snapshot_colors = core.color_before = core.color_after = core.accepted = None
     return core
 

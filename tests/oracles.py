@@ -9,14 +9,26 @@ robot's cycles.  `checker.analyze`, `checker.check_stationary`,
 with them on every trace.  Also the engine's snapshot as a Look once built
 it whole, from every robot's point and color at the Look, and a stay-put
 cycle's mid-move samples, from the schedule's Look times, which a record
-whose Look left them to the first read must match.
+whose Look left them to the first read must match.  And the async
+schedule sampler with one `random.uniform` call per gap, which the sampler's
+inlined arithmetic must match on every Python version.
 """
 from __future__ import annotations
+
+import random
 
 from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis
 from robosync.engine import BK, Trace
 from robosync.errors import InputError
 from robosync.geometry import ORIGIN, Point, point_along, squared_distance
+from robosync.scheduling import (
+    BETWEEN_CYCLES,
+    LOOK_TO_MOVE,
+    MOVE,
+    TIME_GRID,
+    Cycle,
+    Schedule,
+)
 
 CycleId = tuple[int, int]
 
@@ -256,3 +268,29 @@ def stay_put_samples(trace: Trace, robot: int, j: int) -> tuple[tuple[float, flo
     cycle = trace.record(robot, j).cycle
     looks = sorted({rec.cycle.o for rec in trace.all_records()})
     return tuple((t, 0.0) for t in looks if cycle.s < t < cycle.f)
+
+
+# -- the async schedule sampler, one `uniform` call per gap -------------------
+
+def async_schedule_oracle(seed: int, n: int, horizon: float) -> Schedule:
+    """`scheduling.sample_async_schedule` with each gap drawn by
+    `random.uniform`, snapped to the 1/64 grid and at least one grid step."""
+    robots: list[list[Cycle]] = []
+    for i in range(n):
+        rng = random.Random(f"sched:{seed}:{i}")
+
+        def draw(rg: tuple[float, float]) -> float:
+            return max(1.0 / TIME_GRID, round(rng.uniform(*rg) * TIME_GRID) / TIME_GRID)
+
+        cycles: list[Cycle] = []
+        t = draw(BETWEEN_CYCLES)
+        while True:
+            o = t
+            s = o + draw(LOOK_TO_MOVE)
+            f = s + draw(MOVE)
+            if f > horizon:
+                break
+            cycles.append(Cycle(i, len(cycles) + 1, o, s, f))
+            t = f + draw(BETWEEN_CYCLES)
+        robots.append(cycles)
+    return Schedule(n=n, horizon=horizon, robots=robots)

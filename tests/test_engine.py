@@ -7,7 +7,14 @@ import pytest
 
 from conftest import random_small_inputs
 from robosync import engine
-from robosync.algorithms import HALT, SCRIPTED, AlgorithmSpec, ScriptEntry, as_controller
+from robosync.algorithms import (
+    HALT,
+    HULL_CONTRACTION,
+    SCRIPTED,
+    AlgorithmSpec,
+    ScriptEntry,
+    as_controller,
+)
 from robosync.checker import check_all
 from robosync.engine import (
     Adversary,
@@ -496,6 +503,34 @@ def test_tested_robots_bad_pairs_name_the_lowest_pair():
                 CollisionError, r"robots 0 and 1 collide at t=1\.0")
 
 
+def test_an_arrival_on_a_stay_put_robot_collides_at_its_move_end():
+    # robot 0 lands at t=1, when nobody looks, on robot 1, which stays put
+    # but is mid-move until t=2, so the pair counts from robot 1's move end
+    scenario = scen((0, 0), (0.5, 0), (5, 5))
+    schedule = sched(3, 4, {0: [(0.0, 0.25, 1.0)], 1: [(0.125, 0.5, 2.0)],
+                            2: [(3.0, 3.25, 3.5)]})
+    _both_raise(scenario, schedule, _Steps({(0, 1): (0.5, 0)}), CollisionError,
+                r"robots 0 and 1 collide at t=2\.0")
+
+
+def test_a_stay_put_arrival_is_tested_only_while_a_robot_awaits_its_recheck(monkeypatch):
+    # its point is its Look point, so it holds a bad pair only if the
+    # partner's last change found one that did not count yet
+    calls = 0
+    bad_pairs = engine._CellIndex.bad_pairs
+
+    def counted(index, i):
+        nonlocal calls
+        calls += 1
+        return bad_pairs(index, i)
+
+    monkeypatch.setattr(engine._CellIndex, "bad_pairs", counted)
+    scenario, spec = random_vicinity_scenario(0)  # one seed of the synchronizer sweep
+    run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
+                     Adversary(0, NONRIGID))
+    assert 0 < calls <= 50  # 285 when every arrival was tested
+
+
 def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID,
              adversary=Adversary):
     try:
@@ -650,26 +685,38 @@ def _lattice(cols, spacing, rows=None):
 
 
 def test_pair_tests_per_cycle_do_not_grow_with_n(monkeypatch):
-    # halt runs on async lattices of 32 and 128 robots with about 520 cycles
-    # each; the full scan at every Look made 459 threshold tests per cycle at
-    # n=32 and 5894 at n=128
+    # async lattices of 32 and 128 robots with about 500 cycles each.  Under
+    # halt no point changes, so no robot is tested (the full scan at every
+    # Look made 459 threshold tests per cycle at n=32 and 5894 at n=128).
+    # Under hull contraction each Look inside a move samples the mover, so
+    # tests per cycle grow with n (112 and 314), while tests per tested
+    # robot (17.5 and 20.9) stay flat where a scan of every robot reads n
     runs = [(_lattice(8, 0.6, rows=4), sample_async_schedule(0, 32, 50.0)),
             (_lattice(16, 0.6, rows=8), sample_async_schedule(0, 128, 12.5))]
-    calls = 0
+    tests = calls = 0
+    bad_pairs = engine._CellIndex.bad_pairs
 
     def counted(p, q):
-        nonlocal calls
-        calls += 1
+        nonlocal tests
+        tests += 1
         return is_threshold_degenerate(p, q)
 
+    def counted_calls(index, i):
+        nonlocal calls
+        calls += 1
+        return bad_pairs(index, i)
+
     monkeypatch.setattr(engine, "is_threshold_degenerate", counted)
-    per_cycle = []
+    monkeypatch.setattr(engine._CellIndex, "bad_pairs", counted_calls)
+    per_call = []
     for scenario, schedule in runs:
-        calls = 0
-        trace = simulate(scenario, schedule, as_controller(AlgorithmSpec(HALT)),
-                         Adversary(0, NONRIGID))
-        per_cycle.append(calls / sum(map(len, trace.records)))
-    assert 0 < per_cycle[1] < 2 * per_cycle[0]
+        tests = calls = 0
+        simulate(scenario, schedule, as_controller(AlgorithmSpec(HALT)), Adversary(0, NONRIGID))
+        assert tests == calls == 0
+        hull = as_controller(AlgorithmSpec(HULL_CONTRACTION, contraction=0.5))
+        simulate(scenario, schedule, hull, Adversary(0, NONRIGID))
+        per_call.append(tests / calls)
+    assert 0 < per_call[1] < 2 * per_call[0]
 
 
 def test_looks_sample_only_the_cycles_that_move(monkeypatch):

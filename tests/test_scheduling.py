@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import async_schedule_oracle
 from robosync.errors import InputError
 from robosync.scheduling import (
     ASYNC_FAIRNESS_WINDOW,
@@ -55,6 +56,13 @@ def test_async_sampler_invariants(seed):
             assert on_grid(c.o) and on_grid(c.s) and on_grid(c.f)
             if k:
                 assert cycles[k - 1].f < c.o
+
+
+def test_async_sampler_matches_the_uniform_oracle():
+    for seed in range(200):
+        for n, horizon in ((1, 10.0), (4, 50.0), (9, 100.0)):
+            sampled = sample_async_schedule(seed, n, horizon)
+            assert sampled == async_schedule_oracle(seed, n, horizon)
 
 
 def test_async_sampler_prefix_extension():

@@ -280,7 +280,7 @@ def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
         for rec in records:
             if not rec.accepted:
                 # no stage of the run read them
-                assert "snapshot_local" not in vars(rec) and "mid_move_samples" not in vars(rec)
+                assert not {"visible_set", "snapshot_local", "mid_move_samples"} & vars(rec).keys()
                 samples = stay_put_samples(trace, *rec.cycle.ident)
                 sampled += bool(samples)
                 # a shallow copy, as the core takes one, builds its own samples
@@ -289,9 +289,9 @@ def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
                 assert rec.mid_move_samples == samples  # its first read
         for rec in records:
             visible, points, colors = snapshot_oracle(trace, *rec.cycle.ident)
-            assert rec.visible_set == visible
             if rec.accepted:
-                assert (rec.snapshot_local, rec.snapshot_colors) == (points, colors)
+                assert (rec.visible_set, rec.snapshot_local, rec.snapshot_colors) == (
+                    visible, points, colors)
                 continue
             rejected += 1
             # the colors shown now, long after the Look, are not the ones it saw
@@ -302,14 +302,16 @@ def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
             samples = stay_put_samples(trace, *rec.cycle.ident)
             # a shallow copy builds its own fields and keeps the colors it cleared
             core = _core_record(rec, 1)
-            assert (core.snapshot_local, core.snapshot_colors, core.route_global) == (
-                points, None, stay)
-            assert "snapshot_local" not in vars(rec)
+            assert (core.visible_set, core.snapshot_local, core.snapshot_colors,
+                    core.route_global) == (visible, points, None, stay)
+            assert "visible_set" not in vars(rec) and "snapshot_local" not in vars(rec)
+            assert rec.visible_set == visible  # its first read
             copied = replace(rec)
-            assert (copied.snapshot_local, copied.snapshot_colors, copied.route_global,
-                    copied.mid_move_samples) == (points, colors, stay, samples)
-            eager = replace(rec, snapshot_local=points, snapshot_colors=colors,
-                            route_global=stay, mid_move_samples=samples)
+            assert (copied.visible_set, copied.snapshot_local, copied.snapshot_colors,
+                    copied.route_global, copied.mid_move_samples) == (
+                visible, points, colors, stay, samples)
+            eager = replace(rec, visible_set=visible, snapshot_local=points,
+                            snapshot_colors=colors, route_global=stay, mid_move_samples=samples)
             assert rec == eager and rec.to_json() == eager.to_json()
     assert rejected > 500 and stale > 400 and sampled > 300
 
