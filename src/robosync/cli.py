@@ -53,7 +53,11 @@ def _load(path: str, parse):
     surfaces here and becomes an InputError."""
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError as exc:
+                raise InputError(f"cannot read {path}: JSON nested too deeply") from exc
+        return parse(data)
     except InputError:
         raise
     except (OSError, json.JSONDecodeError) as exc:

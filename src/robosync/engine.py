@@ -1,32 +1,31 @@
 """Deterministic replay engine: runs a decision rule under a schedule and a
 seeded adversary, producing a ground-truth trace of every cycle.
 
-Events are Looks and move ends, processed strictly in time order (ties
-broken Look < MoveEnd, then robot index).  A Look asks the controller for
-a verdict on the colors in sight and, on accept only, for a route from the
-snapshot (`Controller`).  It draws the non-rigid truncation and the points
-at which Looks inside its move see it, drawn uniformly over the realized
-prefix and sorted by observation time so progress is monotone.  All draws
-are keyed by (seed, robot, cycle, slot), never by call order, so a run is a
-pure function of its inputs.  Each robot has one light, set at its Look: a
-new color shows from its move start on.
+The run buckets its schedule by instant: the cycles that Look then and the
+robots whose move ends then.  It walks the instants in time order, checks
+the pairs once at each, then runs its Looks in robot order.  A Look asks
+the controller for a verdict on the colors in sight and, on accept only,
+for a route from the snapshot (`Controller`).  It draws the non-rigid
+truncation and the points at which Looks inside its move see it, drawn
+uniformly over the realized prefix and sorted by observation time so
+progress is monotone.  All draws are keyed by (seed, robot, cycle, slot),
+never by call order, so a run is a pure function of its inputs.  Each robot
+has one light, set at its Look: a new color shows from its move start on.
 
 A cycle that stays put costs only its verdict and its record.  No stage of
 a synchronizer run reads a rejected cycle's visible set, snapshot, route or
-mid-move samples (each at its start), so its record holds what its Look
-fixed and builds them at their first read (`_BuiltAtFirstRead`).  Likewise
-a route no longer than delta is traversed whole whatever the truncation
-draw z is, so for such a cycle (every stay-put cycle) the engine does not
-draw z at the Look.  The record holds the draw bound to the cycle's own
-(robot, j) instead and makes it at the first read of `CycleRecord.z`: same
-key, same value.  A copy made by `dataclasses.replace` reads every field,
-so it holds the values; `extract_core` copies records shallowly, so a core
-record carries the pending draw, still bound to the luminous cycle's
-(robot, j) although the core re-indexes j.  Seeding a keyed `random.Random`
-costs about 9 us (CPython 3.11 on a 2-vCPU Xeon VM) and a synchronizer run
-rejects most cycles, so this skips most of the luminous engine's draws and
-frame rotations; `to_json` reads every field, and so does the same work,
-later.
+mid-move samples (each at its start).  A route no longer than delta is
+traversed whole whatever the truncation draw z is, so such a cycle (every
+stay-put cycle) need not draw z at the Look.  So a record holds only what
+its Look fixed, and `_BuiltAtFirstRead` builds the rest at its first read,
+z with the key of the cycle's own (robot, j): same key, same value.
+A copy made by `dataclasses.replace` reads every field, so it holds the
+values; `extract_core` copies records shallowly, so a core record carries
+the pending draw, still bound to the luminous cycle's (robot, j) although
+the core re-indexes j.  Seeding a keyed `random.Random` costs about 9 us
+(CPython 3.11 on a 2-vCPU Xeon VM) and a synchronizer run rejects most
+cycles, so this skips most of the luminous engine's draws and frame
+rotations; `to_json` reads every field, and so does the same work, later.
 
 Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
@@ -71,8 +70,6 @@ from .scheduling import Cycle, Schedule, json_cycle, json_index, json_number, js
 
 RIGID = "rigid"
 NONRIGID = "nonrigid"
-
-LOOK, MOVE_END = 0, 1
 
 # the five light colors a luminous trace stores (see synchronizer.py)
 BK, R, B, G, W = "Bk", "R", "B", "G", "W"
@@ -265,18 +262,20 @@ def _inside(looks: list[float], cycle: Cycle) -> list[float]:
 
 class _BuiltAtFirstRead:
     """`CycleRecord.visible_set`, `snapshot_local`, `snapshot_colors`,
-    `route_global` and `mid_move_samples`.
+    `route_global`, `mid_move_samples` and `z`.
 
     A record holds these fields in its `__dict__`, which shadows this
-    non-data descriptor, so reading them costs no call.  A rejected cycle's
-    record lacks them and holds instead, in `_seen`, what its Look saw: the
-    run's Look times and the arguments of `_local_snapshot`, with the colors
-    read at the Look, since they change later.  The first read of the
-    visible set builds it from the robots seen, that of either snapshot
-    field builds both, that of the route builds the stay-put route at
-    `pos_at_look`, and that of the samples puts one at arc 0 at each Look
-    time inside the move; a field already set on the record (as
-    `_core_record` sets the colors) is kept."""
+    non-data descriptor, so reading them costs no call.  A record whose Look
+    drew no z holds instead, in `_draw`, the pending draw `(adversary,
+    robot, j)`; its first read makes the draw and refuses it outside [0, 1].
+    A rejected cycle's record lacks the other fields too and holds, in
+    `_seen`, what its Look saw: the run's Look times and the arguments of
+    `_local_snapshot`, with the colors read at the Look, since they change
+    later.  The first read of the visible set builds it from the robots
+    seen, that of either snapshot field builds both, that of the route
+    builds the stay-put route at `pos_at_look`, and that of the samples puts
+    one at arc 0 at each Look time inside the move; a field already set on
+    the record (as `_core_record` sets the colors) is kept."""
 
     def __init__(self, *default):
         self.default = default  # () or (the dataclass default,)
@@ -290,6 +289,10 @@ class _BuiltAtFirstRead:
                 return self.default[0]
             raise AttributeError(self.name)
         fields = rec.__dict__
+        if self.name == "z":
+            adversary, robot, j = rec._draw
+            fields["z"] = truncation_draw(adversary.draw_truncation(robot, j))
+            return fields["z"]
         looks, frame, seen, *colors = rec._seen
         if self.name == "visible_set":
             fields["visible_set"] = _visible(rec.cycle.robot, seen)
@@ -304,24 +307,6 @@ class _BuiltAtFirstRead:
         return fields[self.name]
 
 
-class _DrawnAtFirstRead:
-    """`CycleRecord.z`: holds a float in [0, 1], or the pending draw
-    `(adversary, robot, j)` bound at the Look, which the first read makes
-    and replaces by its value."""
-
-    def __get__(self, rec, owner=None) -> float:
-        if rec is None:  # class access: the field has no default
-            raise AttributeError("z")
-        z = rec._z
-        if type(z) is tuple:
-            adversary, robot, j = z
-            z = rec._z = truncation_draw(adversary.draw_truncation(robot, j))
-        return z
-
-    def __set__(self, rec, value) -> None:
-        rec._z = value if type(value) is tuple else truncation_draw(value)
-
-
 @dataclass
 class CycleRecord:
     """Ground truth for one executed cycle."""
@@ -330,7 +315,7 @@ class CycleRecord:
     visible_set: frozenset[int] = _BuiltAtFirstRead()
     snapshot_local: tuple[Point, ...] = _BuiltAtFirstRead()
     route_global: Route = _BuiltAtFirstRead()
-    z: float = _DrawnAtFirstRead()
+    z: float = _BuiltAtFirstRead()
     pos_after_move: Point
     mid_move_samples: tuple[tuple[float, float], ...] = _BuiltAtFirstRead(())
     snapshot_colors: tuple[str, ...] | None = _BuiltAtFirstRead(None)
@@ -367,7 +352,7 @@ class CycleRecord:
         snapshot = tuple(json_point(p, "snapshot point") for p in data["snapshot_local"])
         colors = None
         if "snapshot_colors" in data:
-            colors = tuple(_json_choice(k, "snapshot color") for k in data["snapshot_colors"])
+            colors = tuple(json_choice(k, "snapshot color") for k in data["snapshot_colors"])
             if len(colors) != len(snapshot):
                 raise InputError(f"{len(colors)} snapshot colors for {len(snapshot)} "
                                  "snapshot points")
@@ -379,14 +364,14 @@ class CycleRecord:
             visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
             snapshot_local=snapshot,
             route_global=Route(tuple(json_point(p, "route vertex") for p in data["route_global"])),
-            z=json_number(data["z"], "z"),
+            z=truncation_draw(json_number(data["z"], "z")),
             pos_after_move=json_point(data["pos_after_move"], "pos_after_move"),
             mid_move_samples=tuple((json_number(t, "sample time"), json_number(u, "sample arc"))
                                    for t, u in data.get("mid_move_samples", [])),
             snapshot_colors=colors,
-            color_before=(_json_choice(data["color_before"], "color_before")
+            color_before=(json_choice(data["color_before"], "color_before")
                           if "color_before" in data else None),
-            color_after=(_json_choice(data["color_after"], "color_after")
+            color_after=(json_choice(data["color_after"], "color_after")
                          if "color_after" in data else None),
             accepted=data.get("accepted"),
         )
@@ -400,7 +385,8 @@ class CycleRecord:
         return record
 
 
-def _json_choice(value, what: str, choices: tuple = COLORS):
+def json_choice(value, what: str, choices: tuple = COLORS):
+    """`value`, refused unless it is one of `choices` (any JSON value may come in)."""
     if value not in choices:
         raise InputError(f"{what} must be one of {', '.join(map(str, choices))}, "
                          f"got {value!r}")
@@ -460,8 +446,8 @@ class Trace:
                     raise InputError(f"cycle {r.cycle.ident} sees a robot outside "
                                      f"0..{scenario.n - 1}: {sorted(r.visible_set)}")
         return cls(scenario, horizon, records,
-                   kind=_json_choice(data.get("kind", "plain"), "trace kind", KINDS),
-                   machine=_json_choice(data.get("machine"), "trace machine", (None, *MACHINES)))
+                   kind=json_choice(data.get("kind", "plain"), "trace kind", KINDS),
+                   machine=json_choice(data.get("machine"), "trace machine", (None, *MACHINES)))
 
 
 class Simulation:
@@ -470,12 +456,14 @@ class Simulation:
 
     The records are the ground truth.  Each robot's light `(s, color before,
     color after)` is set with its record (`initial_color` before its first
-    Look).  Events run in time order, so every query about a robot comes at
-    or after its last Look.  Its point, for the pair check and the snapshots,
-    is read from the cell index, which the run moves at the end of a move
-    and at the Looks that sample it mid-move (one `bisect` into the
-    samples): only a cycle that moves is open between its Look and its move
-    end, and a stay-put cycle's move end changes no point.
+    Look).  Instants run in time order, and at each the pair check comes
+    before the Looks, which all see the positions and colors of before it;
+    so every query about a robot comes at or after its last Look.  Its
+    point, for the pair check and the snapshots, is read from the cell
+    index, which the run moves at the end of a move and at the Looks that
+    sample it mid-move (one `bisect` into the samples): only a cycle that
+    moves is open between its Look and its move end, and a stay-put cycle's
+    move end changes no point.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -492,33 +480,34 @@ class Simulation:
         self._lights = [(-math.inf, initial_color, initial_color)] * scenario.n
         self._look_times = schedule.look_times()
         self._index = _CellIndex(scenario.initial_positions)
-        self._arriving: dict[float, list[int]] = {}  # move end -> robots
         self._open: dict[int, CycleRecord] = {}  # movers between their Look and move end
         self._recheck: list[int] = []  # robots to test again at the next Look
 
     def run(self) -> Trace:
-        events = sorted(event for cycles in self.schedule.robots for c in cycles
-                        for event in ((c.o, LOOK, c.robot, c), (c.f, MOVE_END, c.robot, c)))
+        # instant -> (the cycles that Look then, the robots whose move ends
+        # then), each in robot order
+        instants: dict[float, tuple[list[Cycle], list[int]]] = {}
+        for cycles in self.schedule.robots:
+            for c in cycles:
+                instants.setdefault(c.o, ([], []))[0].append(c)
+                instants.setdefault(c.f, ([], []))[1].append(c.robot)
         index = self._index
-        now = None
-        for t, kind, robot, cycle in events:
-            if t != now:
-                # every event at one instant sees the same positions: a Look's
-                # record reads as its robot's position and color before it, and
-                # a move's end point is set at its Look.  Looks sort first, so
-                # the first event's check is the strongest one
-                now = t
-                self._check_instant(t, looking=kind == LOOK)
-            if kind == LOOK:
+        for t in sorted(instants):
+            # every Look at one instant sees the same positions: a Look's
+            # record reads as its robot's position and color before it, and
+            # a move's end point is set at its Look
+            looks, arrivals = instants[t]
+            self._check_instant(t, looks, arrivals)
+            for cycle in looks:
+                robot = cycle.robot
                 if self._look(robot, cycle, index.points, index.near(robot)):  # it moves
                     self._open[robot] = self.records[robot][-1]
-                self._arriving.setdefault(cycle.f, []).append(robot)
         kind = "luminous" if self.initial_color else "plain"
         return Trace(self.scenario, self.schedule.horizon, self.records, kind=kind)
 
     # -- the incremental pair check -------------------------------------------
 
-    def _check_instant(self, t: float, looking: bool) -> None:
+    def _check_instant(self, t: float, looks: list[Cycle], arrivals: list[int]) -> None:
         """Test the robots whose point changed (arrivals that moved and, at a
         Look, the movers sampled past their start) and at a Look the robots
         kept since the last Look, and raise for the lowest bad pair found
@@ -538,14 +527,14 @@ class Simulation:
         """
         index = self._index
         changed = []
-        for robot in self._arriving.pop(t, ()):
+        for robot in arrivals:
             record = self._open.pop(robot, None)
             if record is not None:
                 index.move(robot, record.pos_after_move)
                 changed.append(robot)
             elif self._recheck:  # a pair it holds may count from now on
                 changed.append(robot)
-        if looking:
+        if looks:
             for robot, record in self._open.items():
                 if record.cycle.s < t:
                     # `_look` drew a sample for each Look time inside (s, f)
@@ -560,7 +549,7 @@ class Simulation:
         for robot in changed:  # a plain loop: a comprehension costs more per instant
             for pair in index.bad_pairs(robot):
                 a, b, same = pair
-                if looking or same and not (self._moving(a, t) or self._moving(b, t)):
+                if looks or same and not (self._moving(a, t) or self._moving(b, t)):
                     if lowest is None or pair < lowest:
                         lowest = pair
                 elif robot not in self._recheck:
@@ -614,45 +603,35 @@ class Simulation:
         color_after = color_after if luminous else None
         lights[robot] = (cycle.s, own_color, color_after or own_color)
         frame = self.scenario.frames[robot]
-        z = (self.adversary, robot, cycle.j)  # drawn at the first read
+        fields = {"cycle": cycle, "pos_at_look": here, "pos_after_move": here,
+                  "_draw": (self.adversary, robot, cycle.j),  # z, at its first read
+                  "color_before": own_color, "color_after": color_after,
+                  "accepted": accepted if luminous else None}
         if not accepted:  # only what the Look fixed; `_BuiltAtFirstRead` has the rest
-            record = object.__new__(CycleRecord)
-            record.__dict__ = {
-                "cycle": cycle, "pos_at_look": here, "_z": z, "pos_after_move": here,
-                "color_before": own_color, "color_after": color_after,
-                "accepted": accepted if luminous else None,
-                "_seen": (self._look_times, frame, seen, own_color, colors)}
-            self.records[robot].append(record)
-            return False
-        points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
-        route = self.controller.route(robot, cycle.j, here, frame, points)
-        if route.start != here:
-            raise SimulationError("computed route must start at the robot")
-        realized = route.length
-        if realized > self.scenario.delta:
-            z = self.adversary.draw_truncation(robot, cycle.j)
-            realized = truncated_length(route.length, self.scenario.delta, z)
-        # else traversed whole for every z: draw it at the first read
-        obs_times = _inside(self._look_times, cycle)
-        if realized > 0.0:
-            arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
-                robot, cycle.j, len(obs_times)))
-        else:  # every fraction of nothing is 0, so there is nothing to draw
-            arcs = [0.0] * len(obs_times)
-        record = CycleRecord(
-            cycle=cycle,
-            pos_at_look=here,
-            visible_set=_visible(robot, seen),
-            snapshot_local=points,
-            route_global=route,
-            z=z,
-            pos_after_move=point_along(route, realized),
-            mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
-            snapshot_colors=snapshot_colors,
-            color_before=own_color,
-            color_after=color_after,
-            accepted=accepted if luminous else None,
-        )
+            fields["_seen"] = (self._look_times, frame, seen, own_color, colors)
+            realized = 0.0
+        else:
+            points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
+            route = self.controller.route(robot, cycle.j, here, frame, points)
+            if route.start != here:
+                raise SimulationError("computed route must start at the robot")
+            realized = route.length
+            if realized > self.scenario.delta:
+                z = fields["z"] = self.adversary.draw_truncation(robot, cycle.j)
+                realized = truncated_length(route.length, self.scenario.delta, z)
+            # else traversed whole for every z: draw it at the first read
+            obs_times = _inside(self._look_times, cycle)
+            if realized > 0.0:
+                arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
+                    robot, cycle.j, len(obs_times)))
+            else:  # every fraction of nothing is 0, so there is nothing to draw
+                arcs = [0.0] * len(obs_times)
+            fields.update(visible_set=_visible(robot, seen), snapshot_local=points,
+                          route_global=route, pos_after_move=point_along(route, realized),
+                          mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
+                          snapshot_colors=snapshot_colors)
+        record = object.__new__(CycleRecord)
+        record.__dict__ = fields
         self.records[robot].append(record)
         return realized > 0.0
 

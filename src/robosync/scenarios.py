@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .algorithms import HALT, HULL_CONTRACTION, SCRIPTED, AlgorithmSpec, ScriptEntry
-from .engine import NONRIGID, RIGID, FrameSpec, Scenario
+from .engine import MACHINES, NONRIGID, RIGID, FrameSpec, Scenario, json_choice
 from .errors import InputError
 from .geometry import Point
 from .scheduling import Cycle, Schedule
@@ -240,8 +240,9 @@ def bundle_from_json(data: dict) -> dict:
         "schedule": Schedule.from_json(data["schedule"]) if "schedule" in data else None,
         "algorithm": (AlgorithmSpec.from_json(data["algorithm"])
                       if "algorithm" in data else None),
-        "machine": data.get("machine"),
-        "adversary_mode": data.get("adversary_mode"),
+        "machine": json_choice(data.get("machine"), "scenario machine", (None, *MACHINES)),
+        "adversary_mode": json_choice(data.get("adversary_mode"), "scenario adversary_mode",
+                                      (None, RIGID, NONRIGID)),
     }
     return out
 

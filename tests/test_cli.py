@@ -268,6 +268,9 @@ FILE_CASES = {
     "scripted entry without snapshot":
         lambda: ("--algo", {"kind": "scripted", "script": [{"route": [[0, 0]]}]}),
     "algorithm file that is a list": lambda: ("--algo", []),
+    'scenario machine of ["x"]': lambda: _trap_bundle(lambda d: d.update(machine=["x"])),
+    'scenario machine of {"a": 1}': lambda: _trap_bundle(lambda d: d.update(machine={"a": 1})),
+    "scenario adversary_mode of {}": lambda: _trap_bundle(lambda d: d.update(adversary_mode={})),
     "infinite frame rotation":
         lambda: _trap_bundle(lambda d: d["frames"][0].update(rotation="inf")),
     "NaN delta": lambda: _trap_bundle(lambda d: d.update(delta="nan")),
@@ -298,6 +301,16 @@ def _simulate_no_robots(trace):
     path.write_text(json.dumps(NO_ROBOTS))
     return ["simulate", "--scenario", path, "--schedule", "fsync:2", "--algo", "halt",
             "--machine", "svp"]
+
+
+def _nested(*argv):
+    """`argv` with FILE replaced by a file of 200,000 nested lists, which
+    nests deeper than the JSON parser recurses."""
+    def args(trace):
+        path = trace.parent / "nested.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        return [path if arg == "FILE" else arg for arg in argv]
+    return args
 
 
 def _edited_check(edit):
@@ -364,6 +377,9 @@ FLAG_CASES = {
     "snapshot_local of []": _first_record(snapshot_local=[]),
     "trace kind of 5": _edited_check(lambda raw: raw.update(kind=5)),
     'trace machine of ["x"]': _edited_check(lambda raw: raw.update(machine=["x"])),
+    "check a deeply nested file": _nested("check", "FILE"),
+    "simulate a deeply nested scenario": _nested("simulate", "--scenario", "FILE"),
+    "simulate a deeply nested schedule": _nested(*CONTROL, "--algo", "halt", "--schedule", "FILE"),
 }
 
 

@@ -33,6 +33,7 @@ from robosync.scenarios import necessity_template, random_vicinity_scenario
 from robosync.scheduling import Cycle, Schedule, make_fsync_schedule, sample_async_schedule
 from robosync.synchronizer import (
     BK,
+    GREEDY,
     SVP,
     SynchronizerController,
     extract_core,
@@ -307,9 +308,22 @@ def test_degenerate_threshold_during_run_aborts():
 
 
 def test_trace_json_round_trip():
-    trace = _mid_move_setup(4)
-    again = Trace.from_json(trace.to_json())
-    assert again.to_json() == trace.to_json()
+    # the luminous runs hold rejected records and pending draws, so comparing
+    # a fresh run's records with loaded ones builds and draws them at the read
+    scenario, spec = random_vicinity_scenario(0)
+    schedule = sample_async_schedule(0, scenario.n, 60.0)
+    runs = [lambda: _mid_move_setup(4)]
+    runs += [lambda m=machine: run_synchronized(scenario, spec, schedule,
+                                                Adversary(0, NONRIGID), m)
+             for machine in (SVP, GREEDY)]
+    pending = 0
+    for run in runs:
+        trace = run()
+        pending += sum("z" not in vars(rec) for rec in trace.all_records())
+        again = Trace.from_json(run().to_json())
+        assert again.records == trace.records
+        assert again.to_json() == trace.to_json()
+    assert pending
 
 
 class _EveryEventChecking(Simulation):
