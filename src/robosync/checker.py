@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .engine import Trace
 from .geometry import squared_distance
@@ -27,24 +26,6 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 
 
 # -- the relation pass -------------------------------------------------------
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
 
 @dataclass
 class ConcurrencyAnalysis:
@@ -73,19 +54,6 @@ class ConcurrencyAnalysis:
         return succ
 
 
-class _Timeline(NamedTuple):
-    """One robot's cycles in order.  o < s < f and f_{j-1} < o_j make each
-    time list strictly increasing, so it can be searched with bisect."""
-    ids: list[CycleId]
-    looks: list[float]
-    starts: list[float]
-    ends: list[float]
-
-
-def _ordered(a: CycleId, b: CycleId) -> tuple[CycleId, CycleId]:
-    return (a, b) if a < b else (b, a)
-
-
 def analyze(trace: Trace) -> ConcurrencyAnalysis:
     """Build all three relations without visiting a pair of cycles.  For a
     cycle x and a robot r that x sees, each relation below has at most one
@@ -98,59 +66,88 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
     f_k < o_{k+1} put a move of r holding x's Look, if any, in r's last
     cycle with a Look at or before x's.  The direct pairwise definitions are
     the tests' oracles (tests/oracles.py).
+
+    A robot's timeline is its row's offset into the cycle list and its Look,
+    move-start and end times, each strictly increasing (o < s < f and
+    f_{j-1} < o_j), built in one loop over the row.  The classes come from a
+    union-find over cycle indices (path halving), and each is keyed by its
+    earliest (Look, robot, j), read from the timelines.
     """
-    ids = trace.cycle_ids()
-    timelines = [_Timeline([r.cycle.ident for r in row], [r.cycle.o for r in row],
-                           [r.cycle.s for r in row], [r.cycle.f for r in row])
-                 for row in trace.records]
-    uf = _UnionFind(ids)
+    ids: list[CycleId] = []
+    timelines: list[tuple[int, list[float], list[float], list[float]]] = []
+    for row in trace.records:
+        base = len(ids)
+        looks, starts, ends = [], [], []
+        for rec in row:
+            c = rec.cycle
+            ids.append((c.robot, c.j))
+            looks.append(c.o)
+            starts.append(c.s)
+            ends.append(c.f)
+        timelines.append((base, looks, starts, ends))
+    parent = list(range(len(ids)))  # the union-find, over indices into ids
     concurrent: set[tuple[CycleId, CycleId]] = set()
     overlapping: set[tuple[CycleId, CycleId]] = set()
     stationary: list[tuple[CycleId, CycleId]] = []
     hb: dict[tuple[CycleId, CycleId], bool] = {  # (a, b) -> only_at_horizon
-        (line.ids[k], line.ids[k + 1]): False
-        for line in timelines for k in range(len(line.ids) - 1)}
-    for rec in trace.all_records():
-        x = rec.cycle
-        a = x.ident
-        for r in rec.visible_set:
-            if r == x.robot:
-                continue
-            line = timelines[r]
-            looks, ends = line.looks, line.ends
-            # concurrency: the first Look of r at or after x's, before x's move
-            k = bisect_left(looks, x.o)
-            if k < len(looks) and looks[k] <= x.s and (k == 0 or ends[k - 1] < x.o):
-                concurrent.add(_ordered(a, line.ids[k]))
-                uf.union(a, line.ids[k])
-            # overlap: the last Look of r at or before x's, still running at it;
-            # equal Looks are found from both sides, the set keeps one
-            k = bisect_right(looks, x.o) - 1
-            if k >= 0 and x.o <= ends[k]:
-                overlapping.add(_ordered(a, line.ids[k]))
-                if line.starts[k] < x.o < ends[k]:
-                    stationary.append((a, line.ids[k]))
-            # case 3, x -> v: the first Look of r after x ends, r at rest at x's Look
-            k = bisect_right(looks, x.f)
-            if k < len(looks) and (k == 0 or ends[k - 1] < x.o):
-                hb[(a, line.ids[k])] = False
-            # case 4, u -> x: the last cycle of r ending before x's Look, whose
-            # next move starts no earlier; past r's last cycle that bound is
-            # assumed, so the edge is horizon-only unless case 3 also holds
-            k = bisect_left(ends, x.o) - 1
-            if k >= 0:
-                beyond = k + 1 == len(looks)
-                if beyond or x.o <= line.starts[k + 1]:
-                    hb.setdefault((line.ids[k], a), beyond)
+        (ids[k], ids[k + 1]): False
+        for base, looks, _, _ in timelines for k in range(base, base + len(looks) - 1)}
+    x = -1
+    for row in trace.records:
+        for rec in row:
+            x += 1
+            a = ids[x]
+            c = rec.cycle
+            robot, xo, xs, xf = c.robot, c.o, c.s, c.f
+            for r in rec.visible_set:
+                if r == robot:
+                    continue
+                base, looks, starts, ends = timelines[r]
+                # concurrency: the first Look of r at or after x's, before x's move
+                k = bisect_left(looks, xo)
+                if k < len(looks) and looks[k] <= xs and (k == 0 or ends[k - 1] < xo):
+                    b = ids[base + k]
+                    concurrent.add((a, b) if a < b else (b, a))
+                    ra = x
+                    while parent[ra] != ra:
+                        parent[ra] = ra = parent[parent[ra]]
+                    rb = base + k
+                    while parent[rb] != rb:
+                        parent[rb] = rb = parent[parent[rb]]
+                    parent[rb] = ra
+                # overlap: the last Look of r at or before x's, still running at it;
+                # equal Looks are found from both sides, the set keeps one
+                k = bisect_right(looks, xo) - 1
+                if k >= 0 and xo <= ends[k]:
+                    b = ids[base + k]
+                    overlapping.add((a, b) if a < b else (b, a))
+                    if starts[k] < xo < ends[k]:
+                        stationary.append((a, b))
+                # case 3, x -> v: the first Look of r after x ends, r at rest at x's Look
+                k = bisect_right(looks, xf)
+                if k < len(looks) and (k == 0 or ends[k - 1] < xo):
+                    hb[(a, ids[base + k])] = False
+                # case 4, u -> x: the last cycle of r ending before x's Look, whose
+                # next move starts no earlier; past r's last cycle that bound is
+                # assumed, so the edge is horizon-only unless case 3 also holds
+                k = bisect_left(ends, xo) - 1
+                if k >= 0:
+                    beyond = k + 1 == len(looks)
+                    if beyond or xo <= starts[k + 1]:
+                        hb.setdefault((ids[base + k], a), beyond)
     misaligned = sorted(overlapping - concurrent)
     # source-major in cycle_ids() order; self_loops[0] depends on it
     hb_pairs = sorted((a, b, horizon_only) for (a, b), horizon_only in hb.items())
 
-    groups: dict[CycleId, list[CycleId]] = {}
-    for c in ids:
-        groups.setdefault(uf.find(c), []).append(c)
-    classes = sorted(groups.values(),
-                     key=lambda cls: min((trace.record(*c).cycle.o, *c) for c in cls))
+    groups: dict[int, list[int]] = {}
+    for x in range(len(ids)):
+        root = x
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        groups.setdefault(root, []).append(x)
+    look_of = [o for _, looks, _, _ in timelines for o in looks]  # aligned with ids
+    classes = [[ids[x] for x in members] for members in sorted(
+        groups.values(), key=lambda members: min((look_of[x], ids[x]) for x in members))]
     class_of = {c: k for k, cls in enumerate(classes) for c in cls}
 
     class_edges: dict[tuple[int, int], bool] = {}

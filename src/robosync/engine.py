@@ -66,7 +66,8 @@ from .geometry import (
     truncated_length,
     truncation_draw,
 )
-from .scheduling import Cycle, Schedule, json_cycle, json_index, json_number, json_point
+from .scheduling import (Cycle, Schedule, json_cycle, json_index, json_number, json_point,
+                         json_point_rows)
 
 RIGID = "rigid"
 NONRIGID = "nonrigid"
@@ -265,17 +266,21 @@ class _BuiltAtFirstRead:
     `route_global`, `mid_move_samples` and `z`.
 
     A record holds these fields in its `__dict__`, which shadows this
-    non-data descriptor, so reading them costs no call.  A record whose Look
-    drew no z holds instead, in `_draw`, the pending draw `(adversary,
-    robot, j)`; its first read makes the draw and refuses it outside [0, 1].
-    A rejected cycle's record lacks the other fields too and holds, in
-    `_seen`, what its Look saw: the run's Look times and the arguments of
-    `_local_snapshot`, with the colors read at the Look, since they change
-    later.  The first read of the visible set builds it from the robots
-    seen, that of either snapshot field builds both, that of the route
-    builds the stay-put route at `pos_at_look`, and that of the samples puts
-    one at arc 0 at each Look time inside the move; a field already set on
-    the record (as `_core_record` sets the colors) is kept."""
+    non-data descriptor, so reading them costs no call.  The first read of
+    a field the record lacks builds it from one of three sources and stores
+    it on the record:
+    - a pending draw, `_draw = (adversary, robot, j)`, of a record whose
+      Look drew no z: the read makes the draw and refuses it outside [0, 1];
+    - what a rejected cycle's Look saw, `_seen`: the run's Look times and
+      the arguments of `_local_snapshot`, with the colors read at the Look,
+      since they change later.  The visible set is built from the robots
+      seen, either snapshot field builds both, the route is the stay-put
+      route at `pos_at_look`, and the samples put one at arc 0 at each Look
+      time inside the move; a field already set on the record (as
+      `_core_record` sets the colors) is kept;
+    - a loaded record's checked JSON rows, `_rows = (snapshot rows, sample
+      rows)`: the snapshot and the samples, as floats, the values
+      `json_point` and `float` give."""
 
     def __init__(self, *default):
         self.default = default  # () or (the dataclass default,)
@@ -288,23 +293,31 @@ class _BuiltAtFirstRead:
             if self.default:
                 return self.default[0]
             raise AttributeError(self.name)
-        fields = rec.__dict__
-        if self.name == "z":
+        name = self.name
+        if name == "z":
             adversary, robot, j = rec._draw
-            fields["z"] = truncation_draw(adversary.draw_truncation(robot, j))
-            return fields["z"]
-        looks, frame, seen, *colors = rec._seen
-        if self.name == "visible_set":
-            fields["visible_set"] = _visible(rec.cycle.robot, seen)
-        elif self.name == "route_global":
-            fields["route_global"] = Route.stay_put(rec.pos_at_look)
-        elif self.name == "mid_move_samples":
-            fields["mid_move_samples"] = tuple((t, 0.0) for t in _inside(looks, rec.cycle))
+            value = truncation_draw(adversary.draw_truncation(robot, j))
+        elif rec._rows is not None:  # a loaded record: the snapshot or the samples
+            points, samples = rec._rows
+            value = (tuple([Point(float(x), float(y)) for x, y in points])
+                     if name == "snapshot_local"
+                     else tuple([(float(t), float(u)) for t, u in samples]))
         else:
-            points, snapshot_colors = _local_snapshot(frame, seen, *colors)
-            fields.setdefault("snapshot_local", points)
-            fields.setdefault("snapshot_colors", snapshot_colors)
-        return fields[self.name]
+            looks, frame, seen, *colors = rec._seen
+            if name == "visible_set":
+                value = _visible(rec.cycle.robot, seen)
+            elif name == "route_global":
+                value = Route.stay_put(rec.pos_at_look)
+            elif name == "mid_move_samples":
+                value = tuple((t, 0.0) for t in _inside(looks, rec.cycle))
+            else:
+                points, snapshot_colors = _local_snapshot(frame, seen, *colors)
+                fields = rec.__dict__
+                fields.setdefault("snapshot_local", points)
+                fields.setdefault("snapshot_colors", snapshot_colors)
+                return fields[name]
+        setattr(rec, name, value)  # `rec.__dict__` would make a dict object for it
+        return value
 
 
 @dataclass
@@ -322,6 +335,7 @@ class CycleRecord:
     color_before: str | None = None
     color_after: str | None = None
     accepted: bool | None = None
+    _rows = None  # a loaded record's checked JSON rows (`from_json`); not a field
 
     def to_json(self) -> dict:
         out = {
@@ -347,42 +361,63 @@ class CycleRecord:
         """A color field, when present, holds one of COLORS, `accepted` a
         boolean, and `snapshot_colors` one color per snapshot point.  The
         visible set holds the record's own robot, and the snapshot one point
-        per visible robot."""
+        per visible robot.
+
+        Every field is checked here, in one order, so malformed input is
+        refused at load.  The snapshot and the mid-move samples, which no
+        check reads, are kept as their checked JSON rows and built at their
+        first read (`_BuiltAtFirstRead`): the record keeps references to
+        those rows of `data`, which must not change after."""
         c = data["cycle"]
-        snapshot = tuple(json_point(p, "snapshot point") for p in data["snapshot_local"])
+        points = json_point_rows(data["snapshot_local"], "snapshot point")
         colors = None
         if "snapshot_colors" in data:
             colors = tuple(json_choice(k, "snapshot color") for k in data["snapshot_colors"])
-            if len(colors) != len(snapshot):
-                raise InputError(f"{len(colors)} snapshot colors for {len(snapshot)} "
+            if len(colors) != len(points):
+                raise InputError(f"{len(colors)} snapshot colors for {len(points)} "
                                  "snapshot points")
         if "accepted" in data and type(data["accepted"]) is not bool:
             raise InputError(f"accepted must be true or false, got {data['accepted']!r}")
-        record = cls(
-            cycle=json_cycle(c, json_index(c["robot"], "robot index")),
-            pos_at_look=json_point(data["pos_at_look"], "pos_at_look"),
-            visible_set=frozenset(json_index(i, "visible robot") for i in data["visible_set"]),
-            snapshot_local=snapshot,
-            route_global=Route(tuple(json_point(p, "route vertex") for p in data["route_global"])),
-            z=truncation_draw(json_number(data["z"], "z")),
-            pos_after_move=json_point(data["pos_after_move"], "pos_after_move"),
-            mid_move_samples=tuple((json_number(t, "sample time"), json_number(u, "sample arc"))
-                                   for t, u in data.get("mid_move_samples", [])),
-            snapshot_colors=colors,
-            color_before=(json_choice(data["color_before"], "color_before")
-                          if "color_before" in data else None),
-            color_after=(json_choice(data["color_after"], "color_after")
-                         if "color_after" in data else None),
-            accepted=data.get("accepted"),
-        )
-        cycle, visible = record.cycle, record.visible_set
+        record = object.__new__(cls)  # fields in the one order (see `_every_key`)
+        record.cycle = cycle = json_cycle(c, json_index(c["robot"], "robot index"))
+        record.pos_at_look = json_point(data["pos_at_look"], "pos_at_look")
+        record.visible_set = visible = frozenset(
+            json_index(i, "visible robot") for i in data["visible_set"])
+        record.route_global = Route(tuple(json_point(p, "route vertex")
+                                          for p in data["route_global"]))
+        record.z = truncation_draw(json_number(data["z"], "z"))
+        record.pos_after_move = json_point(data["pos_after_move"], "pos_after_move")
+        samples = data.get("mid_move_samples", [])
+        for t, u in samples:
+            json_number(t, "sample time")
+            json_number(u, "sample arc")
+        record.snapshot_colors = colors
+        record.color_before = (json_choice(data["color_before"], "color_before")
+                               if "color_before" in data else None)
+        record.color_after = (json_choice(data["color_after"], "color_after")
+                              if "color_after" in data else None)
+        record.accepted = data.get("accepted")
+        record._rows = (points, samples)
         if cycle.robot not in visible:
             raise InputError(f"cycle {cycle.ident} does not see its own robot: "
                              f"visible_set {sorted(visible)}")
-        if len(snapshot) != len(visible):
-            raise InputError(f"cycle {cycle.ident}: {len(snapshot)} snapshot points for "
+        if len(points) != len(visible):
+            raise InputError(f"cycle {cycle.ident}: {len(points)} snapshot points for "
                              f"{len(visible)} visible robots")
         return record
+
+
+# CPython's instance dicts of one class share a key table that only the
+# class's first few instances may extend, and a record holding a key outside
+# it gets a dict of its own.  The first record is this one, which puts in
+# the table every key a record may hold, in the one order every record sets
+# its fields: the dataclass fields, then `_draw`, `_seen` and `_rows`.  A
+# 1280-cycle halt run then holds 2682 KB instead of 3067 (tracemalloc,
+# CPython 3.11).
+_every_key = object.__new__(CycleRecord)
+for _key in (*CycleRecord.__dataclass_fields__, "_draw", "_seen", "_rows"):
+    setattr(_every_key, _key, None)
+del _every_key, _key
 
 
 def json_choice(value, what: str, choices: tuple = COLORS):
@@ -440,11 +475,12 @@ class Trace:
         horizon = json_number(data["horizon"], "horizon")
         # the cycle rows must form a valid schedule for the scenario's robots
         Schedule(scenario.n, horizon, [[r.cycle for r in row] for row in records])
+        n = scenario.n
         for row in records:
             for r in row:
-                if not all(0 <= k < scenario.n for k in r.visible_set):
+                if not all(0 <= k < n for k in r.visible_set):
                     raise InputError(f"cycle {r.cycle.ident} sees a robot outside "
-                                     f"0..{scenario.n - 1}: {sorted(r.visible_set)}")
+                                     f"0..{n - 1}: {sorted(r.visible_set)}")
         return cls(scenario, horizon, records,
                    kind=json_choice(data.get("kind", "plain"), "trace kind", KINDS),
                    machine=json_choice(data.get("machine"), "trace machine", (None, *MACHINES)))
@@ -463,7 +499,9 @@ class Simulation:
     index, which the run moves at the end of a move and at the Looks that
     sample it mid-move (one `bisect` into the samples): only a cycle that
     moves is open between its Look and its move end, and a stay-put cycle's
-    move end changes no point.
+    move end changes no point.  So an instant with no Look, no robot
+    awaiting its recheck and no moving cycle ending changes no point and
+    tests no robot, and the run skips its pair check.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -492,12 +530,16 @@ class Simulation:
                 instants.setdefault(c.o, ([], []))[0].append(c)
                 instants.setdefault(c.f, ([], []))[1].append(c.robot)
         index = self._index
+        moving = self._open.keys()
         for t in sorted(instants):
             # every Look at one instant sees the same positions: a Look's
             # record reads as its robot's position and color before it, and
             # a move's end point is set at its Look
             looks, arrivals = instants[t]
-            self._check_instant(t, looks, arrivals)
+            # with no Look, no robot awaiting its recheck and no mover
+            # arriving, no point changed and no robot is tested
+            if looks or self._recheck or not moving.isdisjoint(arrivals):
+                self._check_instant(t, looks, arrivals)
             for cycle in looks:
                 robot = cycle.robot
                 if self._look(robot, cycle, index.points, index.near(robot)):  # it moves
@@ -603,12 +645,12 @@ class Simulation:
         color_after = color_after if luminous else None
         lights[robot] = (cycle.s, own_color, color_after or own_color)
         frame = self.scenario.frames[robot]
-        fields = {"cycle": cycle, "pos_at_look": here, "pos_after_move": here,
-                  "_draw": (self.adversary, robot, cycle.j),  # z, at its first read
-                  "color_before": own_color, "color_after": color_after,
-                  "accepted": accepted if luminous else None}
+        # fields in the one order every record sets them (see `_every_key`)
+        record = object.__new__(CycleRecord)
+        record.cycle = cycle
+        record.pos_at_look = here
         if not accepted:  # only what the Look fixed; `_BuiltAtFirstRead` has the rest
-            fields["_seen"] = (self._look_times, frame, seen, own_color, colors)
+            record.pos_after_move = here
             realized = 0.0
         else:
             points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
@@ -616,22 +658,28 @@ class Simulation:
             if route.start != here:
                 raise SimulationError("computed route must start at the robot")
             realized = route.length
+            record.visible_set = _visible(robot, seen)
+            record.snapshot_local = points
+            record.route_global = route
             if realized > self.scenario.delta:
-                z = fields["z"] = self.adversary.draw_truncation(robot, cycle.j)
+                z = record.z = self.adversary.draw_truncation(robot, cycle.j)
                 realized = truncated_length(route.length, self.scenario.delta, z)
             # else traversed whole for every z: draw it at the first read
+            record.pos_after_move = point_along(route, realized)
             obs_times = _inside(self._look_times, cycle)
             if realized > 0.0:
                 arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
                     robot, cycle.j, len(obs_times)))
             else:  # every fraction of nothing is 0, so there is nothing to draw
                 arcs = [0.0] * len(obs_times)
-            fields.update(visible_set=_visible(robot, seen), snapshot_local=points,
-                          route_global=route, pos_after_move=point_along(route, realized),
-                          mid_move_samples=tuple(zip(obs_times, arcs, strict=True)),
-                          snapshot_colors=snapshot_colors)
-        record = object.__new__(CycleRecord)
-        record.__dict__ = fields
+            record.mid_move_samples = tuple(zip(obs_times, arcs, strict=True))
+            record.snapshot_colors = snapshot_colors
+        record.color_before = own_color
+        record.color_after = color_after
+        record.accepted = accepted if luminous else None
+        record._draw = (self.adversary, robot, cycle.j)  # z, at its first read
+        if not accepted:
+            record._seen = (self._look_times, frame, seen, own_color, colors)
         self.records[robot].append(record)
         return realized > 0.0
 

@@ -49,6 +49,16 @@ def json_point(value: object, what: str) -> Point:
     return Point(float(value[0]), float(value[1]))
 
 
+def json_point_rows(rows, what: str):
+    """`rows`, each refused as `json_point` refuses it, but no point built:
+    each must be a list of two finite numbers."""
+    for p in rows:
+        if not (type(p) is list and len(p) == 2 and type(p[0]) in _NUMBER
+                and type(p[1]) in _NUMBER and math.isfinite(p[0]) and math.isfinite(p[1])):
+            json_point(p, what)  # raises its error, or `Point`'s for a non-finite one
+    return rows
+
+
 @dataclass(frozen=True)
 class Cycle:
     """One Look-Compute-Move activation: snapshot at o, movement over (s, f)."""

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -342,6 +343,12 @@ def lattice_halt_trace():
                     as_controller(AlgorithmSpec(HALT)), Adversary(0, "nonrigid"))
 
 
+def loaded_lattice_halt_trace():
+    """The lattice halt trace through its JSON text, as `robosync check`
+    reads it: its snapshots and samples are built only if read."""
+    return Trace.from_json(json.loads(json.dumps(lattice_halt_trace().to_json())))
+
+
 def tied_trace(seed):
     """Hand-built records on whole-number times with random visible sets, so
     Looks, move starts and move ends of distinct robots often coincide."""
@@ -407,6 +414,7 @@ def oracle_traces():
             except SimulationError:
                 pass
     traces.append(lattice_halt_trace())
+    traces.append(loaded_lattice_halt_trace())
     return traces + [flipped_visibility(t, seed) for seed, t in enumerate(traces)]
 
 
@@ -430,6 +438,15 @@ def test_relation_pass_matches_pairwise_oracles():
                         expected.append((a, b, horizon_only))
         assert analysis.hb_pairs == expected
         assert check_stationary(analyze(trace)).witnesses == stationary_oracle(trace)
+
+
+def test_a_loaded_trace_gives_the_relations_of_its_run():
+    # `check` analyzes a loaded trace, whose snapshots and samples are unread
+    loaded = loaded_lattice_halt_trace()
+    analysis = analyze(loaded)
+    assert analysis == analyze(lattice_halt_trace())
+    assert analysis.classes == closure_partition(loaded)
+    assert max(map(len, analysis.classes)) > 2
 
 
 def test_consistency_check_matches_the_pair_oracle():

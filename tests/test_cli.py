@@ -375,6 +375,12 @@ FLAG_CASES = {
         _trap_first_record("greedy", snapshot_colors=["Bk"]),
     "visible_set of [] (svp)": _trap_first_record("svp", visible_set=[]),
     "snapshot_local of []": _first_record(snapshot_local=[]),
+    # `check` never reads a snapshot point or a sample, so these are refused at load
+    "snapshot coordinate of NaN": _first_record(snapshot_local=[[float("nan"), 0.0]]),
+    "snapshot coordinate of false": _first_record(snapshot_local=[[False, 0.0]]),
+    "snapshot row of three numbers": _first_record(snapshot_local=[[0.0, 0.0, 0.0]]),
+    'mid-move arc of "0.25"': _first_record(mid_move_samples=[[0.5, "0.25"]]),
+    "mid-move sample of three numbers": _first_record(mid_move_samples=[[0.5, 0.25, 0.0]]),
     "trace kind of 5": _edited_check(lambda raw: raw.update(kind=5)),
     'trace machine of ["x"]': _edited_check(lambda raw: raw.update(machine=["x"])),
     "check a deeply nested file": _nested("check", "FILE"),

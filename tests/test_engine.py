@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import sys
 from bisect import bisect_left
+from copy import copy
+from dataclasses import replace
 
 import pytest
 
@@ -316,14 +319,61 @@ def test_trace_json_round_trip():
     runs += [lambda m=machine: run_synchronized(scenario, spec, schedule,
                                                 Adversary(0, NONRIGID), m)
              for machine in (SVP, GREEDY)]
-    pending = 0
+    pending = sampled = 0
     for run in runs:
         trace = run()
         pending += sum("z" not in vars(rec) for rec in trace.all_records())
-        again = Trace.from_json(run().to_json())
+        source = run().to_json()
+        again = Trace.from_json(source)
+        # a loaded record builds its snapshot and samples at their first
+        # read, in either order, and so does a copy of it
+        for k, (rec, want) in enumerate(zip(again.all_records(), trace.all_records())):
+            assert not {"snapshot_local", "mid_move_samples"} & vars(rec).keys()
+            sampled += bool(want.mid_move_samples)
+            if k % 4 == 0:
+                got = rec.snapshot_local, rec.mid_move_samples
+            elif k % 4 == 1:
+                samples = rec.mid_move_samples
+                got = rec.snapshot_local, samples
+            elif k % 4 == 2:  # a shallow copy builds its own
+                copied = copy(rec)
+                got = copied.snapshot_local, copied.mid_move_samples
+                assert not {"snapshot_local", "mid_move_samples"} & vars(rec).keys()
+            else:  # `replace` reads every field of the record
+                copied = replace(rec)
+                got = copied.snapshot_local, copied.mid_move_samples
+            assert got == (want.snapshot_local, want.mid_move_samples)
         assert again.records == trace.records
-        assert again.to_json() == trace.to_json()
-    assert pending
+        assert again.to_json() == source
+    assert pending and sampled
+    # JSON integers read back as floats, as `json_point` and `float` give them
+    data = dict(source["records"][0][0], mid_move_samples=[[1, 0]])
+    points = range(len(data["snapshot_local"]))
+    rec = engine.CycleRecord.from_json(dict(data, snapshot_local=[[k, 1] for k in points]))
+    assert rec.snapshot_local == tuple(Point(float(k), 1.0) for k in points)
+    assert rec.mid_move_samples == ((1.0, 0.0),)
+    assert {type(v) for p in rec.snapshot_local for v in (p.x, p.y)} == {float}
+    assert {type(v) for sample in rec.mid_move_samples for v in sample} == {float}
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                    reason="CPython 3.11 on lets an instance dict set the keys of its "
+                           "class's shared key table in any order")
+def test_every_record_dict_shares_its_keys():
+    # a record built with a key outside its class's shared key table gets a
+    # dict of its own, which costs more than the same items in a fresh dict
+    scenario, spec = random_vicinity_scenario(0)
+    runs = [simulate(_lattice(4, 0.6), make_fsync_schedule(10, 16),
+                     as_controller(AlgorithmSpec(HALT)), Adversary(0, NONRIGID)),
+            run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 60.0),
+                             Adversary(0, NONRIGID))]
+    for trace in runs:
+        data = json.loads(json.dumps(trace.to_json()))  # reads every pending field
+        loaded = Trace.from_json(data)
+        loaded.to_json()  # builds the loaded snapshots and samples
+        for rec in trace.all_records() + loaded.all_records():
+            fields = vars(rec)
+            assert sys.getsizeof(fields) < sys.getsizeof(dict(fields))
 
 
 class _EveryEventChecking(Simulation):
@@ -543,6 +593,24 @@ def test_a_stay_put_arrival_is_tested_only_while_a_robot_awaits_its_recheck(monk
     run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
                      Adversary(0, NONRIGID))
     assert 0 < calls <= 50  # 285 when every arrival was tested
+
+
+def test_an_idle_instant_makes_no_pair_check_call(monkeypatch):
+    # an instant with no Look, no robot awaiting its recheck and no mover
+    # arriving changes no point and tests no robot
+    calls = 0
+    check_instant = Simulation._check_instant
+
+    def counted(sim, *args):
+        nonlocal calls
+        calls += 1
+        return check_instant(sim, *args)
+
+    monkeypatch.setattr(Simulation, "_check_instant", counted)
+    scenario, spec = random_vicinity_scenario(0)  # one seed of the synchronizer sweep
+    run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
+                     Adversary(0, NONRIGID))
+    assert calls == 294  # of 527 instants
 
 
 def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID,
