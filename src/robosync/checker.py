@@ -79,11 +79,11 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
         base = len(ids)
         looks, starts, ends = [], [], []
         for rec in row:
-            c = rec.cycle
-            ids.append((c.robot, c.j))
-            looks.append(c.o)
-            starts.append(c.s)
-            ends.append(c.f)
+            robot, j, o, s, f = rec.cycle
+            ids.append((robot, j))
+            looks.append(o)
+            starts.append(s)
+            ends.append(f)
         timelines.append((base, looks, starts, ends))
     parent = list(range(len(ids)))  # the union-find, over indices into ids
     concurrent: set[tuple[CycleId, CycleId]] = set()
@@ -97,8 +97,7 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
         for rec in row:
             x += 1
             a = ids[x]
-            c = rec.cycle
-            robot, xo, xs, xf = c.robot, c.o, c.s, c.f
+            robot, _, xo, xs, xf = rec.cycle
             for r in rec.visible_set:
                 if r == robot:
                     continue

@@ -280,7 +280,8 @@ class _BuiltAtFirstRead:
       `_core_record` sets the colors) is kept;
     - a loaded record's checked JSON rows, `_rows = (snapshot rows, sample
       rows)`: the snapshot and the samples, as floats, the values
-      `json_point` and `float` give."""
+      `json_point` and `float` give.  Building a field drops its half of
+      `_rows` (None), and building both drops `_rows`."""
 
     def __init__(self, *default):
         self.default = default  # () or (the dataclass default,)
@@ -299,9 +300,13 @@ class _BuiltAtFirstRead:
             value = truncation_draw(adversary.draw_truncation(robot, j))
         elif rec._rows is not None:  # a loaded record: the snapshot or the samples
             points, samples = rec._rows
-            value = (tuple([Point(float(x), float(y)) for x, y in points])
-                     if name == "snapshot_local"
-                     else tuple([(float(t), float(u)) for t, u in samples]))
+            if name == "snapshot_local":
+                value = tuple([Point(float(x), float(y)) for x, y in points])
+                points = None
+            else:
+                value = tuple([(float(t), float(u)) for t, u in samples])
+                samples = None
+            rec._rows = None if points is None and samples is None else (points, samples)
         else:
             looks, frame, seen, *colors = rec._seen
             if name == "visible_set":
@@ -338,9 +343,9 @@ class CycleRecord:
     _rows = None  # a loaded record's checked JSON rows (`from_json`); not a field
 
     def to_json(self) -> dict:
+        robot, j, o, s, f = self.cycle
         out = {
-            "cycle": {"robot": self.cycle.robot, "j": self.cycle.j,
-                      "o": self.cycle.o, "s": self.cycle.s, "f": self.cycle.f},
+            "cycle": {"robot": robot, "j": j, "o": o, "s": s, "f": f},
             "pos_at_look": [self.pos_at_look.x, self.pos_at_look.y],
             "visible_set": sorted(self.visible_set),
             "snapshot_local": [[p.x, p.y] for p in self.snapshot_local],
@@ -621,7 +626,7 @@ class Simulation:
         controller rules on the colors first; a rejected cycle stays put,
         and its record builds the other fields at their first read.
         """
-        t = cycle.o
+        _, j, t, move_start, _ = cycle
         here = positions[robot]
         hx, hy = here.x, here.y
         seen: list[tuple[int, float, float]] = []  # (robot, global offset)
@@ -643,7 +648,7 @@ class Simulation:
                 colors.append(after if t >= s else before)
         color_after, accepted = self.controller.verdict(own_color, frozenset(colors or ()))
         color_after = color_after if luminous else None
-        lights[robot] = (cycle.s, own_color, color_after or own_color)
+        lights[robot] = (move_start, own_color, color_after or own_color)
         frame = self.scenario.frames[robot]
         # fields in the one order every record sets them (see `_every_key`)
         record = object.__new__(CycleRecord)
@@ -654,7 +659,7 @@ class Simulation:
             realized = 0.0
         else:
             points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
-            route = self.controller.route(robot, cycle.j, here, frame, points)
+            route = self.controller.route(robot, j, here, frame, points)
             if route.start != here:
                 raise SimulationError("computed route must start at the robot")
             realized = route.length
@@ -662,14 +667,14 @@ class Simulation:
             record.snapshot_local = points
             record.route_global = route
             if realized > self.scenario.delta:
-                z = record.z = self.adversary.draw_truncation(robot, cycle.j)
+                z = record.z = self.adversary.draw_truncation(robot, j)
                 realized = truncated_length(route.length, self.scenario.delta, z)
             # else traversed whole for every z: draw it at the first read
             record.pos_after_move = point_along(route, realized)
             obs_times = _inside(self._look_times, cycle)
             if realized > 0.0:
                 arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
-                    robot, cycle.j, len(obs_times)))
+                    robot, j, len(obs_times)))
             else:  # every fraction of nothing is 0, so there is nothing to draw
                 arcs = [0.0] * len(obs_times)
             record.mid_move_samples = tuple(zip(obs_times, arcs, strict=True))
@@ -677,7 +682,7 @@ class Simulation:
         record.color_before = own_color
         record.color_after = color_after
         record.accepted = accepted if luminous else None
-        record._draw = (self.adversary, robot, cycle.j)  # z, at its first read
+        record._draw = (self.adversary, robot, j)  # z, at its first read
         if not accepted:
             record._seen = (self._look_times, frame, seen, own_color, colors)
         self.records[robot].append(record)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import InputError
 from .geometry import Point
 
 TIME_GRID = 64  # generated times are multiples of 1/64
-_STEP = 1.0 / TIME_GRID
 
 
 def on_grid(t: float) -> bool:
@@ -59,22 +59,27 @@ def json_point_rows(rows, what: str):
     return rows
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """One Look-Compute-Move activation: snapshot at o, movement over (s, f)."""
-    robot: int
-    j: int
-    o: float
-    s: float
-    f: float
+class Cycle(namedtuple("Cycle", "robot j o s f")):
+    """One Look-Compute-Move activation: snapshot at o, movement over (s, f).
 
-    def __post_init__(self) -> None:
-        if self.j < 1:
+    An immutable tuple of its fields, so it hashes and compares as that
+    tuple does (and equals it); building one costs a tuple and three checks.
+    `_make`, and `_replace` through it, run the same checks."""
+    __slots__ = ()
+
+    def __new__(cls, robot: int, j: int, o: float, s: float, f: float) -> "Cycle":
+        cycle = tuple.__new__(cls, (robot, j, o, s, f))
+        if j < 1:
             raise InputError("cycle indices start at 1")
-        if not self.o < self.s < self.f:
-            raise InputError(f"cycle times must satisfy o < s < f, got {self}")
-        if not (math.isfinite(self.o) and math.isfinite(self.f)):
-            raise InputError(f"cycle times must be finite, got {self}")
+        if not o < s < f:
+            raise InputError(f"cycle times must satisfy o < s < f, got {cycle}")
+        if not (math.isfinite(o) and math.isfinite(f)):
+            raise InputError(f"cycle times must be finite, got {cycle}")
+        return cycle
+
+    @classmethod
+    def _make(cls, iterable) -> "Cycle":
+        return cls(*iterable)
 
     @property
     def ident(self) -> tuple[int, int]:
@@ -95,13 +100,15 @@ class Schedule:
         if len(self.robots) != self.n:
             raise InputError("per-robot cycle lists do not match robot count")
         for i, cycles in enumerate(self.robots):
-            for k, c in enumerate(cycles):
-                if c.robot != i:
-                    raise InputError(f"cycle {c} filed under robot {i}")
-                if c.j != k + 1:
+            end = -math.inf  # the previous cycle's f
+            for k, (robot, j, o, _, f) in enumerate(cycles, start=1):
+                if robot != i:
+                    raise InputError(f"cycle {cycles[k - 1]} filed under robot {i}")
+                if j != k:
                     raise InputError(f"robot {i} cycle indices not consecutive")
-                if k > 0 and not cycles[k - 1].f < c.o:
+                if not end < o:
                     raise InputError(f"robot {i} cycles overlap in time")
+                end = f
 
     def all_cycles(self) -> list[Cycle]:
         return [c for cycles in self.robots for c in cycles]
@@ -113,7 +120,7 @@ class Schedule:
         return {
             "horizon": self.horizon,
             "robots": [
-                [{"j": c.j, "o": c.o, "s": c.s, "f": c.f} for c in cycles]
+                [{"j": j, "o": o, "s": s, "f": f} for _, j, o, s, f in cycles]
                 for cycles in self.robots
             ],
         }
@@ -178,18 +185,19 @@ def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
     robots: list[list[Cycle]] = []
     for i in range(n):
         # each gap is `random.uniform` (lo + (hi - lo) * unit()) snapped to the
-        # grid and at least one grid step, inlined
+        # grid, inlined; every range starts at least one grid step above 0,
+        # so no snapped gap falls below one step
         unit = random.Random(f"sched:{seed}:{i}").random
         cycles: list[Cycle] = []
-        t = max(_STEP, round((b0 + (b1 - b0) * unit()) * TIME_GRID) / TIME_GRID)
+        t = round((b0 + (b1 - b0) * unit()) * TIME_GRID) / TIME_GRID
         while True:
             o = t
-            s = o + max(_STEP, round((a0 + (a1 - a0) * unit()) * TIME_GRID) / TIME_GRID)
-            f = s + max(_STEP, round((m0 + (m1 - m0) * unit()) * TIME_GRID) / TIME_GRID)
+            s = o + round((a0 + (a1 - a0) * unit()) * TIME_GRID) / TIME_GRID
+            f = s + round((m0 + (m1 - m0) * unit()) * TIME_GRID) / TIME_GRID
             if f > horizon:
                 break
             cycles.append(Cycle(i, len(cycles) + 1, o, s, f))
-            t = f + max(_STEP, round((b0 + (b1 - b0) * unit()) * TIME_GRID) / TIME_GRID)
+            t = f + round((b0 + (b1 - b0) * unit()) * TIME_GRID) / TIME_GRID
         robots.append(cycles)
     return Schedule(n=n, horizon=horizon, robots=robots)
 

@@ -133,9 +133,9 @@ def _core_record(rec: CycleRecord, j: int) -> CycleRecord:
     """The accepted record as core cycle j, without colors.  A shallow copy
     keeps a pending truncation draw unmade and bound to the luminous cycle's
     own (robot, j); `dataclasses.replace` would read z and so make it."""
-    c = rec.cycle
+    robot, _, o, s, f = rec.cycle
     core = copy(rec)
-    core.cycle = Cycle(c.robot, j, c.o, c.s, c.f)
+    core.cycle = Cycle(robot, j, o, s, f)
     core.snapshot_colors = core.color_before = core.color_after = core.accepted = None
     return core
 

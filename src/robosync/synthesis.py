@@ -104,7 +104,9 @@ def similar(source: Trace, replayed: Trace) -> SimilarityResult:
     """Cycle-for-cycle equality of Look positions and local snapshots.
 
     This per-index equality implies equality of the footprint and snapshot
-    sets and is what the replay construction guarantees."""
+    sets and is what the replay construction guarantees.  Equal positions or
+    equal snapshot tuples agree within any eps, so an exact replay costs one
+    comparison per field and `same_points` runs only where they differ."""
     if source.n != replayed.n:
         raise InputError("traces cover different robot counts")
     for i in range(source.n):
@@ -113,16 +115,17 @@ def similar(source: Trace, replayed: Trace) -> SimilarityResult:
                 "robot": i, "reason": "cycle count",
                 "source": len(source.records[i]), "replay": len(replayed.records[i])})
         for j, (ra, rb) in enumerate(zip(source.records[i], replayed.records[i]), start=1):
-            if not same_points((ra.pos_at_look,), (rb.pos_at_look,), SIMILARITY_EPS):
+            pa, pb = ra.pos_at_look, rb.pos_at_look
+            if pa != pb and not same_points((pa,), (pb,), SIMILARITY_EPS):
                 return SimilarityResult(False, {
                     "robot": i, "j": j, "reason": "footprint",
-                    "source": ra.pos_at_look.as_pair(),
-                    "replay": rb.pos_at_look.as_pair()})
-            if not same_points(ra.snapshot_local, rb.snapshot_local, SIMILARITY_EPS):
+                    "source": pa.as_pair(), "replay": pb.as_pair()})
+            sa, sb = ra.snapshot_local, rb.snapshot_local
+            if sa != sb and not same_points(sa, sb, SIMILARITY_EPS):
                 return SimilarityResult(False, {
                     "robot": i, "j": j, "reason": "snapshot",
-                    "source": sorted(p.as_pair() for p in ra.snapshot_local),
-                    "replay": sorted(p.as_pair() for p in rb.snapshot_local)})
+                    "source": sorted(p.as_pair() for p in sa),
+                    "replay": sorted(p.as_pair() for p in sb)})
     return SimilarityResult(True)
 
 

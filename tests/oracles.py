@@ -11,7 +11,9 @@ it whole, from every robot's point and color at the Look, and a stay-put
 cycle's mid-move samples, from the schedule's Look times, which a record
 whose Look left them to the first read must match.  And the async
 schedule sampler with one `random.uniform` call per gap, which the sampler's
-inlined arithmetic must match on every Python version.
+inlined arithmetic must match on every Python version.  And the similarity
+test with `same_points` at every cycle, whose verdict and witness
+`synthesis.similar` must give.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import random
 from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis
 from robosync.engine import BK, Trace
 from robosync.errors import InputError
-from robosync.geometry import ORIGIN, Point, point_along, squared_distance
+from robosync.geometry import ORIGIN, Point, point_along, same_points, squared_distance
 from robosync.scheduling import (
     BETWEEN_CYCLES,
     LOOK_TO_MOVE,
@@ -29,6 +31,7 @@ from robosync.scheduling import (
     Cycle,
     Schedule,
 )
+from robosync.synthesis import SIMILARITY_EPS, SimilarityResult
 
 CycleId = tuple[int, int]
 
@@ -294,3 +297,29 @@ def async_schedule_oracle(seed: int, n: int, horizon: float) -> Schedule:
             t = f + draw(BETWEEN_CYCLES)
         robots.append(cycles)
     return Schedule(n=n, horizon=horizon, robots=robots)
+
+
+# -- similarity, `same_points` at every cycle ----------------------------------
+
+def similar_oracle(source: Trace, replayed: Trace) -> SimilarityResult:
+    """`synthesis.similar` comparing every Look position and every snapshot
+    with `same_points`, equal or not."""
+    if source.n != replayed.n:
+        raise InputError("traces cover different robot counts")
+    for i in range(source.n):
+        if len(source.records[i]) != len(replayed.records[i]):
+            return SimilarityResult(False, {
+                "robot": i, "reason": "cycle count",
+                "source": len(source.records[i]), "replay": len(replayed.records[i])})
+        for j, (ra, rb) in enumerate(zip(source.records[i], replayed.records[i]), start=1):
+            if not same_points((ra.pos_at_look,), (rb.pos_at_look,), SIMILARITY_EPS):
+                return SimilarityResult(False, {
+                    "robot": i, "j": j, "reason": "footprint",
+                    "source": ra.pos_at_look.as_pair(),
+                    "replay": rb.pos_at_look.as_pair()})
+            if not same_points(ra.snapshot_local, rb.snapshot_local, SIMILARITY_EPS):
+                return SimilarityResult(False, {
+                    "robot": i, "j": j, "reason": "snapshot",
+                    "source": sorted(p.as_pair() for p in ra.snapshot_local),
+                    "replay": sorted(p.as_pair() for p in rb.snapshot_local)})
+    return SimilarityResult(True)

@@ -356,6 +356,35 @@ def test_trace_json_round_trip():
     assert {type(v) for sample in rec.mid_move_samples for v in sample} == {float}
 
 
+def test_a_loaded_record_lets_go_of_each_row_list_once_built():
+    # a loaded record keeps each JSON row list only until the field built
+    # from it is read, so a loaded trace's `to_json` holds no row twice
+    scenario, spec = random_vicinity_scenario(0)
+    trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 60.0),
+                             Adversary(0, NONRIGID))
+    data = json.loads(json.dumps(trace.to_json()))
+    again = Trace.from_json(data)
+
+    def holds(rec, rows):
+        return any(v is rows or (type(v) is tuple and any(x is rows for x in v))
+                   for v in vars(rec).values())
+
+    sampled = 0
+    for k, (rec, row) in enumerate(zip(again.all_records(),
+                                       [r for rows in data["records"] for r in rows])):
+        points, samples = row["snapshot_local"], row.get("mid_move_samples", [])
+        sampled += bool(samples)
+        first, second = (points, samples) if k % 2 else (samples, points)
+        assert holds(rec, first) and holds(rec, second)
+        getattr(rec, "snapshot_local" if first is points else "mid_move_samples")
+        assert not holds(rec, first) and holds(rec, second)
+        getattr(rec, "snapshot_local" if second is points else "mid_move_samples")
+        assert not holds(rec, first) and not holds(rec, second)
+        assert rec._rows is None
+    assert sampled
+    assert again.to_json() == data
+
+
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
                     reason="CPython 3.11 on lets an instance dict set the keys of its "
                            "class's shared key table in any order")

@@ -7,6 +7,10 @@ from oracles import async_schedule_oracle
 from robosync.errors import InputError
 from robosync.scheduling import (
     ASYNC_FAIRNESS_WINDOW,
+    BETWEEN_CYCLES,
+    LOOK_TO_MOVE,
+    MOVE,
+    TIME_GRID,
     Cycle,
     Schedule,
     check_fairness_prefix,
@@ -56,6 +60,12 @@ def test_async_sampler_invariants(seed):
             assert on_grid(c.o) and on_grid(c.s) and on_grid(c.f)
             if k:
                 assert cycles[k - 1].f < c.o
+
+
+def test_every_sampled_gap_is_at_least_one_grid_step():
+    # the sampler snaps each gap with no floor of one step, which the oracle
+    # keeps: every range must start at least one step above 0
+    assert all(lo * TIME_GRID >= 1 for lo, _ in (LOOK_TO_MOVE, MOVE, BETWEEN_CYCLES))
 
 
 def test_async_sampler_matches_the_uniform_oracle():
@@ -109,3 +119,52 @@ def test_schedule_validation():
             Cycle(0, 1, 0.0, 0.5, 1.0), Cycle(0, 2, 1.0, 1.25, 1.5)]])
     with pytest.raises(InputError):  # non-consecutive indices
         Schedule(n=1, horizon=2.0, robots=[[Cycle(0, 2, 0.0, 0.5, 1.0)]])
+
+
+_TIME = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 4), st.integers(min_value=1, max_value=10 ** 4),
+       _TIME, st.floats(min_value=1e-3, max_value=10.0), st.floats(min_value=1e-3, max_value=10.0))
+def test_a_cycle_is_the_tuple_of_its_fields(robot, j, o, a, b):
+    s, f = o + a, o + a + b
+    c = Cycle(robot, j, o, s, f)
+    assert repr(c) == f"Cycle(robot={robot!r}, j={j!r}, o={o!r}, s={s!r}, f={f!r})"
+    fields = (robot, j, o, s, f)
+    assert hash(c) == hash(fields) and c == fields and tuple(c) == fields
+    assert c.ident == (robot, j) and (c.robot, c.j, c.o, c.s, c.f) == fields
+    # equal fields of int and float type make equal cycles, as `==` on them does
+    assert c == Cycle(float(robot), float(j), o, s, f)
+    # a set of cycles iterates in the order of the set of their field tuples
+    others = [Cycle(robot + k, j, o, s, f) for k in range(5)]
+    assert list(set(others)) == list(set(map(tuple, others)))
+    for name in ("robot", "j", "o", "s", "f", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, 1)
+
+
+def test_an_invalid_cycle_is_refused_with_its_message():
+    cases = [
+        ((0, 0, 0.0, 1.0, 2.0), "cycle indices start at 1"),
+        ((0, 1, 1.0, 1.0, 2.0),
+         "cycle times must satisfy o < s < f, got Cycle(robot=0, j=1, o=1.0, s=1.0, f=2.0)"),
+        ((0, 1, math.nan, 1.0, 2.0),
+         "cycle times must satisfy o < s < f, got Cycle(robot=0, j=1, o=nan, s=1.0, f=2.0)"),
+        ((0, 1, -math.inf, 1.0, 2.0),
+         "cycle times must be finite, got Cycle(robot=0, j=1, o=-inf, s=1.0, f=2.0)"),
+        ((0, 1, 0.0, 1.0, math.inf),
+         "cycle times must be finite, got Cycle(robot=0, j=1, o=0.0, s=1.0, f=inf)"),
+        ((0, 0, 1.0, 1.0, math.inf), "cycle indices start at 1"),  # j is checked first
+    ]
+    valid = Cycle(0, 1, 0.0, 1.0, 2.0)
+    for fields, message in cases:
+        # `_make`, and `_replace` through it, check as the constructor does
+        names = ("robot", "j", "o", "s", "f")
+        for build in (lambda: Cycle(*fields), lambda: Cycle._make(fields),
+                      lambda: valid._replace(**dict(zip(names, fields)))):
+            with pytest.raises(InputError) as refused:
+                build()
+            assert str(refused.value) == message
+    assert valid._replace(j=2) == Cycle(0, 2, 0.0, 1.0, 2.0)
+    assert type(Cycle._make(valid)) is Cycle

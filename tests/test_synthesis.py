@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import build_trace
+from oracles import similar_oracle
+from test_checker import oracle_traces
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.checker import analyze, check_all
 from robosync.engine import Adversary, FrameSpec, Scenario, simulate
-from robosync.errors import InputError
+from robosync.errors import InputError, SimulationError
 from robosync.geometry import Point
 from robosync.scheduling import make_fsync_schedule
 from robosync.scenarios import greedy_trap_scenario, necessity_template
@@ -13,6 +17,7 @@ from robosync.synthesis import (
     NONE_AMONG_CANDIDATES,
     INCONCLUSIVE,
     SIMILAR_FOUND,
+    SIMILARITY_EPS,
     SsyncPlan,
     build_plan,
     candidate_search,
@@ -106,6 +111,72 @@ def test_forced_replay_of_inconsistent_core_diverges():
     assert not verdict.ok
     # the divergence is the fourth robot seeing the unmoved climber
     assert verdict.witness["robot"] == 3 and verdict.witness["reason"] == "snapshot"
+
+
+def _with_record(trace, i, k, **fields):
+    """A copy of the trace with robot i's k-th record's fields replaced."""
+    rows = [list(row) for row in trace.records]
+    rows[i][k] = replace(rows[i][k], **fields)
+    return replace(trace, records=rows)
+
+
+def _shifted(p, d):
+    return Point(p.x + d, p.y)
+
+
+def _assert_similar_as_oracle(source, replayed):
+    got = similar(source, replayed)
+    want = similar_oracle(source, replayed)
+    assert (got.ok, got.witness) == (want.ok, want.witness)
+    return got
+
+
+def test_similar_matches_the_same_points_oracle():
+    replays = 0
+    for trace in oracle_traces():
+        assert _assert_similar_as_oracle(trace, trace)
+        try:  # the replay of the class order, exact or not
+            replayed = replay_plan(trace.scenario, build_plan(trace, analyze(trace).classes))
+        except (InputError, SimulationError):
+            continue
+        _assert_similar_as_oracle(trace, replayed)
+        replays += 1
+    assert replays > 100
+    exact = []
+    for seed in range(8):  # the sweep's cores, replayed in their natural order
+        scenario, core = svp_core(seed)
+        report = check_all(core)
+        if report.all_pass:
+            replayed = replay_plan(scenario, build_plan(core, report.natural_order))
+            assert _assert_similar_as_oracle(core, replayed)
+            exact.append((core, replayed))
+    assert len(exact) >= 4
+    core, replayed = exact[0]
+    i, k = next((i, k) for i, row in enumerate(replayed.records)
+                for k, rec in enumerate(row) if len(rec.snapshot_local) > 1)
+    rec = replayed.records[i][k]
+    first, *rest = rec.snapshot_local
+    cases = {  # (perturbed replay, similar?, witness reason)
+        "reordered snapshot": (_with_record(replayed, i, k, snapshot_local=(*rest, first)),
+                               True, None),
+        "snapshot within eps": (_with_record(replayed, i, k, snapshot_local=(
+            _shifted(first, SIMILARITY_EPS / 2), *rest)), True, None),
+        "snapshot beyond eps": (_with_record(replayed, i, k, snapshot_local=(
+            _shifted(first, 10 * SIMILARITY_EPS), *rest)), False, "snapshot"),
+        "footprint within eps": (_with_record(replayed, i, k, pos_at_look=_shifted(
+            rec.pos_at_look, SIMILARITY_EPS / 2)), True, None),
+        "footprint beyond eps": (_with_record(replayed, i, k, pos_at_look=_shifted(
+            rec.pos_at_look, 10 * SIMILARITY_EPS)), False, "footprint"),
+        "cycle count": (replace(replayed, records=[
+            row[:-1] if r == i else row for r, row in enumerate(replayed.records)]),
+                        False, "cycle count"),
+    }
+    for name, (perturbed, ok, reason) in cases.items():
+        got = _assert_similar_as_oracle(core, perturbed)
+        assert got.ok is ok, name
+        assert (got.witness or {}).get("reason") == reason, name
+        if reason in ("snapshot", "footprint"):
+            assert (got.witness["robot"], got.witness["j"]) == (i, k + 1), name
 
 
 def test_candidate_search_outcomes():
