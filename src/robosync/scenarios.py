@@ -19,10 +19,6 @@ from .scheduling import Cycle, Schedule
 _IDENTITY = FrameSpec(0.0, 1.0)
 
 
-def _identity_frames(n: int) -> list[FrameSpec]:
-    return [_IDENTITY] * n
-
-
 def _schedule(n: int, horizon: float, cycles: dict[int, list[tuple[float, float, float]]]) -> Schedule:
     robots = [
         [Cycle(i, j + 1, o, s, f) for j, (o, s, f) in enumerate(cycles.get(i, []))]
@@ -42,7 +38,7 @@ def greedy_trap_scenario() -> tuple[Scenario, Schedule, AlgorithmSpec]:
     accepted cycles end up mutually concurrent but observationally asymmetric.
     """
     positions = [Point(0, 0), Point(0, 1), Point(1, 1), Point(1, 0), Point(2, 0)]
-    scenario = Scenario(positions, _identity_frames(5), delta=0.25)
+    scenario = Scenario(positions, [_IDENTITY] * 5, delta=0.25)
     schedule = _schedule(5, 4.0, {
         0: [(0.0, 0.75, 1.0)],
         1: [(0.5, 1.25, 1.5)],
@@ -75,10 +71,12 @@ def staggered_round_schedule(prefix_rounds: int) -> Schedule:
 
 # -- necessity templates -------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TemplateRun:
-    """One necessity-experiment instance: what to simulate and which condition
-    the construction is aimed at (None for the clean control arm)."""
+    """One necessity template: what to simulate and which condition the
+    construction is aimed at (None for the clean control arm).  It depends
+    only on the template's name; every caller shares one run and must not
+    mutate it, its scenario, its schedule or its algorithm."""
     scenario: Scenario
     schedule: Schedule
     algorithm: AlgorithmSpec
@@ -86,9 +84,9 @@ class TemplateRun:
     target: str | None
 
 
-def _template_control(seed: int) -> TemplateRun:
+def _template_control() -> TemplateRun:
     # Two distant robots with disjoint cycles; nothing can go wrong.
-    scenario = Scenario([Point(0, 0), Point(3, 0)], _identity_frames(2), delta=0.25)
+    scenario = Scenario([Point(0, 0), Point(3, 0)], [_IDENTITY] * 2, delta=0.25)
     schedule = _schedule(2, 6.0, {
         0: [(0.0, 0.5, 1.0), (2.0, 2.5, 3.0)],
         1: [(1.25, 1.5, 1.75), (4.0, 4.5, 5.0)],
@@ -96,11 +94,11 @@ def _template_control(seed: int) -> TemplateRun:
     return TemplateRun(scenario, schedule, AlgorithmSpec(HALT), RIGID, None)
 
 
-def _template_stationarity(seed: int) -> TemplateRun:
+def _template_stationarity() -> TemplateRun:
     # The mover climbs past the observer's range; the observer looks strictly
     # inside the move, so the violation appears whenever the sampled point is
     # still within range.
-    scenario = Scenario([Point(0, 0), Point(0.5, 0)], _identity_frames(2), delta=0.25)
+    scenario = Scenario([Point(0, 0), Point(0.5, 0)], [_IDENTITY] * 2, delta=0.25)
     spec = AlgorithmSpec(SCRIPTED, script=(
         ScriptEntry(snapshot=(Point(-0.5, 0), Point(0, 0)),
                     route=(Point(0, 0), Point(0, 1.5))),
@@ -112,11 +110,11 @@ def _template_stationarity(seed: int) -> TemplateRun:
     return TemplateRun(scenario, schedule, spec, NONRIGID, "stationary")
 
 
-def _template_pairwise(seed: int) -> TemplateRun:
+def _template_pairwise() -> TemplateRun:
     # A long pending cycle of robot 0 overlaps both cycles of robot 1; the
     # second overlap is not concurrent whenever robot 1's truncated retreat
     # leaves it still within range.
-    scenario = Scenario([Point(0, 0), Point(0.6, 0)], _identity_frames(2), delta=0.25)
+    scenario = Scenario([Point(0, 0), Point(0.6, 0)], [_IDENTITY] * 2, delta=0.25)
     spec = AlgorithmSpec(SCRIPTED, script=(
         # robot 0's initial view: partner 0.6 to the right -> step up
         ScriptEntry(snapshot=(Point(0, 0), Point(0.6, 0)),
@@ -132,7 +130,7 @@ def _template_pairwise(seed: int) -> TemplateRun:
     return TemplateRun(scenario, schedule, spec, NONRIGID, "pairwise_aligned")
 
 
-def _template_consistency(seed: int) -> TemplateRun:
+def _template_consistency() -> TemplateRun:
     # Non-rigid version of the greedy trap without lights: the first robot's
     # climb always leaves the fourth robot's range, so the concurrency chain
     # carries an asymmetric observation.
@@ -140,12 +138,12 @@ def _template_consistency(seed: int) -> TemplateRun:
     return TemplateRun(scenario, schedule, spec, NONRIGID, "consistent")
 
 
-def _template_serializability(seed: int) -> TemplateRun:
+def _template_serializability() -> TemplateRun:
     # All robots halt; the timing alone yields two concurrency classes that
     # precede each other, so the class graph has a two-cycle.
     positions = [Point(0, 0), Point(0, 1), Point(0.8, 1.4), Point(1.6, 0.85),
                  Point(2, 0), Point(1, 0)]
-    scenario = Scenario(positions, _identity_frames(6), delta=0.25)
+    scenario = Scenario(positions, [_IDENTITY] * 6, delta=0.25)
     schedule = _schedule(6, 43.0, {
         0: [(0.0, 5.0, 5.5), (40.0, 42.0, 42.5)],
         1: [(4.0, 30.0, 30.5)],
@@ -164,6 +162,7 @@ NECESSITY_TEMPLATES = {
     "consistency": _template_consistency,
     "serializability": _template_serializability,
 }
+_TEMPLATE_RUNS: dict[str, TemplateRun] = {}  # name -> its run, built at its first request
 
 # maps a template's target to the report field it must fail
 TEMPLATE_TARGET_FIELD = {
@@ -175,12 +174,14 @@ TEMPLATE_TARGET_FIELD = {
 
 
 def necessity_template(name: str, seed: int) -> TemplateRun:
-    try:
-        builder = NECESSITY_TEMPLATES[name]
-    except KeyError:
-        raise InputError(
-            f"unknown template {name!r}; choose from {sorted(NECESSITY_TEMPLATES)}")
-    return builder(seed)
+    """The named template's one run, built at its first request and shared by
+    every caller, who must not mutate it; the seed picks only the adversary."""
+    if name not in _TEMPLATE_RUNS:
+        if name not in NECESSITY_TEMPLATES:
+            raise InputError(
+                f"unknown template {name!r}; choose from {sorted(NECESSITY_TEMPLATES)}")
+        _TEMPLATE_RUNS[name] = NECESSITY_TEMPLATES[name]()
+    return _TEMPLATE_RUNS[name]
 
 
 # -- random clique-cluster scenarios ------------------------------------------
@@ -234,9 +235,8 @@ def bundle_to_json(scenario: Scenario, schedule: Schedule | None = None,
 
 
 def bundle_from_json(data: dict) -> dict:
-    scenario = Scenario.from_json(data)
-    out = {
-        "scenario": scenario,
+    return {
+        "scenario": Scenario.from_json(data),
         "schedule": Schedule.from_json(data["schedule"]) if "schedule" in data else None,
         "algorithm": (AlgorithmSpec.from_json(data["algorithm"])
                       if "algorithm" in data else None),
@@ -244,7 +244,6 @@ def bundle_from_json(data: dict) -> dict:
         "adversary_mode": json_choice(data.get("adversary_mode"), "scenario adversary_mode",
                                       (None, RIGID, NONRIGID)),
     }
-    return out
 
 
 def _greedy_trap_bundle() -> dict:

@@ -13,15 +13,19 @@ whose Look left them to the first read must match.  And the async
 schedule sampler with one `random.uniform` call per gap, which the sampler's
 inlined arithmetic must match on every Python version.  And the similarity
 test with `same_points` at every cycle, whose verdict and witness
-`synthesis.similar` must give.
+`synthesis.similar` must give.  And the necessity sweep with each template
+rebuilt from its builder at every seed, whose aggregate the sweep over one
+shared run per template must equal.
 """
 from __future__ import annotations
 
 import random
 
-from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis
-from robosync.engine import BK, Trace
-from robosync.errors import InputError
+from robosync.algorithms import as_controller
+from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis, check_all
+from robosync.engine import BK, Adversary, Trace, simulate
+from robosync.errors import InputError, SimulationError
+from robosync.experiments import NECESSITY_NODE_BUDGET
 from robosync.geometry import ORIGIN, Point, point_along, same_points, squared_distance
 from robosync.scheduling import (
     BETWEEN_CYCLES,
@@ -31,7 +35,15 @@ from robosync.scheduling import (
     Cycle,
     Schedule,
 )
-from robosync.synthesis import SIMILARITY_EPS, SimilarityResult
+from robosync.scenarios import NECESSITY_TEMPLATES, TEMPLATE_TARGET_FIELD
+from robosync.synthesis import (
+    DEFAULT_ORDER_BUDGET,
+    NONE_AMONG_CANDIDATES,
+    SIMILARITY_EPS,
+    SIMILAR_FOUND,
+    SimilarityResult,
+    candidate_search,
+)
 
 CycleId = tuple[int, int]
 
@@ -323,3 +335,53 @@ def similar_oracle(source: Trace, replayed: Trace) -> SimilarityResult:
                     "source": sorted(p.as_pair() for p in ra.snapshot_local),
                     "replay": sorted(p.as_pair() for p in rb.snapshot_local)})
     return SimilarityResult(True)
+
+
+# -- necessity sweep, each template rebuilt at every seed ----------------------
+
+def necessity_experiment_oracle(template: str, num_seeds: int) -> dict:
+    """`experiments.necessity_experiment` with its default budgets, building
+    the template afresh from its builder at every seed."""
+    counts = {
+        "seeds": num_seeds, "errors": 0, "materialized": 0,
+        "found_given_violation": 0, "none_given_violation": 0,
+        "inconclusive_given_violation": 0,
+        "clean": 0, "clean_check_pass": 0, "clean_found": 0,
+    }
+    for seed in range(num_seeds):
+        run = NECESSITY_TEMPLATES[template]()
+        try:
+            trace = simulate(run.scenario, run.schedule, as_controller(run.algorithm),
+                             Adversary(seed, run.adversary_mode))
+        except SimulationError:
+            counts["errors"] += 1
+            continue
+        report = check_all(trace, NECESSITY_NODE_BUDGET)
+        if run.target is None:
+            violated = not report.all_pass
+        else:
+            violated = getattr(report, TEMPLATE_TARGET_FIELD[run.target]).verdict == FAIL
+        search = candidate_search(trace, report.analysis, order_budget=DEFAULT_ORDER_BUDGET,
+                                  node_budget=NECESSITY_NODE_BUDGET)
+        if violated:
+            counts["materialized"] += 1
+            if search.verdict == SIMILAR_FOUND:
+                counts["found_given_violation"] += 1
+            elif search.verdict == NONE_AMONG_CANDIDATES:
+                counts["none_given_violation"] += 1
+            else:
+                counts["inconclusive_given_violation"] += 1
+        else:
+            counts["clean"] += 1
+            counts["clean_check_pass"] += int(report.all_pass)
+            counts["clean_found"] += int(search.verdict == SIMILAR_FOUND)
+    materialized = counts["materialized"]
+    return {
+        "schema": 1,
+        "template": template,
+        **counts,
+        "found_rate_given_violation": (
+            counts["found_given_violation"] / materialized if materialized else None),
+        "inconclusive_rate": (
+            counts["inconclusive_given_violation"] / materialized if materialized else None),
+    }
