@@ -196,6 +196,8 @@ def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult
     visibility range at their Looks."""
     witnesses = []
     for cls in analysis.classes:
+        if len(cls) < 2:  # no pair
+            continue
         recs = [trace.record(*c) for c in cls]
         for x, (a, ra) in enumerate(zip(cls, recs)):
             for b, rb in zip(cls[x + 1:], recs[x + 1:]):

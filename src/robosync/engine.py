@@ -75,6 +75,7 @@ NONRIGID = "nonrigid"
 # the five light colors a luminous trace stores (see synchronizer.py)
 BK, R, B, G, W = "Bk", "R", "B", "G", "W"
 COLORS = (BK, R, B, G, W)
+_NO_COLORS = frozenset()  # the colors a plain run's Look sees
 # the light machines a luminous trace names, and the kinds of trace
 SVP, GREEDY = "svp", "greedy"
 MACHINES = (SVP, GREEDY)
@@ -212,7 +213,8 @@ class Controller(Protocol):
 def global_route(frame: FrameSpec, here: Point, local: Route) -> Route:
     """A route computed in the robot's frame, from its local origin, as the
     global route from `here`; a route of length zero stays put."""
-    if local.start != ORIGIN:
+    start = local.vertices[0]
+    if start.x != 0.0 or start.y != 0.0:  # `!= ORIGIN` field by field: no tuples built
         raise SimulationError("computed route must start at the local origin")
     if local.length == 0.0:
         return Route.stay_put(here)
@@ -646,7 +648,8 @@ class Simulation:
             for i, _, _ in seen:
                 s, before, after = lights[i]
                 colors.append(after if t >= s else before)
-        color_after, accepted = self.controller.verdict(own_color, frozenset(colors or ()))
+        color_after, accepted = self.controller.verdict(
+            own_color, frozenset(colors) if luminous else _NO_COLORS)
         color_after = color_after if luminous else None
         lights[robot] = (move_start, own_color, color_after or own_color)
         frame = self.scenario.frames[robot]
@@ -660,7 +663,8 @@ class Simulation:
         else:
             points, snapshot_colors = _local_snapshot(frame, seen, own_color, colors)
             route = self.controller.route(robot, j, here, frame, points)
-            if route.start != here:
+            start = route.vertices[0]
+            if start.x != hx or start.y != hy:  # `!= here` field by field
                 raise SimulationError("computed route must start at the robot")
             realized = route.length
             record.visible_set = _visible(robot, seen)
@@ -669,13 +673,14 @@ class Simulation:
             if realized > self.scenario.delta:
                 z = record.z = self.adversary.draw_truncation(robot, j)
                 realized = truncated_length(route.length, self.scenario.delta, z)
-            # else traversed whole for every z: draw it at the first read
-            record.pos_after_move = point_along(route, realized)
+                record.pos_after_move = point_along(route, realized)
+            else:  # traversed whole for every z: draw it at the first read
+                record.pos_after_move = route.end if realized > 0.0 else route.start
             obs_times = _inside(self._look_times, cycle)
-            if realized > 0.0:
+            if obs_times and realized > 0.0:
                 arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
                     robot, j, len(obs_times)))
-            else:  # every fraction of nothing is 0, so there is nothing to draw
+            else:  # no Look inside, or every fraction of nothing is 0: nothing to draw
                 arcs = [0.0] * len(obs_times)
             record.mid_move_samples = tuple(zip(obs_times, arcs, strict=True))
             record.snapshot_colors = snapshot_colors

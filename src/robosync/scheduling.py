@@ -110,11 +110,8 @@ class Schedule:
                     raise InputError(f"robot {i} cycles overlap in time")
                 end = f
 
-    def all_cycles(self) -> list[Cycle]:
-        return [c for cycles in self.robots for c in cycles]
-
     def look_times(self) -> list[float]:
-        return sorted({c.o for c in self.all_cycles()})
+        return sorted({c.o for cycles in self.robots for c in cycles})
 
     def to_json(self) -> dict:
         return {

@@ -43,9 +43,9 @@ class SsyncPlan:
 
 def build_plan(trace: Trace, order: list[list[CycleId]]) -> SsyncPlan:
     """Schedule class k's members at round k.  The order must list every
-    cycle of the trace exactly once; whether the replay is similar is for the
-    caller to check."""
-    ids = set(trace.cycle_ids())
+    cycle of the trace, by the positions `trace.record` indexes, exactly
+    once; whether the replay is similar is for the caller to check."""
+    ids = {(i, j) for i, row in enumerate(trace.records) for j in range(1, len(row) + 1)}
     listed = [c for cls in order for c in cls]
     if set(listed) != ids or len(listed) != len(ids):
         raise InputError("class order does not cover the trace's cycles exactly")

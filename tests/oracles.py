@@ -15,7 +15,9 @@ inlined arithmetic must match on every Python version.  And the similarity
 test with `same_points` at every cycle, whose verdict and witness
 `synthesis.similar` must give.  And the necessity sweep with each template
 rebuilt from its builder at every seed, whose aggregate the sweep over one
-shared run per template must equal.
+shared run per template must equal.  And a route's construction with a
+dataclass `==` and a `distance` call per segment, whose vertices, lengths and
+errors `geometry.Route` must give.
 """
 from __future__ import annotations
 
@@ -26,7 +28,15 @@ from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis, check
 from robosync.engine import BK, Adversary, Trace, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.experiments import NECESSITY_NODE_BUDGET
-from robosync.geometry import ORIGIN, Point, point_along, same_points, squared_distance
+from robosync.geometry import (
+    ORIGIN,
+    Point,
+    Route,
+    distance,
+    point_along,
+    same_points,
+    squared_distance,
+)
 from robosync.scheduling import (
     BETWEEN_CYCLES,
     LOOK_TO_MOVE,
@@ -385,3 +395,23 @@ def necessity_experiment_oracle(template: str, num_seeds: int) -> dict:
         "inconclusive_rate": (
             counts["inconclusive_given_violation"] / materialized if materialized else None),
     }
+
+
+# -- a route, a dataclass `==` and a `distance` call per segment ----------------
+
+def route_oracle(vertices) -> tuple[tuple[Point, ...], tuple[float, ...]]:
+    """The vertices and cumulative lengths `geometry.Route` holds, built
+    segment by segment; refused with the same `InputError`, from the same
+    check, in the same order."""
+    verts = tuple(vertices)
+    if not verts:
+        raise InputError("route needs at least one vertex")
+    for a, b in zip(verts, verts[1:]):
+        if a == b:
+            raise InputError("route has a zero-length segment")
+    if len(verts) > 2:  # one segment is always simple
+        Route._validate_simplicity(verts)
+    cum = [0.0]
+    for a, b in zip(verts, verts[1:]):
+        cum.append(cum[-1] + distance(a, b))
+    return verts, tuple(cum)

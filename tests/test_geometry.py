@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from robosync.errors import InputError
 from robosync.geometry import (
@@ -19,6 +19,8 @@ from robosync.geometry import (
     to_global,
     truncated_length,
 )
+
+from oracles import route_oracle
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -111,6 +113,38 @@ def test_route_simplicity():
         Route((Point(0, 0), Point(0, 0)))
     Route((Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1)))  # open square ok
     assert Route.stay_put(Point(2, 3)).length == 0.0
+
+
+# coordinates that repeat, sign a zero, and put vertices on one line, so
+# routes hit repeated points, backtracks, closed loops and crossings
+_route_coord = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1, 0.3, 1e-200]), finite)
+_route_point = st.builds(Point, _route_coord, _route_coord)
+_route_vertices = st.lists(_route_point, min_size=1, max_size=6)
+_closed_route_vertices = st.lists(_route_point, min_size=3, max_size=5).map(lambda v: v + v[:1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_route_vertices, _closed_route_vertices))
+@example([Point(0.0, 0.0), Point(-0.0, 0.0)])  # a zero-length segment across signed zeros
+@example([Point(0, 0), Point(1, 0), Point(1, 1), Point(0, 1), Point(0, 0)])  # a closed loop
+@example([Point(0, 0), Point(1, 0), Point(0.5, 0)])  # a collinear backtrack
+@example([Point(0, 0), Point(1, 1), Point(1, 0), Point(0, 1)])  # crossing segments
+@example([Point(0.1, 0.2), Point(0.7, 0.9), Point(1.3, 0.1), Point(2.9, 0.3)])  # inexact sums
+def test_route_matches_the_segment_by_segment_oracle(vertices):
+    """Vertices, bit-equal cumulative lengths, and the same error from the
+    same check, as a route built with a dataclass `==` and a `distance` call
+    per segment."""
+    try:
+        verts, cumulative = route_oracle(vertices)
+    except InputError as expected:
+        with pytest.raises(InputError) as refused:
+            Route(vertices)
+        assert str(refused.value) == str(expected)
+        return
+    route = Route(vertices)
+    assert route.vertices == verts
+    assert [(p.x.hex(), p.y.hex()) for p in route.vertices] == [(p.x.hex(), p.y.hex()) for p in verts]
+    assert [c.hex() for c in route.cumulative] == [c.hex() for c in cumulative]
 
 
 def test_frame_examples():

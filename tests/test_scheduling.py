@@ -31,8 +31,8 @@ def test_cycle_ordering_enforced():
 
 def test_fsync_generator_examples():
     sched = make_fsync_schedule(1, 2)
-    assert all((c.o, c.s, c.f) == (0.0, 0.25, 0.75) for c in sched.all_cycles())
-    assert make_fsync_schedule(0, 3).all_cycles() == []
+    assert all((c.o, c.s, c.f) == (0.0, 0.25, 0.75) for cycles in sched.robots for c in cycles)
+    assert make_fsync_schedule(0, 3).robots == [[], [], []]
     one = make_fsync_schedule(2, 1)
     assert [(c.o, c.s, c.f) for c in one.robots[0]] == [(0.0, 0.25, 0.75), (1.0, 1.25, 1.75)]
 
@@ -41,7 +41,7 @@ def test_async_sampler_deterministic():
     a = sample_async_schedule(42, 3, 30.0)
     b = sample_async_schedule(42, 3, 30.0)
     assert a.to_json() == b.to_json()
-    assert sample_async_schedule(7, 2, 0.0).all_cycles() == []
+    assert sample_async_schedule(7, 2, 0.0).robots == [[], []]
 
 
 def test_async_sampler_rejects_degenerate_ranges():
