@@ -7,6 +7,7 @@ yield identical routes (the robots are anonymous and share the rule).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .engine import AlgorithmController, Scenario, Trace
 from .errors import InputError
@@ -86,7 +87,7 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
         # add left to right: from Python 3.12 on, sum() of floats compensates
         # rounding and would give other bits than earlier versions
         cx = cy = 0.0
-        for p in sorted(snapshot, key=lambda p: (p.x, p.y)):
+        for p in sorted(snapshot, key=attrgetter("x", "y")):
             cx += p.x
             cy += p.y
         cx /= len(snapshot)

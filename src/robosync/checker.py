@@ -56,42 +56,48 @@ class ConcurrencyAnalysis:
 
 def analyze(trace: Trace) -> ConcurrencyAnalysis:
     """Build all three relations without visiting a pair of cycles.  For a
-    cycle x and a robot r that x sees, each relation below has at most one
-    candidate among r's cycles, found by one bisect into r's timeline (every
-    other cycle of r fails the relation's time bounds).  Every pair that
-    holds is found from the cycle that sees the other robot: for concurrency
-    and case 3 the earlier Look, for overlap and case 4 the later one.  A
-    robot's own cycles are never concurrent and precede each other j -> j+1.
-    The overlap probe also finds the stationarity witnesses: o < s < f and
-    f_k < o_{k+1} put a move of r holding x's Look, if any, in r's last
-    cycle with a Look at or before x's.  The direct pairwise definitions are
-    the tests' oracles (tests/oracles.py).
+    cycle x and a robot r that x sees, one bisect finds r's first cycle k
+    with a Look at or after x's; o < s < f and f_{j-1} < o_j leave each
+    relation at most one candidate next to k.  If r's cycle k-1 still runs at
+    x's Look, the two overlap (x's Look may land in its move) and k-2 precedes
+    x when k-1's move starts no earlier (case 4).  Else r rests at x's Look:
+    k-1 precedes x (case 4, horizon-only past r's last cycle), and k is
+    concurrent with x if its Look comes by x's move start, or follows x (case
+    3) if after x's move end.  Every pair that holds is found from the cycle
+    that sees the other robot: for concurrency and case 3 the earlier Look,
+    for overlap and case 4 the later one.  A robot's own cycles are never
+    concurrent and precede each other j -> j+1.  The direct pairwise
+    definitions, and this pass with a bisect per relation, are the tests'
+    oracles (tests/oracles.py).
 
-    A robot's timeline is its row's offset into the cycle list and its Look,
-    move-start and end times, each strictly increasing (o < s < f and
-    f_{j-1} < o_j), built in one loop over the row.  The classes come from a
-    union-find over cycle indices (path halving), and each is keyed by its
-    earliest (Look, robot, j), read from the timelines.
+    One loop over each row builds the robot's timeline (its offset into the
+    cycle list, its Look, move-start and end times) and its j -> j+1 edges.
+    The classes come from a union-find over cycle indices (path halving); the
+    pass that finds the roots keeps each class's earliest (Look, index), the
+    order of (Look, robot, j) since ids are in index order.
     """
     ids: list[CycleId] = []
+    look_of: list[float] = []  # aligned with ids
     timelines: list[tuple[int, list[float], list[float], list[float]]] = []
+    hb: dict[tuple[CycleId, CycleId], bool] = {}  # (a, b) -> only_at_horizon
     for row in trace.records:
         base = len(ids)
         looks, starts, ends = [], [], []
         for rec in row:
             robot, j, o, s, f = rec.cycle
-            ids.append((robot, j))
+            c = (robot, j)
+            if looks:
+                hb[(ids[-1], c)] = False
+            ids.append(c)
             looks.append(o)
             starts.append(s)
             ends.append(f)
         timelines.append((base, looks, starts, ends))
+        look_of += looks
     parent = list(range(len(ids)))  # the union-find, over indices into ids
     concurrent: set[tuple[CycleId, CycleId]] = set()
     overlapping: set[tuple[CycleId, CycleId]] = set()
     stationary: list[tuple[CycleId, CycleId]] = []
-    hb: dict[tuple[CycleId, CycleId], bool] = {  # (a, b) -> only_at_horizon
-        (ids[k], ids[k + 1]): False
-        for base, looks, _, _ in timelines for k in range(base, base + len(looks) - 1)}
     x = -1
     for row in trace.records:
         for rec in row:
@@ -102,52 +108,49 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
                 if r == robot:
                     continue
                 base, looks, starts, ends = timelines[r]
-                # concurrency: the first Look of r at or after x's, before x's move
-                k = bisect_left(looks, xo)
-                if k < len(looks) and looks[k] <= xs and (k == 0 or ends[k - 1] < xo):
-                    b = ids[base + k]
-                    concurrent.add((a, b) if a < b else (b, a))
-                    ra = x
-                    while parent[ra] != ra:
-                        parent[ra] = ra = parent[parent[ra]]
-                    rb = base + k
-                    while parent[rb] != rb:
-                        parent[rb] = rb = parent[parent[rb]]
-                    parent[rb] = ra
-                # overlap: the last Look of r at or before x's, still running at it;
-                # equal Looks are found from both sides, the set keeps one
-                k = bisect_right(looks, xo) - 1
-                if k >= 0 and xo <= ends[k]:
-                    b = ids[base + k]
+                k = bisect_left(looks, xo)  # r's first Look at or after x's
+                if k and xo <= ends[k - 1]:  # r's cycle k-1 runs at x's Look
+                    b = ids[base + k - 1]
                     overlapping.add((a, b) if a < b else (b, a))
-                    if starts[k] < xo < ends[k]:
+                    if starts[k - 1] < xo < ends[k - 1]:
                         stationary.append((a, b))
-                # case 3, x -> v: the first Look of r after x ends, r at rest at x's Look
-                k = bisect_right(looks, xf)
-                if k < len(looks) and (k == 0 or ends[k - 1] < xo):
-                    hb[(a, ids[base + k])] = False
-                # case 4, u -> x: the last cycle of r ending before x's Look, whose
-                # next move starts no earlier; past r's last cycle that bound is
-                # assumed, so the edge is horizon-only unless case 3 also holds
-                k = bisect_left(ends, xo) - 1
-                if k >= 0:
-                    beyond = k + 1 == len(looks)
-                    if beyond or xo <= starts[k + 1]:
-                        hb.setdefault((ids[base + k], a), beyond)
+                    elif k > 1 and xo <= starts[k - 1]:
+                        hb.setdefault((ids[base + k - 2], a), False)
+                    continue
+                if k:  # r rests at x's Look
+                    hb.setdefault((ids[base + k - 1], a), k == len(looks))
+                if k < len(looks):
+                    if looks[k] <= xs:
+                        b = ids[base + k]
+                        concurrent.add((a, b) if a < b else (b, a))
+                        ra = x
+                        while parent[ra] != ra:
+                            parent[ra] = ra = parent[parent[ra]]
+                        rb = base + k
+                        while parent[rb] != rb:
+                            parent[rb] = rb = parent[parent[rb]]
+                        parent[rb] = ra
+                    elif looks[k] > xf:
+                        hb[(a, ids[base + k])] = False
     misaligned = sorted(overlapping - concurrent)
     # source-major in cycle_ids() order; self_loops[0] depends on it
-    hb_pairs = sorted((a, b, horizon_only) for (a, b), horizon_only in hb.items())
+    hb_pairs = sorted([(a, b, horizon_only) for (a, b), horizon_only in hb.items()])
 
-    groups: dict[int, list[int]] = {}
-    for x in range(len(ids)):
+    groups: dict[int, list[CycleId]] = {}
+    first: dict[int, tuple[float, int]] = {}  # root -> its class's earliest (Look, x)
+    for x, c in enumerate(ids):
         root = x
         while parent[root] != root:
             parent[root] = root = parent[parent[root]]
-        groups.setdefault(root, []).append(x)
-    look_of = [o for _, looks, _, _ in timelines for o in looks]  # aligned with ids
-    classes = [[ids[x] for x in members] for members in sorted(
-        groups.values(), key=lambda members: min((look_of[x], ids[x]) for x in members))]
-    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
+        if root not in first or look_of[x] < first[root][0]:
+            first[root] = (look_of[x], x)
+        groups.setdefault(root, []).append(c)
+    classes: list[list[CycleId]] = []
+    class_of: dict[CycleId, int] = {}
+    for k, root in enumerate(sorted(groups, key=first.__getitem__)):
+        classes.append(groups[root])
+        for c in groups[root]:
+            class_of[c] = k
 
     class_edges: dict[tuple[int, int], bool] = {}
     self_loops: list[int] = []
@@ -158,8 +161,9 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
                 self_loops.append(ka)
         else:
             class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
+    stationary.sort()
     return ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,
-                               hb_pairs, class_edges, self_loops, sorted(stationary))
+                               hb_pairs, class_edges, self_loops, stationary)
 
 
 # -- condition checks --------------------------------------------------------

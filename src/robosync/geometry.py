@@ -320,15 +320,19 @@ class FrameSpec:
         return Point((c * dx + s * dy) / self.unit, (-s * dx + c * dy) / self.unit)
 
 
-def to_global(frame: FrameSpec, origin: Point, l: Point) -> Point:
-    c, s = frame.cos, frame.sin
-    gx = frame.unit * (c * l.x - s * l.y)
-    gy = frame.unit * (s * l.x + c * l.y)
-    return Point(origin.x + gx, origin.y + gy)
-
-
 def route_to_global(frame: FrameSpec, origin: Point, route: Route) -> Route:
     """The route's global image; a vertex that rounds onto the one before it
-    is dropped, so a target too close to the origin stays put."""
-    verts = [to_global(frame, origin, v) for v in route.vertices]
-    return Route([v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]])
+    is dropped, so a target too close to the origin stays put.  Only a vertex
+    whose image differs field by field from the last one kept becomes a
+    `Point`; a dropped image equals a finite one, so a non-finite image is
+    refused at the same vertex as when every image is built."""
+    c, s, unit = frame.cos, frame.sin, frame.unit
+    verts: list[Point] = []
+    gx = gy = None
+    for v in route.vertices:
+        x = origin.x + unit * (c * v.x - s * v.y)
+        y = origin.y + unit * (s * v.x + c * v.y)
+        if x != gx or y != gy:
+            verts.append(Point(x, y))
+            gx, gy = x, y
+    return Route(verts)

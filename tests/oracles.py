@@ -17,11 +17,16 @@ test with `same_points` at every cycle, whose verdict and witness
 rebuilt from its builder at every seed, whose aggregate the sweep over one
 shared run per template must equal.  And a route's construction with a
 dataclass `==` and a `distance` call per segment, whose vertices, lengths and
-errors `geometry.Route` must give.
+errors `geometry.Route` must give, and a route's global image built as a
+list of whole points and then deduplicated, whose vertices and errors
+`geometry.route_to_global` must give.  And the relation pass with a bisect
+per relation, a dict comprehension for the j -> j+1 edges and a `min` per
+class, whose analysis `checker.analyze` must equal field by field.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 
 from robosync.algorithms import as_controller
 from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis, check_all
@@ -30,6 +35,7 @@ from robosync.errors import InputError, SimulationError
 from robosync.experiments import NECESSITY_NODE_BUDGET
 from robosync.geometry import (
     ORIGIN,
+    FrameSpec,
     Point,
     Route,
     distance,
@@ -415,3 +421,133 @@ def route_oracle(vertices) -> tuple[tuple[Point, ...], tuple[float, ...]]:
     for a, b in zip(verts, verts[1:]):
         cum.append(cum[-1] + distance(a, b))
     return verts, tuple(cum)
+
+
+# -- a route's global image, a `Point` per vertex, then deduplicated -----------
+
+def to_global(frame: FrameSpec, origin: Point, l: Point) -> Point:
+    """The local point l of a robot at `origin` with frame `frame`, in the
+    global frame: the inverse of `FrameSpec.local`."""
+    c, s = frame.cos, frame.sin
+    gx = frame.unit * (c * l.x - s * l.y)
+    gy = frame.unit * (s * l.x + c * l.y)
+    return Point(origin.x + gx, origin.y + gy)
+
+
+def route_to_global_oracle(frame: FrameSpec, origin: Point, route: Route) -> Route:
+    """`geometry.route_to_global` as two passes: every vertex's image as a
+    `Point`, then the images equal to the one before them dropped."""
+    verts = [to_global(frame, origin, v) for v in route.vertices]
+    return Route([v for k, v in enumerate(verts) if k == 0 or v != verts[k - 1]])
+
+
+# -- the relation pass, four bisects per (cycle, visible robot) -----------------
+
+def analyze_oracle(trace: Trace) -> ConcurrencyAnalysis:
+    """The relation pass with one bisect per relation, whose analysis
+    `checker.analyze` must give field by field, in the same orders.
+
+    Build all three relations without visiting a pair of cycles.  For a
+    cycle x and a robot r that x sees, each relation below has at most one
+    candidate among r's cycles, found by one bisect into r's timeline (every
+    other cycle of r fails the relation's time bounds).  Every pair that
+    holds is found from the cycle that sees the other robot: for concurrency
+    and case 3 the earlier Look, for overlap and case 4 the later one.  A
+    robot's own cycles are never concurrent and precede each other j -> j+1.
+    The overlap probe also finds the stationarity witnesses: o < s < f and
+    f_k < o_{k+1} put a move of r holding x's Look, if any, in r's last
+    cycle with a Look at or before x's.
+
+    A robot's timeline is its row's offset into the cycle list and its Look,
+    move-start and end times, each strictly increasing (o < s < f and
+    f_{j-1} < o_j), built in one loop over the row.  The classes come from a
+    union-find over cycle indices (path halving), and each is keyed by its
+    earliest (Look, robot, j), read from the timelines.
+    """
+    ids: list[CycleId] = []
+    timelines: list[tuple[int, list[float], list[float], list[float]]] = []
+    for row in trace.records:
+        base = len(ids)
+        looks, starts, ends = [], [], []
+        for rec in row:
+            robot, j, o, s, f = rec.cycle
+            ids.append((robot, j))
+            looks.append(o)
+            starts.append(s)
+            ends.append(f)
+        timelines.append((base, looks, starts, ends))
+    parent = list(range(len(ids)))  # the union-find, over indices into ids
+    concurrent: set[tuple[CycleId, CycleId]] = set()
+    overlapping: set[tuple[CycleId, CycleId]] = set()
+    stationary: list[tuple[CycleId, CycleId]] = []
+    hb: dict[tuple[CycleId, CycleId], bool] = {  # (a, b) -> only_at_horizon
+        (ids[k], ids[k + 1]): False
+        for base, looks, _, _ in timelines for k in range(base, base + len(looks) - 1)}
+    x = -1
+    for row in trace.records:
+        for rec in row:
+            x += 1
+            a = ids[x]
+            robot, _, xo, xs, xf = rec.cycle
+            for r in rec.visible_set:
+                if r == robot:
+                    continue
+                base, looks, starts, ends = timelines[r]
+                # concurrency: the first Look of r at or after x's, before x's move
+                k = bisect_left(looks, xo)
+                if k < len(looks) and looks[k] <= xs and (k == 0 or ends[k - 1] < xo):
+                    b = ids[base + k]
+                    concurrent.add((a, b) if a < b else (b, a))
+                    ra = x
+                    while parent[ra] != ra:
+                        parent[ra] = ra = parent[parent[ra]]
+                    rb = base + k
+                    while parent[rb] != rb:
+                        parent[rb] = rb = parent[parent[rb]]
+                    parent[rb] = ra
+                # overlap: the last Look of r at or before x's, still running at it;
+                # equal Looks are found from both sides, the set keeps one
+                k = bisect_right(looks, xo) - 1
+                if k >= 0 and xo <= ends[k]:
+                    b = ids[base + k]
+                    overlapping.add((a, b) if a < b else (b, a))
+                    if starts[k] < xo < ends[k]:
+                        stationary.append((a, b))
+                # case 3, x -> v: the first Look of r after x ends, r at rest at x's Look
+                k = bisect_right(looks, xf)
+                if k < len(looks) and (k == 0 or ends[k - 1] < xo):
+                    hb[(a, ids[base + k])] = False
+                # case 4, u -> x: the last cycle of r ending before x's Look, whose
+                # next move starts no earlier; past r's last cycle that bound is
+                # assumed, so the edge is horizon-only unless case 3 also holds
+                k = bisect_left(ends, xo) - 1
+                if k >= 0:
+                    beyond = k + 1 == len(looks)
+                    if beyond or xo <= starts[k + 1]:
+                        hb.setdefault((ids[base + k], a), beyond)
+    misaligned = sorted(overlapping - concurrent)
+    # source-major in cycle_ids() order; self_loops[0] depends on it
+    hb_pairs = sorted((a, b, horizon_only) for (a, b), horizon_only in hb.items())
+
+    groups: dict[int, list[int]] = {}
+    for x in range(len(ids)):
+        root = x
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        groups.setdefault(root, []).append(x)
+    look_of = [o for _, looks, _, _ in timelines for o in looks]  # aligned with ids
+    classes = [[ids[x] for x in members] for members in sorted(
+        groups.values(), key=lambda members: min((look_of[x], ids[x]) for x in members))]
+    class_of = {c: k for k, cls in enumerate(classes) for c in cls}
+
+    class_edges: dict[tuple[int, int], bool] = {}
+    self_loops: list[int] = []
+    for a, b, horizon_only in hb_pairs:
+        ka, kb = class_of[a], class_of[b]
+        if ka == kb:
+            if ka not in self_loops:
+                self_loops.append(ka)
+        else:
+            class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
+    return ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,
+                               hb_pairs, class_edges, self_loops, sorted(stationary))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_trace, random_small_inputs
 from oracles import (
+    analyze_oracle,
     closure_partition,
     consistency_oracle,
     cycles_concurrent,
@@ -20,6 +21,7 @@ from robosync.checker import (
     FAIL,
     OPEN,
     PASS,
+    ConcurrencyAnalysis,
     _natural_violations,
     analyze,
     check_all,
@@ -33,7 +35,12 @@ from robosync.engine import Adversary, FrameSpec, Scenario, Trace, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.geometry import Point
 from robosync.orders import BudgetExhausted, topological_orders
-from robosync.scenarios import NECESSITY_TEMPLATES, greedy_trap_scenario, necessity_template
+from robosync.scenarios import (
+    NECESSITY_TEMPLATES,
+    greedy_trap_scenario,
+    necessity_template,
+    random_vicinity_scenario,
+)
 from robosync.scheduling import make_fsync_schedule, sample_async_schedule
 from robosync.synchronizer import extract_core, run_synchronized
 
@@ -447,6 +454,53 @@ def test_a_loaded_trace_gives_the_relations_of_its_run():
     assert analysis == analyze(lattice_halt_trace())
     assert analysis.classes == closure_partition(loaded)
     assert max(map(len, analysis.classes)) > 2
+
+
+def analyze_oracle_traces():
+    """`oracle_traces()`, with its flipped-visibility copies; every necessity
+    template at adversary seeds 0..199; plain runs of `random_small_inputs`
+    at async horizons 8 and 20; the svp cores of the synchronizer sweep's
+    seeds 0..19; and a halt run on each of the three lattice sizes of the
+    grid benchmark (spacing 0.6; n=16 at horizons 100 and 200, n=32 at 100)."""
+    yield from oracle_traces()
+    for name in sorted(NECESSITY_TEMPLATES):
+        for seed in range(200):
+            try:
+                yield run_template(name, seed)
+            except SimulationError:
+                pass
+    for horizon in (8.0, 20.0):
+        for seed in range(60):
+            scenario, spec = random_small_inputs(seed)
+            try:
+                yield simulate(scenario, sample_async_schedule(seed, scenario.n, horizon),
+                               as_controller(spec), Adversary(seed, "nonrigid"))
+            except SimulationError:
+                pass
+    for seed in range(20):
+        scenario, spec = random_vicinity_scenario(seed)
+        yield extract_core(run_synchronized(
+            scenario, spec, sample_async_schedule(seed, scenario.n, 200.0),
+            Adversary(seed, "nonrigid"), "svp"))
+    for n, cols, horizon in ((16, 4, 100.0), (16, 4, 200.0), (32, 8, 100.0)):
+        scenario = Scenario([Point(0.6 * (k % cols), 0.6 * (k // cols)) for k in range(n)],
+                            [FrameSpec()] * n, 0.25)
+        yield simulate(scenario, sample_async_schedule(0, n, horizon),
+                       as_controller(AlgorithmSpec(HALT)), Adversary(0, "nonrigid"))
+
+
+def test_relation_pass_matches_the_bisect_per_relation_oracle():
+    # every field equal, in the same order: lists as lists, dicts item by item
+    traces = 0
+    for trace in analyze_oracle_traces():
+        got, want = analyze(trace), analyze_oracle(trace)
+        for f in dataclasses.fields(ConcurrencyAnalysis):
+            mine, theirs = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(theirs, dict):
+                mine, theirs = list(mine.items()), list(theirs.items())
+            assert mine == theirs, (f.name, trace.cycle_ids()[:4])
+        traces += 1
+    assert traces > 1500
 
 
 def test_consistency_check_matches_the_pair_oracle():

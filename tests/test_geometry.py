@@ -16,11 +16,10 @@ from robosync.geometry import (
     point_along,
     route_to_global,
     squared_distance,
-    to_global,
     truncated_length,
 )
 
-from oracles import route_oracle
+from oracles import route_oracle, route_to_global_oracle, to_global
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
@@ -175,6 +174,58 @@ def test_route_to_global_drops_a_vertex_that_rounds_onto_the_one_before():
     assert route_to_global(FrameSpec(), here, tiny) == Route.stay_put(here)
     bent = Route((Point(0, 0), Point(1.23e-17, 0), Point(0.5, 0)))
     assert route_to_global(FrameSpec(), here, bent) == Route((here, Point(1.1, 0.6)))
+
+
+# local coordinates that map onto the origin or onto each other once scaled,
+# rotated and added to an origin far larger than they are
+_tiny = st.floats(min_value=-1e-12, max_value=1e-12)
+_local_coord = st.one_of(st.sampled_from([0.0, -0.0, 1.23e-17, 0.5]), _tiny, finite)
+_origin_coord = st.one_of(st.sampled_from([0.0, -0.0, 0.6, 1e3]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _local_routes(draw):
+    """1-5 local vertices, each next one either anywhere or a tiny step from
+    the one before it; the first is often the local origin."""
+    verts = [Point(0.0, 0.0)] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(min_value=1, max_value=5)) - len(verts)):
+        if verts and draw(st.booleans()):
+            p = verts[-1]
+            verts.append(Point(p.x + draw(_tiny), p.y + draw(_tiny)))
+        else:
+            verts.append(Point(draw(_local_coord), draw(_local_coord)))
+    return verts or [Point(0.0, 0.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.one_of(st.floats(min_value=1e-3, max_value=1e3), st.sampled_from([1e-300, 1e300])),
+       _origin_coord, _origin_coord, _local_routes())
+@example(0.0, 1.0, 0.6, 0.6, [Point(0, 0), Point(1.23e-17, 0)])  # target onto the origin
+@example(0.0, 1.0, 0.6, 0.6, [Point(0, 0), Point(1.23e-17, 0), Point(0.5, 0)])
+@example(0.0, 1.0, 1e3, -0.0, [Point(0, 0), Point(0.5, 0), Point(0.5 + 2e-15, 0)])
+@example(0.3, 1e300, 0.0, -0.0, [Point(0, 0), Point(1e10, 0)])  # an image overflows
+@example(0.3, 1e300, 0.0, 0.0, [Point(1e-300, 0), Point(1e10, 0)])  # the start's image is finite
+def test_route_to_global_matches_the_point_by_point_oracle(rotation, unit, ox, oy, vertices):
+    """The global image keeps the oracle's vertices, bit-equal (`float.hex`),
+    and refuses with its `InputError`, which names the same vertex."""
+    try:
+        local = Route(vertices)
+    except InputError:
+        return
+    frame, origin = FrameSpec(rotation, unit), Point(ox, oy)
+    try:
+        expected = route_to_global_oracle(frame, origin, local)
+    except InputError as refused_by_oracle:
+        with pytest.raises(InputError) as refused:
+            route_to_global(frame, origin, local)
+        assert str(refused.value) == str(refused_by_oracle)
+        return
+    route = route_to_global(frame, origin, local)
+    assert [(p.x.hex(), p.y.hex()) for p in route.vertices] == \
+        [(p.x.hex(), p.y.hex()) for p in expected.vertices]
+    assert [c.hex() for c in route.cumulative] == [c.hex() for c in expected.cumulative]
 
 
 def test_frame_rejects_nonpositive_unit():
