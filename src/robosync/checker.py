@@ -133,7 +133,7 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
                     elif looks[k] > xf:
                         hb[(a, ids[base + k])] = False
     misaligned = sorted(overlapping - concurrent)
-    # source-major in cycle_ids() order; self_loops[0] depends on it
+    # by source cycle, robot-major in j order; self_loops[0] depends on it
     hb_pairs = sorted([(a, b, horizon_only) for (a, b), horizon_only in hb.items()])
 
     groups: dict[int, list[CycleId]] = {}

@@ -33,15 +33,17 @@ distinct instant only the robots whose point changed (arrivals that moved,
 and at a Look the movers' fresh samples) are tested, against the robots in
 their 3x3 block of a uniform cell grid (fixed-radius near-neighbour
 search), whose side `geometry.CELL_SIDE` exceeds sqrt(1 + VISIBILITY_EPS),
-so a flagged pair always lies in neighbouring cells.  The error names the
-lowest bad pair found, which is the pair a scan of every pair at every
-instant would name.  A robot whose bad pair does not count between Looks (a
-threshold pair, or a shared point with a robot inside its move window) is
-tested again at the next Look.  An arrival that stays put keeps its Look
-point, so it is tested only while such a robot waits: its pair may count
-from its move end on.  A cycle has one mid-move sample per Look time inside
-its move (zipped strictly), so at a Look every mover's point is known; only
-a cycle that moves is sampled there.
+so a flagged pair always lies in neighbouring cells.  The scenario builds
+that index once, to validate its positions, and each run forks it: the
+fork shares the block lists, which a move replaces and never edits.  The
+error names the lowest bad pair found, which is the pair a scan of every
+pair at every instant would name.  A robot whose bad pair does not count
+between Looks (a threshold pair, or a shared point with a robot inside its
+move window) is tested again at the next Look.  An arrival that stays put
+keeps its Look point, so it is tested only while such a robot waits: its
+pair may count from its move end on.  A cycle has one mid-move sample per
+Look time inside its move (zipped strictly), so at a Look every mover's
+point is known; only a cycle that moves is sampled there.
 """
 from __future__ import annotations
 
@@ -85,7 +87,10 @@ KINDS = ("plain", "luminous", "core", "replay")
 class _CellIndex:
     """Every robot's latest point on a uniform grid of side `CELL_SIDE`
     (fixed-radius near-neighbour search): a pair that shares a point or sits
-    at the threshold always lies in neighbouring cells."""
+    at the threshold always lies in neighbouring cells.
+
+    A block list is never edited once built: `move` replaces each one it
+    changes, in the same robot order, so a `fork` may share them all."""
 
     def __init__(self, points: Iterable[Point]):
         self.points = list(points)
@@ -95,6 +100,14 @@ class _CellIndex:
             for k in cell_block(key):
                 self._near.setdefault(k, []).append(i)
 
+    def fork(self) -> _CellIndex:
+        """An index of the same points whose moves leave this one as it is."""
+        twin = object.__new__(_CellIndex)
+        twin.points = self.points.copy()
+        twin._cell = self._cell.copy()
+        twin._near = self._near.copy()  # the block lists are shared
+        return twin
+
     def move(self, i: int, p: Point) -> None:
         self.points[i] = p
         key = cell(p)
@@ -103,9 +116,11 @@ class _CellIndex:
             return
         near = self._near
         for k in cell_block(old):
-            near[k].remove(i)
+            kept = near[k].copy()
+            kept.remove(i)
+            near[k] = kept
         for k in cell_block(key):
-            near.setdefault(k, []).append(i)
+            near[k] = [*near.get(k, ()), i]
         self._cell[i] = key
 
     def near(self, i: int) -> list[int]:
@@ -130,7 +145,10 @@ class _CellIndex:
 @dataclass
 class Scenario:
     """Initial configuration: positions, fixed frame parameters, minimum
-    movement distance.  The visibility range is the global unit distance."""
+    movement distance.  The visibility range is the global unit distance.
+
+    The cell index that validates the positions is kept, and every run over
+    the scenario forks it, so the positions must not change after."""
     initial_positions: list[Point]
     frames: list[FrameSpec]
     delta: float
@@ -142,7 +160,7 @@ class Scenario:
             raise InputError("one frame spec per robot required")
         if not 0 <= self.delta < math.inf:
             raise InputError(f"delta must be finite and non-negative, got {self.delta}")
-        index = _CellIndex(self.initial_positions)
+        index = self._index = _CellIndex(self.initial_positions)
         for i in range(self.n):
             bad = index.bad_pairs(i)
             if bad:  # no robot below i has a bad pair, so min(bad) is the lowest of all
@@ -451,12 +469,6 @@ class Trace:
     def record(self, robot: int, j: int) -> CycleRecord:
         return self.records[robot][j - 1]
 
-    def all_records(self) -> list[CycleRecord]:
-        return [r for row in self.records for r in row]
-
-    def cycle_ids(self) -> list[tuple[int, int]]:
-        return [r.cycle.ident for r in self.all_records()]
-
     def rest_positions(self, robot: int) -> list[Point]:
         """Every position the robot occupies at rest during the prefix."""
         out = [self.scenario.initial_positions[robot]]
@@ -524,7 +536,7 @@ class Simulation:
         self.records: list[list[CycleRecord]] = [[] for _ in range(scenario.n)]
         self._lights = [(-math.inf, initial_color, initial_color)] * scenario.n
         self._look_times = schedule.look_times()
-        self._index = _CellIndex(scenario.initial_positions)
+        self._index = scenario._index.fork()
         self._open: dict[int, CycleRecord] = {}  # movers between their Look and move end
         self._recheck: list[int] = []  # robots to test again at the next Look
 

@@ -108,6 +108,9 @@ class Schedule:
                     raise InputError(f"robot {i} cycle indices not consecutive")
                 if not end < o:
                     raise InputError(f"robot {i} cycles overlap in time")
+                if f > self.horizon:
+                    raise InputError(f"cycle {cycles[k - 1]} ends after the horizon "
+                                     f"{self.horizon}")
                 end = f
 
     def look_times(self) -> list[float]:

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 
 from robosync.algorithms import as_controller
 from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis, check_all
-from robosync.engine import BK, Adversary, Trace, simulate
+from robosync.engine import BK, Adversary, CycleRecord, Trace, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.experiments import NECESSITY_NODE_BUDGET
 from robosync.geometry import (
@@ -68,6 +68,11 @@ POS_INF = float("inf")
 
 
 # -- primitive accessors -----------------------------------------------------
+
+def all_records(trace: Trace) -> list[CycleRecord]:
+    """Every record of the trace, robot-major, in j order."""
+    return [r for row in trace.records for r in row]
+
 
 def _prev_f(trace: Trace, robot: int, j: int) -> float:
     """End of the previous move; -inf for a robot's first cycle."""
@@ -145,7 +150,7 @@ def happened_before(trace: Trace, a: CycleId, b: CycleId) -> tuple[bool, bool]:
 def closure_partition(trace: Trace) -> list[list[CycleId]]:
     """Warshall-style transitive closure of the pairwise concurrency matrix,
     returned in the checker's canonical class order."""
-    ids = trace.cycle_ids()
+    ids = [r.cycle.ident for r in all_records(trace)]
     m = len(ids)
     reach = [[cycles_concurrent(trace, ids[a], ids[b]) for b in range(m)]
              for a in range(m)]
@@ -175,7 +180,7 @@ def closure_partition(trace: Trace) -> list[list[CycleId]]:
 def stationary_oracle(trace: Trace) -> list[dict]:
     """Every observer against every cycle of each robot it sees."""
     witnesses = []
-    for rec in trace.all_records():
+    for rec in all_records(trace):
         i, j = rec.cycle.ident
         for i2 in sorted(rec.visible_set - {i}):
             for rec2 in trace.records[i2]:
@@ -297,7 +302,7 @@ def stay_put_samples(trace: Trace, robot: int, j: int) -> tuple[tuple[float, flo
     """The mid-move samples of a cycle that stays put: arc 0 at each Look
     time of the trace's schedule strictly inside its move."""
     cycle = trace.record(robot, j).cycle
-    looks = sorted({rec.cycle.o for rec in trace.all_records()})
+    looks = sorted({rec.cycle.o for rec in all_records(trace)})
     return tuple((t, 0.0) for t in looks if cycle.s < t < cycle.f)
 
 
@@ -526,7 +531,7 @@ def analyze_oracle(trace: Trace) -> ConcurrencyAnalysis:
                     if beyond or xo <= starts[k + 1]:
                         hb.setdefault((ids[base + k], a), beyond)
     misaligned = sorted(overlapping - concurrent)
-    # source-major in cycle_ids() order; self_loops[0] depends on it
+    # by source cycle, robot-major in j order; self_loops[0] depends on it
     hb_pairs = sorted((a, b, horizon_only) for (a, b), horizon_only in hb.items())
 
     groups: dict[int, list[int]] = {}

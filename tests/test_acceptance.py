@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conftest import random_small_inputs
-from oracles import closure_partition, cycles_concurrent, happened_before
+from oracles import all_records, closure_partition, cycles_concurrent, happened_before
 from robosync.algorithms import as_controller
 from robosync.checker import (
     analyze,
@@ -140,7 +140,7 @@ def test_criterion_5_proposition_suite():
         except SimulationError:
             continue
         produced += 1
-        total_cycles = len(trace.all_records())
+        total_cycles = len(all_records(trace))
         max_cycles = max(max_cycles, total_cycles)
         assert scenario.n <= 6 and total_cycles <= 30
 
@@ -148,7 +148,7 @@ def test_criterion_5_proposition_suite():
         if analysis.classes != closure_partition(trace):
             violations.append((seed, "union-find vs closure"))
 
-        ids = trace.cycle_ids()
+        ids = [r.cycle.ident for r in all_records(trace)]
         for a in ids:
             for b in ids:
                 if a != b and happened_before(trace, a, b)[0] \

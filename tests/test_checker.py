@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import build_trace, random_small_inputs
 from oracles import (
+    all_records,
     analyze_oracle,
     closure_partition,
     consistency_oracle,
@@ -428,7 +429,7 @@ def oracle_traces():
 def test_relation_pass_matches_pairwise_oracles():
     for trace in oracle_traces():
         analysis = analyze(trace)
-        ids = trace.cycle_ids()
+        ids = [r.cycle.ident for r in all_records(trace)]
         pairs = [(a, b) for x, a in enumerate(ids) for b in ids[x + 1:]]
         assert analysis.concurrent == {
             (a, b) for a, b in pairs if cycles_concurrent(trace, a, b)}
@@ -498,7 +499,7 @@ def test_relation_pass_matches_the_bisect_per_relation_oracle():
             mine, theirs = getattr(got, f.name), getattr(want, f.name)
             if isinstance(theirs, dict):
                 mine, theirs = list(mine.items()), list(theirs.items())
-            assert mine == theirs, (f.name, trace.cycle_ids()[:4])
+            assert mine == theirs, (f.name, [r.cycle.ident for r in all_records(trace)[:4]])
         traces += 1
     assert traces > 1500
 

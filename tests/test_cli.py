@@ -229,6 +229,7 @@ TRACE_MUTATIONS = {
     "robot index of true": lambda recs: _set_cycle(recs[1][0], robot=True),
     "visible robot of 0.9": lambda recs: recs[0][0].update(visible_set=[0.9, 1]),
     "off-grid trace time": lambda recs: _set_cycle(recs[0][0], o=0.1),
+    "trace cycle ends after the horizon": lambda recs: _set_cycle(recs[1][-1], f=1024.0),
 }
 
 
@@ -264,6 +265,8 @@ FILE_CASES = {
         lambda: _control_schedule(lambda d: d["robots"][0][0].update(j=True)),
     "schedule j of 1e400":
         lambda: _control_schedule(lambda d: d["robots"][0][0].update(j=1e400)),
+    "schedule cycle ends after the horizon":
+        lambda: _control_schedule(lambda d: d["robots"][0][-1].update(f=d["horizon"] + 1)),
     "hull algorithm without lambda": lambda: ("--algo", {"kind": "hull_contraction"}),
     "scripted entry without snapshot":
         lambda: ("--algo", {"kind": "scripted", "script": [{"route": [[0, 0]]}]}),

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_small_inputs
+from oracles import all_records
 from robosync import engine
 from robosync.algorithms import (
     HALT,
@@ -42,7 +43,7 @@ from robosync.synchronizer import (
     extract_core,
     run_synchronized,
 )
-from robosync.synthesis import build_plan, replay_plan
+from robosync.synthesis import build_plan, candidate_search, replay_plan
 
 IDENT = FrameSpec()
 
@@ -322,12 +323,12 @@ def test_trace_json_round_trip():
     pending = sampled = 0
     for run in runs:
         trace = run()
-        pending += sum("z" not in vars(rec) for rec in trace.all_records())
+        pending += sum("z" not in vars(rec) for rec in all_records(trace))
         source = run().to_json()
         again = Trace.from_json(source)
         # a loaded record builds its snapshot and samples at their first
         # read, in either order, and so does a copy of it
-        for k, (rec, want) in enumerate(zip(again.all_records(), trace.all_records())):
+        for k, (rec, want) in enumerate(zip(all_records(again), all_records(trace))):
             assert not {"snapshot_local", "mid_move_samples"} & vars(rec).keys()
             sampled += bool(want.mid_move_samples)
             if k % 4 == 0:
@@ -370,7 +371,7 @@ def test_a_loaded_record_lets_go_of_each_row_list_once_built():
                    for v in vars(rec).values())
 
     sampled = 0
-    for k, (rec, row) in enumerate(zip(again.all_records(),
+    for k, (rec, row) in enumerate(zip(all_records(again),
                                        [r for rows in data["records"] for r in rows])):
         points, samples = row["snapshot_local"], row.get("mid_move_samples", [])
         sampled += bool(samples)
@@ -400,7 +401,7 @@ def test_every_record_dict_shares_its_keys():
         data = json.loads(json.dumps(trace.to_json()))  # reads every pending field
         loaded = Trace.from_json(data)
         loaded.to_json()  # builds the loaded snapshots and samples
-        for rec in trace.all_records() + loaded.all_records():
+        for rec in all_records(trace) + all_records(loaded):
             fields = vars(rec)
             assert sys.getsizeof(fields) < sys.getsizeof(dict(fields))
 
@@ -642,6 +643,56 @@ def test_an_idle_instant_makes_no_pair_check_call(monkeypatch):
     assert calls == 294  # of 527 instants
 
 
+def _blocks(index) -> dict:
+    """The index's robots per occupied block, as sets."""
+    return {k: set(robots) for k, robots in index._near.items() if robots}
+
+
+def test_every_run_forks_the_scenarios_index_and_leaves_it_as_built(monkeypatch):
+    # the stationarity mover crosses a cell boundary on seed 0 and in its
+    # candidate replays; every run forks the index its scenario built, and
+    # shares its block lists, so a move that edited one would move a robot
+    # in the scenario's index and in every later run's
+    forks = []
+    fork = engine._CellIndex.fork
+
+    def kept(index):
+        forks.append(fork(index))
+        return forks[-1]
+
+    monkeypatch.setattr(engine._CellIndex, "fork", kept)
+    run = necessity_template("stationarity", 0)
+    scenario = run.scenario
+
+    def trace_of(seed):
+        return simulate(scenario, run.schedule, as_controller(run.algorithm),
+                        Adversary(seed, run.adversary_mode))
+
+    first = trace_of(0)
+    for seed in range(1, 6):
+        trace_of(seed)
+    before_search = len(forks)
+    candidate_search(first, check_all(first).analysis)
+    assert len(forks) > before_search  # the search replayed candidates over the scenario
+    assert any(index._cell != scenario._index._cell for index in forks)  # a robot moved cells
+    # a step toward a distant robot enters blocks that the scenario's index
+    # already lists, which a move that appended in place would extend
+    walk = scen((0, 0), (2.5, 0))
+    simulate(walk, sched(2, 2, {0: [(0.0, 0.25, 1.0)]}), _Steps({(0, 1): (1.5, 0)}),
+             Adversary(0, RIGID))
+    assert forks[-1]._cell != walk._index._cell
+    for owner in (scenario, walk):
+        built = engine._CellIndex(owner.initial_positions)
+        assert owner._index.points == built.points
+        assert owner._index._cell == built._cell
+        assert list(owner._index._near.items()) == list(built._near.items())
+    for index in forks:
+        again = engine._CellIndex(index.points)
+        assert index._cell == again._cell
+        assert _blocks(index) == _blocks(again)
+    assert trace_of(0).to_json() == first.to_json()
+
+
 def _outcome(sim, scenario, schedule, controller, seed, color=None, mode=NONRIGID,
              adversary=Adversary):
     try:
@@ -845,7 +896,7 @@ def test_looks_sample_only_the_cycles_that_move(monkeypatch):
     scenario, spec = random_vicinity_scenario(0)  # one seed of the synchronizer sweep
     trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
                              Adversary(0, NONRIGID))
-    moving = [rec for rec in trace.all_records() if rec.route_global.length > 0.0]
+    moving = [rec for rec in all_records(trace) if rec.route_global.length > 0.0]
     assert 0 < lookups == sum(len(rec.mid_move_samples) for rec in moving) == 14
 
 
@@ -950,7 +1001,7 @@ def test_every_z_is_the_keyed_draw_of_the_records_own_cycle():
                     for rec, source in zip(row, origin, strict=True):
                         assert rec.z == fresh.draw_truncation(robot, source.cycle.j)
                         checked += 1
-            for rec in trace.all_records():
+            for rec in all_records(trace):
                 assert rec.z == fresh.draw_truncation(rec.cycle.robot, rec.cycle.j)
                 checked += 1
     assert checked > 500
@@ -981,7 +1032,7 @@ def test_a_run_draws_z_only_for_routes_longer_than_delta(monkeypatch):
     scenario, spec = random_vicinity_scenario(0)  # one seed of the synchronizer sweep
     trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
                              Adversary(0, NONRIGID))
-    records = trace.all_records()
+    records = all_records(trace)
     longer = sum(rec.route_global.length > scenario.delta for rec in records)
     assert 0 < longer < len(records) and draws == longer
     extract_core(trace)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_small_inputs
-from oracles import color_at, snapshot_oracle, stay_put_samples
+from oracles import all_records, color_at, snapshot_oracle, stay_put_samples
 from robosync import experiments
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.engine import Adversary, FrameSpec, NONRIGID, RIGID, Scenario, simulate
@@ -240,7 +240,7 @@ def test_color_invariants_match_the_per_look_rebuild_on_mutated_traces():
         assert check_neighbor_phase_lag(trace) == _oracle_phase_lag(trace) == []
         assert check_color_lifecycle(trace) == _oracle_lifecycle(trace) == []
         rng = random.Random(f"mutate:{seed}")
-        records = trace.all_records()
+        records = all_records(trace)
         for _ in range(6):
             rec = rng.choice(records)
             if rng.random() < 0.75:
@@ -274,7 +274,7 @@ def _luminous_runs():
 def test_a_rejected_record_builds_the_eager_snapshot_at_first_read():
     rejected = stale = sampled = 0
     for trace in _luminous_runs():
-        records = trace.all_records()
+        records = all_records(trace)
         # first, since the snapshot oracle reads the samples of every move
         # in progress at a Look
         for rec in records:
@@ -337,9 +337,9 @@ def test_a_sweep_pass_rotates_no_rejected_snapshot_until_it_is_written(monkeypat
     during = calls
     trace = runs["luminous"]
     # an accepted record's snapshot is built at its Look, so reading it rotates nothing
-    accepted = sum(len(rec.snapshot_local) - 1 for rec in trace.all_records() if rec.accepted)
-    rejected = sum(len(rec.visible_set) - 1 for rec in trace.all_records() if not rec.accepted)
-    replayed = sum(len(rec.visible_set) - 1 for rec in runs["replay"].all_records())
+    accepted = sum(len(rec.snapshot_local) - 1 for rec in all_records(trace) if rec.accepted)
+    rejected = sum(len(rec.visible_set) - 1 for rec in all_records(trace) if not rec.accepted)
+    replayed = sum(len(rec.visible_set) - 1 for rec in all_records(runs["replay"]))
     assert during <= accepted + replayed
     trace.to_json()
     assert calls - during == rejected > 500
