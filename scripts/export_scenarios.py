@@ -4,10 +4,10 @@
 Usage: python3 scripts/export_scenarios.py [--dir scenarios]
 """
 import argparse
-import json
 import pathlib
 import sys
 
+from robosync.jsonio import dump
 from robosync.scenarios import BUILTIN_BUNDLES, builtin_bundle
 
 
@@ -20,7 +20,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(BUILTIN_BUNDLES):
         path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(builtin_bundle(name), sort_keys=True, indent=1) + "\n")
+        dump(builtin_bundle(name), path)
         print(f"wrote {path}")
     return 0
 

@@ -20,7 +20,7 @@ from .geometry import (
     same_points,
     squared_distance,
 )
-from .scheduling import json_number, json_point
+from .jsonio import json_number, json_point
 
 POINT_MATCH_EPS = 1e-9
 
@@ -32,9 +32,14 @@ SCRIPTED = "scripted"
 @dataclass(frozen=True)
 class ScriptEntry:
     """Exact-snapshot trigger: when the local snapshot matches `snapshot`
-    (unordered, within POINT_MATCH_EPS per point), follow `route`."""
+    (unordered, within POINT_MATCH_EPS per point), follow `route`, which
+    starts at the local origin."""
     snapshot: tuple[Point, ...]
     route: tuple[Point, ...]
+
+    def __post_init__(self) -> None:
+        if Route(self.route).vertices[0] != ORIGIN:  # `Route` refuses first
+            raise InputError("a script route must start at the local origin")
 
 
 @dataclass(frozen=True)

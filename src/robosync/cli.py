@@ -2,13 +2,12 @@
 
 Subcommands: simulate, check, synthesize, repro, necessity, sweep.
 Exit codes: 0 pass, 1 condition failure, 2 input error, 3 internal or
-inconclusive.  Output is JSON with sorted keys, so a rerun with identical
+inconclusive.  Output goes through `jsonio.dump`, so a rerun with identical
 flags produces byte-identical files.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algorithms import AlgorithmSpec, HALT, HULL_CONTRACTION, as_controller
@@ -22,6 +21,7 @@ from .experiments import (
     repro_greedy_trap,
     synchronizer_end_to_end,
 )
+from .jsonio import dump, load
 from .scheduling import (
     Schedule,
     check_fairness_prefix,
@@ -38,39 +38,10 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _dump(data: dict, out: str | None) -> None:
-    text = json.dumps(data, sort_keys=True, indent=1) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load(path: str, parse):
-    """Read a JSON file and build an object from it with `parse`.  The CLI is
-    the only reader of outside files, so every way the data can be malformed
-    surfaces here and becomes an InputError."""
-    try:
-        with open(path) as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError as exc:
-                raise InputError(f"cannot read {path}: JSON nested too deeply") from exc
-        return parse(data)
-    except InputError:
-        raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
-        raise InputError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
-
-
 def _load_bundle(ref: str) -> dict:
     if ref.startswith("builtin:"):
         return bundle_from_json(builtin_bundle(ref[len("builtin:"):]))
-    return _load(ref, bundle_from_json)
+    return load(ref, bundle_from_json)
 
 
 def _number(text: str, kind: type, flag: str):
@@ -89,7 +60,7 @@ def _parse_schedule(spec: str | None, bundle: dict, n: int, seed: int) -> Schedu
         return make_fsync_schedule(_number(spec.split(":", 1)[1], int, "--schedule"), n)
     if spec.startswith("async:"):
         return sample_async_schedule(seed, n, _number(spec.split(":", 1)[1], float, "--schedule"))
-    return _load(spec, Schedule.from_json)
+    return load(spec, Schedule.from_json)
 
 
 def _parse_algorithm(spec: str | None, bundle: dict) -> AlgorithmSpec:
@@ -102,7 +73,7 @@ def _parse_algorithm(spec: str | None, bundle: dict) -> AlgorithmSpec:
     if spec.startswith("hull:"):
         return AlgorithmSpec(HULL_CONTRACTION,
                              contraction=_number(spec.split(":", 1)[1], float, "--algo"))
-    return _load(spec, AlgorithmSpec.from_json)
+    return load(spec, AlgorithmSpec.from_json)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -126,7 +97,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trace = run_synchronized(scenario, algorithm, schedule, adversary, machine)
     else:
         trace = simulate(scenario, schedule, as_controller(algorithm), adversary)
-    _dump(trace.to_json(), args.out)
+    dump(trace.to_json(), args.out)
     return EXIT_PASS
 
 
@@ -141,22 +112,22 @@ def _report_exit(report) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    trace = _load(args.trace, Trace.from_json)
+    trace = load(args.trace, Trace.from_json)
     report = check_all(trace, node_budget=args.budget)
-    _dump(report.to_json(), args.out)
+    dump(report.to_json(), args.out)
     return _report_exit(report)
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    trace = _load(args.trace, Trace.from_json)
+    trace = load(args.trace, Trace.from_json)
     report = check_all(trace, node_budget=args.budget)
     if not report.all_pass:
-        _dump({"schema": 1, "refused": True, "report": report.to_json()}, args.out)
+        dump({"schema": 1, "refused": True, "report": report.to_json()}, args.out)
         return _report_exit(report)
     plan = build_plan(trace, report.natural_order)
     replayed = replay_plan(trace.scenario, plan)
     verdict = similar(trace, replayed)
-    _dump({
+    dump({
         "schema": 1,
         "refused": False,
         "plan": plan.to_json(),
@@ -176,7 +147,7 @@ def cmd_repro(args: argparse.Namespace) -> int:
         result = repro_colorbased(machine=args.machine or SVP)
     else:
         raise InputError(f"unknown reproduction {args.name!r}")
-    _dump(result, args.out)
+    dump(result, args.out)
     return EXIT_PASS if result["ok"] else EXIT_CONDITION
 
 
@@ -197,8 +168,8 @@ def cmd_necessity(args: argparse.Namespace) -> int:
                                           order_budget=args.order_budget,
                                           node_budget=args.budget)
                for name in names}
-    _dump({"schema": 1, "aggregates": results} if args.template == "all"
-          else results[args.template], args.out)
+    dump({"schema": 1, "aggregates": results} if args.template == "all"
+         else results[args.template], args.out)
     codes = {_necessity_exit(result) for result in results.values()}
     return EXIT_CONDITION if EXIT_CONDITION in codes else max(codes)
 
@@ -208,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InputError("synchronizer sweeps need at least one seed")
     results = [synchronizer_end_to_end(seed, horizon=args.horizon, machine=args.machine)
                for seed in range(args.seeds)]
-    _dump({"schema": 1, "results": results}, args.out)
+    dump({"schema": 1, "results": results}, args.out)
     ok = all(r["all_checks_pass"] and r["similar"] for r in results)
     return EXIT_PASS if ok else EXIT_CONDITION
 

@@ -68,8 +68,8 @@ from .geometry import (
     truncated_length,
     truncation_draw,
 )
-from .scheduling import (Cycle, Schedule, json_cycle, json_index, json_number, json_point,
-                         json_point_rows)
+from .jsonio import json_choice, json_index, json_number, json_point, json_point_rows
+from .scheduling import Cycle, Schedule
 
 RIGID = "rigid"
 NONRIGID = "nonrigid"
@@ -397,14 +397,15 @@ class CycleRecord:
         points = json_point_rows(data["snapshot_local"], "snapshot point")
         colors = None
         if "snapshot_colors" in data:
-            colors = tuple(json_choice(k, "snapshot color") for k in data["snapshot_colors"])
+            colors = tuple(json_choice(k, "snapshot color", COLORS)
+                           for k in data["snapshot_colors"])
             if len(colors) != len(points):
                 raise InputError(f"{len(colors)} snapshot colors for {len(points)} "
                                  "snapshot points")
         if "accepted" in data and type(data["accepted"]) is not bool:
             raise InputError(f"accepted must be true or false, got {data['accepted']!r}")
         record = object.__new__(cls)  # fields in the one order (see `_every_key`)
-        record.cycle = cycle = json_cycle(c, json_index(c["robot"], "robot index"))
+        record.cycle = cycle = Cycle.from_json(c, json_index(c["robot"], "robot index"))
         record.pos_at_look = json_point(data["pos_at_look"], "pos_at_look")
         record.visible_set = visible = frozenset(
             json_index(i, "visible robot") for i in data["visible_set"])
@@ -417,9 +418,9 @@ class CycleRecord:
             json_number(t, "sample time")
             json_number(u, "sample arc")
         record.snapshot_colors = colors
-        record.color_before = (json_choice(data["color_before"], "color_before")
+        record.color_before = (json_choice(data["color_before"], "color_before", COLORS)
                                if "color_before" in data else None)
-        record.color_after = (json_choice(data["color_after"], "color_after")
+        record.color_after = (json_choice(data["color_after"], "color_after", COLORS)
                               if "color_after" in data else None)
         record.accepted = data.get("accepted")
         record._rows = (points, samples)
@@ -443,14 +444,6 @@ _every_key = object.__new__(CycleRecord)
 for _key in (*CycleRecord.__dataclass_fields__, "_draw", "_seen", "_rows"):
     setattr(_every_key, _key, None)
 del _every_key, _key
-
-
-def json_choice(value, what: str, choices: tuple = COLORS):
-    """`value`, refused unless it is one of `choices` (any JSON value may come in)."""
-    if value not in choices:
-        raise InputError(f"{what} must be one of {', '.join(map(str, choices))}, "
-                         f"got {value!r}")
-    return value
 
 
 @dataclass

@@ -11,9 +11,10 @@ import random
 from dataclasses import dataclass
 
 from .algorithms import HALT, HULL_CONTRACTION, SCRIPTED, AlgorithmSpec, ScriptEntry
-from .engine import MACHINES, NONRIGID, RIGID, FrameSpec, Scenario, json_choice
+from .engine import MACHINES, NONRIGID, RIGID, FrameSpec, Scenario
 from .errors import InputError
 from .geometry import Point
+from .jsonio import json_choice
 from .scheduling import Cycle, Schedule
 
 _IDENTITY = FrameSpec(0.0, 1.0)

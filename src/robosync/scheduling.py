@@ -12,51 +12,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import InputError
-from .geometry import Point
+from .jsonio import json_index, json_number
 
 TIME_GRID = 64  # generated times are multiples of 1/64
 
 
 def on_grid(t: float) -> bool:
     return t * TIME_GRID == round(t * TIME_GRID)
-
-
-def json_index(value: object, what: str) -> int:
-    """An index read from JSON: only a JSON integer is one, so a float, a
-    boolean or a string is refused rather than truncated or coerced."""
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-_NUMBER = (float, int)  # the types json.load gives a JSON number; bool is not one
-
-
-def json_number(value: object, what: str) -> float:
-    """A real read from JSON: only a finite JSON number is one, so a string,
-    a boolean, NaN or an infinity is refused rather than coerced."""
-    if type(value) not in _NUMBER or not math.isfinite(value):
-        raise InputError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def json_point(value: object, what: str) -> Point:
-    """A point read from JSON: a list of exactly two numbers, finite as
-    `Point` requires."""
-    if (type(value) is not list or len(value) != 2
-            or type(value[0]) not in _NUMBER or type(value[1]) not in _NUMBER):
-        raise InputError(f"{what} must be a list of two numbers, got {value!r}")
-    return Point(float(value[0]), float(value[1]))
-
-
-def json_point_rows(rows, what: str):
-    """`rows`, each refused as `json_point` refuses it, but no point built:
-    each must be a list of two finite numbers."""
-    for p in rows:
-        if not (type(p) is list and len(p) == 2 and type(p[0]) in _NUMBER
-                and type(p[1]) in _NUMBER and math.isfinite(p[0]) and math.isfinite(p[1])):
-            json_point(p, what)  # raises its error, or `Point`'s for a non-finite one
-    return rows
 
 
 class Cycle(namedtuple("Cycle", "robot j o s f")):
@@ -84,6 +46,19 @@ class Cycle(namedtuple("Cycle", "robot j o s f")):
     @property
     def ident(self) -> tuple[int, int]:
         return (self.robot, self.j)
+
+    @classmethod
+    def from_json(cls, entry: dict, robot: int) -> "Cycle":
+        """A cycle of a schedule or trace row read from JSON: its times are
+        finite numbers on the 1/64 grid and its index j is an integer."""
+        o, s, f = (json_number(entry["o"], "cycle time o"),
+                   json_number(entry["s"], "cycle time s"),
+                   json_number(entry["f"], "cycle time f"))
+        for t in (o, s, f):
+            if not on_grid(t):
+                raise InputError(f"time {t} is not a multiple of 1/{TIME_GRID}; "
+                                 "align hand-entered times to the grid")
+        return cls(robot, json_index(entry["j"], "cycle index j"), o, s, f)
 
 
 @dataclass
@@ -128,22 +103,9 @@ class Schedule:
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
         horizon = json_number(data["horizon"], "horizon")
-        robots = [[json_cycle(entry, i) for entry in cycles]
+        robots = [[Cycle.from_json(entry, i) for entry in cycles]
                   for i, cycles in enumerate(data["robots"])]
         return cls(n=len(robots), horizon=horizon, robots=robots)
-
-
-def json_cycle(entry: dict, robot: int) -> Cycle:
-    """A cycle of a schedule or trace row read from JSON: its times are
-    finite numbers on the 1/64 grid and its index j is an integer."""
-    o, s, f = (json_number(entry["o"], "cycle time o"),
-               json_number(entry["s"], "cycle time s"),
-               json_number(entry["f"], "cycle time f"))
-    for t in (o, s, f):
-        if not on_grid(t):
-            raise InputError(f"time {t} is not a multiple of 1/{TIME_GRID}; "
-                             "align hand-entered times to the grid")
-    return Cycle(robot, json_index(entry["j"], "cycle index j"), o, s, f)
 
 
 # uniform (min, max) ranges of the async sampler's three gaps

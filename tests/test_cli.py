@@ -283,6 +283,17 @@ FILE_CASES = {
     "scripted route vertex of [true, 0]":
         lambda: ("--algo", {"kind": "scripted",
                             "script": [{"snapshot": [[0, 0]], "route": [[0, 0], [True, 0]]}]}),
+    # a script route starts at the local origin, and is refused at load
+    # whether or not its entry fires
+    "scripted route off the origin that fires":
+        lambda: ("--algo", {"kind": "scripted",
+                            "script": [{"snapshot": [[0, 0]], "route": [[1, 0], [1, 1]]}]}),
+    "scripted route off the origin that never fires":
+        lambda: ("--algo", {"kind": "scripted",
+                            "script": [{"snapshot": [[5, 5]], "route": [[1, 0], [1, 1]]}]}),
+    "scripted route with a zero-length segment that never fires":
+        lambda: ("--algo", {"kind": "scripted",
+                            "script": [{"snapshot": [[5, 5]], "route": [[0, 0], [0, 0]]}]}),
 }
 
 
