@@ -33,13 +33,16 @@ SCRIPTED = "scripted"
 class ScriptEntry:
     """Exact-snapshot trigger: when the local snapshot matches `snapshot`
     (unordered, within POINT_MATCH_EPS per point), follow `route`, which
-    starts at the local origin."""
+    starts at the local origin.  The `Route` built to check it is kept, not
+    a field, and every firing returns that one object."""
     snapshot: tuple[Point, ...]
     route: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        if Route(self.route).vertices[0] != ORIGIN:  # `Route` refuses first
+        built = Route(self.route)  # `Route` refuses first
+        if built.vertices[0] != ORIGIN:
             raise InputError("a script route must start at the local origin")
+        object.__setattr__(self, "built_route", built)  # the dataclass is frozen
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
         return Route((ORIGIN, target))
     for entry in spec.script:
         if same_points(entry.snapshot, snapshot, POINT_MATCH_EPS):
-            return Route(entry.route)
+            return entry.built_route
     return Route.stay_put()
 
 

@@ -27,6 +27,14 @@ DEFAULT_NODE_BUDGET = 10 ** 6
 
 # -- the relation pass -------------------------------------------------------
 
+class _IdLists(dict):
+    """Cycle id -> its JSON list, built at the first lookup of the id."""
+
+    def __missing__(self, c: CycleId) -> list[int]:
+        out = self[c] = list(c)
+        return out
+
+
 @dataclass
 class ConcurrencyAnalysis:
     """The three cycle relations: concurrency and the classes of its closure,
@@ -41,6 +49,13 @@ class ConcurrencyAnalysis:
     class_edges: dict[tuple[int, int], bool]       # edge -> firm?
     self_loops: list[int]
     stationary: list[tuple[CycleId, CycleId]]      # (observer, mover), sorted
+
+    def __post_init__(self) -> None:
+        # one JSON list per cycle id, which every witness and report naming
+        # the cycle shares (a lattice trace names each cycle in thousands of
+        # witnesses), so those lists are read-only.  Not a field: `==` and
+        # `dataclasses.fields` ignore it
+        self.id_lists: dict[CycleId, list[int]] = _IdLists()
 
     @property
     def num_classes(self) -> int:
@@ -183,21 +198,27 @@ class CheckResult:
 
 def check_stationary(analysis: ConcurrencyAnalysis) -> CheckResult:
     """No Look may land strictly inside the move window of a visible robot
-    (`analyze` finds these pairs)."""
-    witnesses = [{"observer": list(a), "mover": list(b)} for a, b in analysis.stationary]
+    (`analyze` finds these pairs).  The witnesses' cycle ids are the
+    analysis's shared lists (`id_lists`): read-only."""
+    ids = analysis.id_lists
+    witnesses = [{"observer": ids[a], "mover": ids[b]} for a, b in analysis.stationary]
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
 def check_pairwise_aligned(analysis: ConcurrencyAnalysis) -> CheckResult:
-    """Every overlapping pair must be concurrent."""
-    witnesses = [{"pair": [list(a), list(b)]} for a, b in analysis.misaligned]
+    """Every overlapping pair must be concurrent.  The witnesses' cycle ids
+    are the analysis's shared lists (`id_lists`): read-only."""
+    ids = analysis.id_lists
+    witnesses = [{"pair": [ids[a], ids[b]]} for a, b in analysis.misaligned]
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
 def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult:
     """Within every concurrency class: visibility is symmetric, visible pairs
     are directly concurrent, invisible pairs are separated by more than the
-    visibility range at their Looks."""
+    visibility range at their Looks.  The witnesses' cycle ids are the
+    analysis's shared lists (`id_lists`): read-only."""
+    ids = analysis.id_lists
     witnesses = []
     for cls in analysis.classes:
         if len(cls) < 2:  # no pair
@@ -208,13 +229,13 @@ def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult
                 sees_ab = b[0] in ra.visible_set
                 sees_ba = a[0] in rb.visible_set
                 if sees_ab != sees_ba:
-                    witnesses.append({"pair": [list(a), list(b)], "clause": 1})
+                    witnesses.append({"pair": [ids[a], ids[b]], "clause": 1})
                     continue
                 if sees_ab:
                     if (a, b) not in analysis.concurrent:
-                        witnesses.append({"pair": [list(a), list(b)], "clause": 2})
+                        witnesses.append({"pair": [ids[a], ids[b]], "clause": 2})
                 elif squared_distance(ra.pos_at_look, rb.pos_at_look) <= 1.0:
-                    witnesses.append({"pair": [list(a), list(b)], "clause": 3})
+                    witnesses.append({"pair": [ids[a], ids[b]], "clause": 3})
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
@@ -290,7 +311,10 @@ def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis,
 # -- propositions and the aggregate report ------------------------------------
 
 def proposition_no_hb_within_class(analysis: ConcurrencyAnalysis) -> list:
-    return [[list(a), list(b)] for a, b, _ in analysis.hb_pairs
+    """The precedence pairs inside one class, as the analysis's shared
+    (read-only) cycle-id lists."""
+    ids = analysis.id_lists
+    return [[ids[a], ids[b]] for a, b, _ in analysis.hb_pairs
             if analysis.class_of[a] == analysis.class_of[b]]
 
 
@@ -321,6 +345,9 @@ class ConditionReport:
                                   self.serializable, self.natural))
 
     def to_json(self) -> dict:
+        """The report as JSON; its cycle ids are the analysis's shared lists
+        (`ConcurrencyAnalysis.id_lists`), so it is read-only."""
+        ids = self.analysis.id_lists
         return {
             "schema": 1,
             "verdicts": {
@@ -331,12 +358,12 @@ class ConditionReport:
                 "natural": self.natural.to_json(),
             },
             "all_pass": self.all_pass,
-            "classes": [[list(c) for c in cls] for cls in self.analysis.classes],
+            "classes": [[ids[c] for c in cls] for cls in self.analysis.classes],
             "class_edges": [
                 {"from": k, "to": k2, "firm": firm}
                 for (k, k2), firm in sorted(self.analysis.class_edges.items())
             ],
-            "natural_order": ([[list(c) for c in cls] for cls in self.natural_order]
+            "natural_order": ([[ids[c] for c in cls] for cls in self.natural_order]
                               if self.natural_order else None),
             "propositions": self.propositions,
         }

@@ -482,17 +482,27 @@ class Trace:
 
     @classmethod
     def from_json(cls, data: dict) -> "Trace":
+        """The trace `to_json` wrote, every field checked.  Records with equal
+        visible sets share one frozenset, and each distinct set is checked
+        against the robot count once: the first record holding a bad one is
+        named."""
         scenario = Scenario.from_json(data["scenario"])
         records = [[CycleRecord.from_json(r) for r in row] for row in data["records"]]
         horizon = json_number(data["horizon"], "horizon")
         # the cycle rows must form a valid schedule for the scenario's robots
         Schedule(scenario.n, horizon, [[r.cycle for r in row] for row in records])
         n = scenario.n
+        checked: dict[frozenset[int], frozenset[int]] = {}  # each distinct set, once
         for row in records:
             for r in row:
-                if not all(0 <= k < n for k in r.visible_set):
-                    raise InputError(f"cycle {r.cycle.ident} sees a robot outside "
-                                     f"0..{n - 1}: {sorted(r.visible_set)}")
+                visible = checked.get(r.visible_set)
+                if visible is None:
+                    visible = r.visible_set
+                    if not all(0 <= k < n for k in visible):
+                        raise InputError(f"cycle {r.cycle.ident} sees a robot outside "
+                                         f"0..{n - 1}: {sorted(visible)}")
+                    checked[visible] = visible
+                r.visible_set = visible
         return cls(scenario, horizon, records,
                    kind=json_choice(data.get("kind", "plain"), "trace kind", KINDS),
                    machine=json_choice(data.get("machine"), "trace machine", (None, *MACHINES)))
@@ -514,6 +524,10 @@ class Simulation:
     move end changes no point.  So an instant with no Look, no robot
     awaiting its recheck and no moving cycle ending changes no point and
     tests no robot, and the run skips its pair check.
+
+    A run holds few distinct visible sets (a halt run on a lattice, one per
+    robot), so the records of accepted Looks share the run's one frozenset
+    of each; a rejected record builds its own at its first read.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -532,6 +546,8 @@ class Simulation:
         self._index = scenario._index.fork()
         self._open: dict[int, CycleRecord] = {}  # movers between their Look and move end
         self._recheck: list[int] = []  # robots to test again at the next Look
+        # set -> the one object of it that the run's records share
+        self._visible_sets: dict[frozenset[int], frozenset[int]] = {}
 
     def run(self) -> Trace:
         # instant -> (the cycles that Look then, the robots whose move ends
@@ -672,7 +688,8 @@ class Simulation:
             if start.x != hx or start.y != hy:  # `!= here` field by field
                 raise SimulationError("computed route must start at the robot")
             realized = route.length
-            record.visible_set = _visible(robot, seen)
+            visible = _visible(robot, seen)
+            record.visible_set = self._visible_sets.setdefault(visible, visible)
             record.snapshot_local = points
             record.route_global = route
             if realized > self.scenario.delta:

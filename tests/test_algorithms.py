@@ -54,6 +54,25 @@ def test_scripted_match_and_fallback():
     assert compute(spec, (Point(0, 0), Point(0, -1))).length == 0.0
 
 
+def test_a_scripted_firing_returns_the_entry_route(monkeypatch):
+    # the entry builds its route once, to check it; a firing builds none
+    corner = (Point(0, 0), Point(0, 1), Point(1, 0))
+    entry = ScriptEntry(snapshot=corner, route=(Point(0, 0), Point(0, 0.75)))
+    spec = AlgorithmSpec(SCRIPTED, script=(entry,))
+    built = []
+    init = Route.__init__
+
+    def counted(self, vertices):
+        built.append(vertices)
+        init(self, vertices)
+
+    monkeypatch.setattr(Route, "__init__", counted)
+    for _ in range(3):
+        assert compute(spec, corner) is entry.built_route
+    assert built == []
+    assert entry == ScriptEntry(snapshot=corner, route=entry.route)
+
+
 def test_compute_requires_origin():
     with pytest.raises(InputError):
         compute(AlgorithmSpec(HALT), (Point(1, 1),))

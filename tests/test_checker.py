@@ -532,6 +532,29 @@ def test_consistency_check_reads_each_record_once(monkeypatch):
     assert len(calls) <= len(analysis.cycles)
 
 
+def test_witnesses_and_classes_share_the_analysis_cycle_id_lists():
+    # one JSON list per cycle id: every witness and report naming a cycle
+    # holds that list, not a copy, and the analysis's fields and `==` ignore it
+    trace = loaded_lattice_halt_trace()
+    report = check_all(trace)
+    analysis = report.analysis
+    named = {"stationary": [], "aligned": [], "consistent": [], "classes": []}
+    for w in report.stationary.witnesses:
+        named["stationary"] += [w["observer"], w["mover"]]
+    for w in report.aligned.witnesses:
+        named["aligned"] += w["pair"]
+    for w in report.consistent.witnesses:
+        named["consistent"] += w["pair"]
+    for cls in report.to_json()["classes"]:
+        named["classes"] += cls
+    assert all(named.values())
+    for lists in named.values():
+        assert all(analysis.id_lists.get(tuple(c)) is c for c in lists)
+    assert len({id(c) for lists in named.values() for c in lists}) == len(analysis.cycles)
+    assert "id_lists" not in {f.name for f in dataclasses.fields(ConcurrencyAnalysis)}
+    assert analysis == analyze(trace)
+
+
 def test_natural_violations_match_the_scan_oracle():
     clauses = set()
     orders = 0

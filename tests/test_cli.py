@@ -214,12 +214,21 @@ def _set_cycle(record: dict, **fields) -> None:
     record["cycle"].update(fields)
 
 
+def _late_outsider(recs: list) -> None:
+    """Robot 1's second record sees robot 99 too, with a snapshot point for
+    it, so only the range check of its visible set refuses it."""
+    rec = recs[1][1]
+    rec["snapshot_local"].append([0.5, 0.5])
+    rec["visible_set"] = [1, 99]
+
+
 TRACE_MUTATIONS = {
     "non-consecutive j": lambda recs: _set_cycle(recs[0][1], j=3),
     "row under the wrong robot": lambda recs: _set_cycle(recs[0][0], robot=1),
     "overlapping cycles": lambda recs: _set_cycle(recs[0][1], o=0.75),
     "no rows for the robots": lambda recs: recs.clear(),
     "visible robot past the last": lambda recs: recs[0][0].update(visible_set=[0, 99]),
+    "visible robot past the last in a later record": _late_outsider,
     "negative visible robot": lambda recs: recs[0][0].update(visible_set=[-1, 0]),
     "visible robot of 1e400": lambda recs: recs[0][0].update(visible_set=[0, 1e400]),
     "infinite last move end": lambda recs: _set_cycle(recs[1][-1], f=float("inf")),

@@ -406,6 +406,32 @@ def test_every_record_dict_shares_its_keys():
             assert sys.getsizeof(fields) < sys.getsizeof(dict(fields))
 
 
+def test_records_share_one_object_per_distinct_visible_set():
+    # a halt run on a lattice sees one set per robot, whatever its cycle
+    # count: the run and its JSON round trip each hold one frozenset per set
+    run = simulate(_lattice(4, 0.6), sample_async_schedule(0, 16, 50.0),
+                   as_controller(AlgorithmSpec(HALT)), Adversary(0, NONRIGID))
+    loaded = Trace.from_json(json.loads(json.dumps(run.to_json())))
+    for trace in (run, loaded):
+        sets = [rec.visible_set for rec in all_records(trace)]
+        assert len(sets) > 16 * 10
+        assert len({id(v) for v in sets}) == len(set(sets)) == 16
+    assert [r.visible_set for r in all_records(loaded)] == \
+        [r.visible_set for r in all_records(run)]
+
+
+def test_a_load_names_the_first_record_that_sees_an_outside_robot():
+    # each distinct set is range-checked once, at the first record holding it
+    run = simulate(_lattice(2, 0.6), sample_async_schedule(0, 4, 20.0),
+                   as_controller(AlgorithmSpec(HALT)), Adversary(0, NONRIGID))
+    data = run.to_json()
+    for robot, k in ((2, 3), (1, 2), (3, 0)):
+        data["records"][robot][k].update(visible_set=[robot, 7],
+                                         snapshot_local=[[0.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(InputError, match=r"^cycle \(1, 3\) sees a robot outside 0\.\.3: "):
+        Trace.from_json(data)
+
+
 class _EveryEventChecking(Simulation):
     """The engine with three event kinds, fresh positions and a full pair
     check at every Look, move start and move end."""
