@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .engine import AlgorithmController, Scenario, Trace
+from .engine import Scenario, Trace, global_route
 from .errors import InputError
 from .geometry import (
     ORIGIN,
@@ -110,8 +110,22 @@ def compute(spec: AlgorithmSpec, snapshot: tuple[Point, ...]) -> Route:
     return Route.stay_put()
 
 
-def as_controller(spec: AlgorithmSpec):
-    return AlgorithmController(lambda snapshot: compute(spec, snapshot))
+class AlgorithmController:
+    """Engine controller of a plain (non-luminous) run: every cycle is
+    accepted, no colors, and the route is the spec's rule (`compute`)."""
+
+    def __init__(self, spec: AlgorithmSpec):
+        self.spec = spec
+
+    def verdict(self, own_color, seen_colors):
+        return None, True
+
+    def route(self, robot, j, here, frame, snapshot):
+        return global_route(frame, here, compute(self.spec, snapshot))
+
+
+def as_controller(spec: AlgorithmSpec) -> AlgorithmController:
+    return AlgorithmController(spec)
 
 
 @dataclass

@@ -340,9 +340,15 @@ class ConditionReport:
     propositions: dict
 
     @property
+    def results(self) -> dict[str, CheckResult]:
+        """The five conditions by their report names, in report order."""
+        return {"stationary": self.stationary, "pairwise_aligned": self.aligned,
+                "consistent": self.consistent, "serializable": self.serializable,
+                "natural": self.natural}
+
+    @property
     def all_pass(self) -> bool:
-        return all(r.ok for r in (self.stationary, self.aligned, self.consistent,
-                                  self.serializable, self.natural))
+        return all(r.ok for r in self.results.values())
 
     def to_json(self) -> dict:
         """The report as JSON; its cycle ids are the analysis's shared lists
@@ -350,13 +356,7 @@ class ConditionReport:
         ids = self.analysis.id_lists
         return {
             "schema": 1,
-            "verdicts": {
-                "stationary": self.stationary.to_json(),
-                "pairwise_aligned": self.aligned.to_json(),
-                "consistent": self.consistent.to_json(),
-                "serializable": self.serializable.to_json(),
-                "natural": self.natural.to_json(),
-            },
+            "verdicts": {name: r.to_json() for name, r in self.results.items()},
             "all_pass": self.all_pass,
             "classes": [[ids[c] for c in cls] for cls in self.analysis.classes],
             "class_edges": [
@@ -364,7 +364,7 @@ class ConditionReport:
                 for (k, k2), firm in sorted(self.analysis.class_edges.items())
             ],
             "natural_order": ([[ids[c] for c in cls] for cls in self.natural_order]
-                              if self.natural_order else None),
+                              if self.natural_order is not None else None),
             "propositions": self.propositions,
         }
 

@@ -22,10 +22,9 @@ z with the key of the cycle's own (robot, j): same key, same value.
 A copy made by `dataclasses.replace` reads every field, so it holds the
 values; `extract_core` copies records shallowly, so a core record carries
 the pending draw, still bound to the luminous cycle's (robot, j) although
-the core re-indexes j.  Seeding a keyed `random.Random` costs about 9 us
-(CPython 3.11 on a 2-vCPU Xeon VM) and a synchronizer run rejects most
-cycles, so this skips most of the luminous engine's draws and frame
-rotations; `to_json` reads every field, and so does the same work, later.
+the core re-indexes j.  A synchronizer run rejects most cycles, so its
+engine skips most keyed draws (each seeds a `random.Random`) and frame
+rotations; `to_json` reads every field, and so makes them all.
 
 Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
@@ -52,7 +51,7 @@ import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
 from .geometry import (
@@ -239,19 +238,6 @@ def global_route(frame: FrameSpec, here: Point, local: Route) -> Route:
     return route_to_global(frame, here, local)
 
 
-class AlgorithmController:
-    """Plain (non-luminous) run: every cycle is accepted, no colors."""
-
-    def __init__(self, compute: Callable[[tuple[Point, ...]], Route]):
-        self._compute = compute
-
-    def verdict(self, own_color, seen_colors):
-        return None, True
-
-    def route(self, robot, j, here, frame, snapshot):
-        return global_route(frame, here, self._compute(snapshot))
-
-
 def _local_snapshot(frame: FrameSpec, seen: list[tuple[int, float, float]],
                     own_color: str | None, colors: list[str] | None
                     ) -> tuple[tuple[Point, ...], tuple[str, ...] | None]:
@@ -291,13 +277,14 @@ class _BuiltAtFirstRead:
     it on the record:
     - a pending draw, `_draw = (adversary, robot, j)`, of a record whose
       Look drew no z: the read makes the draw and refuses it outside [0, 1];
-    - what a rejected cycle's Look saw, `_seen`: the run's Look times and
-      the arguments of `_local_snapshot`, with the colors read at the Look,
-      since they change later.  The visible set is built from the robots
-      seen, either snapshot field builds both, the route is the stay-put
-      route at `pos_at_look`, and the samples put one at arc 0 at each Look
-      time inside the move; a field already set on the record (as
-      `_core_record` sets the colors) is kept;
+    - what a rejected cycle's Look saw, `_seen`: the run's shared visible
+      sets and Look times and the arguments of `_local_snapshot`, with the
+      colors read at the Look, since they change later.  The visible set is
+      built from the robots seen and stored as the run's one object of it
+      (`Simulation._visible_sets`), either snapshot field builds both, the
+      route is the stay-put route at `pos_at_look`, and the samples put one
+      at arc 0 at each Look time inside the move; a field already set on the
+      record (as `_core_record` sets the colors) is kept;
     - a loaded record's checked JSON rows, `_rows = (snapshot rows, sample
       rows)`: the snapshot and the samples, as floats, the values
       `json_point` and `float` give.  Building a field drops its half of
@@ -328,9 +315,10 @@ class _BuiltAtFirstRead:
                 samples = None
             rec._rows = None if points is None and samples is None else (points, samples)
         else:
-            looks, frame, seen, *colors = rec._seen
+            shared, looks, frame, seen, *colors = rec._seen
             if name == "visible_set":
                 value = _visible(rec.cycle.robot, seen)
+                value = shared.setdefault(value, value)
             elif name == "route_global":
                 value = Route.stay_put(rec.pos_at_look)
             elif name == "mid_move_samples":
@@ -435,11 +423,10 @@ class CycleRecord:
 
 # CPython's instance dicts of one class share a key table that only the
 # class's first few instances may extend, and a record holding a key outside
-# it gets a dict of its own.  The first record is this one, which puts in
-# the table every key a record may hold, in the one order every record sets
-# its fields: the dataclass fields, then `_draw`, `_seen` and `_rows`.  A
-# 1280-cycle halt run then holds 2682 KB instead of 3067 (tracemalloc,
-# CPython 3.11).
+# it gets a dict of its own, which costs more memory.  The first record is
+# this one, which puts in the table every key a record may hold, in the one
+# order every record sets its fields: the dataclass fields, then `_draw`,
+# `_seen` and `_rows`.
 _every_key = object.__new__(CycleRecord)
 for _key in (*CycleRecord.__dataclass_fields__, "_draw", "_seen", "_rows"):
     setattr(_every_key, _key, None)
@@ -526,8 +513,8 @@ class Simulation:
     tests no robot, and the run skips its pair check.
 
     A run holds few distinct visible sets (a halt run on a lattice, one per
-    robot), so the records of accepted Looks share the run's one frozenset
-    of each; a rejected record builds its own at its first read.
+    robot), so its records share the run's one frozenset of each: an
+    accepted Look stores it, and a rejected record at its first read.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -711,7 +698,8 @@ class Simulation:
         record.accepted = accepted if luminous else None
         record._draw = (self.adversary, robot, j)  # z, at its first read
         if not accepted:
-            record._seen = (self._look_times, frame, seen, own_color, colors)
+            record._seen = (self._visible_sets, self._look_times, frame, seen,
+                            own_color, colors)
         self.records[robot].append(record)
         return realized > 0.0
 

@@ -3,7 +3,8 @@
 Each type's `from_json` reads itself with the `json_*` checks, which say
 what a JSON integer, number, point or choice is.  `load` turns every way a
 file can be malformed into an InputError.  `dump` writes sorted keys, indent
-1 and a trailing newline, so identical data gives identical bytes.
+1 and a trailing newline, so identical data gives identical bytes; an output
+file it cannot write is an InputError too.
 """
 from __future__ import annotations
 
@@ -82,10 +83,14 @@ def load(path: str, parse):
 
 
 def dump(data: dict, out: str | None) -> None:
-    """Write `data` to the file `out`, or to stdout when `out` is empty."""
+    """Write `data` to the file `out`, or to stdout when `out` is empty.  A
+    file that cannot be opened or written is an InputError."""
     text = json.dumps(data, sort_keys=True, indent=1) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .algorithms import HALT, HULL_CONTRACTION, SCRIPTED, AlgorithmSpec, ScriptEntry
-from .engine import MACHINES, NONRIGID, RIGID, FrameSpec, Scenario
+from .engine import GREEDY, MACHINES, NONRIGID, RIGID, FrameSpec, Scenario
 from .errors import InputError
 from .geometry import Point
 from .jsonio import json_choice
@@ -40,24 +40,17 @@ def greedy_trap_scenario() -> tuple[Scenario, Schedule, AlgorithmSpec]:
     """
     positions = [Point(0, 0), Point(0, 1), Point(1, 1), Point(1, 0), Point(2, 0)]
     scenario = Scenario(positions, [_IDENTITY] * 5, delta=0.25)
-    schedule = _schedule(5, 4.0, {
-        0: [(0.0, 0.75, 1.0)],
-        1: [(0.5, 1.25, 1.5)],
-        2: [(1.0, 1.75, 2.0)],
-        3: [(1.5, 2.25, 2.5)],
-        4: [(3.0, 3.75, 4.0)],
-    })
     corner_view = (Point(0, 0), Point(0, 1), Point(1, 0))
     spec = AlgorithmSpec(SCRIPTED, script=(
         ScriptEntry(snapshot=corner_view, route=(Point(0, 0), Point(0, 0.75))),
     ))
-    return scenario, schedule, spec
+    return scenario, staggered_round_schedule(prefix_rounds=0), spec
 
 
 def staggered_round_schedule(prefix_rounds: int) -> Schedule:
     """Five robots: `prefix_rounds` fully synchronous rounds, then one
-    staggered round with the greedy-trap cycle timing shifted to start at the
-    prefix end."""
+    staggered round, the greedy trap's timing shifted to start at the prefix
+    end (with no prefix, the trap's own schedule)."""
     base = float(prefix_rounds)
     cycles: dict[int, list[tuple[float, float, float]]] = {
         i: [(float(j), j + 0.25, j + 0.75) for j in range(prefix_rounds)]
@@ -250,7 +243,7 @@ def bundle_from_json(data: dict) -> dict:
 def _greedy_trap_bundle() -> dict:
     scenario, schedule, spec = greedy_trap_scenario()
     return bundle_to_json(
-        scenario, schedule=schedule, algorithm=spec, machine="greedy",
+        scenario, schedule=schedule, algorithm=spec, machine=GREEDY,
         adversary_mode=RIGID,
         provenance="five robots on a unit L-shape; staggered first cycles; "
                    "the shared rule climbs 3/4 on the corner view")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from copy import copy
 
-from .algorithms import AlgorithmSpec, compute
+from .algorithms import AlgorithmController, AlgorithmSpec
 from .engine import (
     BK,
     COLORS,
@@ -25,7 +25,6 @@ from .engine import (
     R,
     W,
     Adversary,
-    AlgorithmController,
     CycleRecord,
     Scenario,
     Simulation,
@@ -94,7 +93,7 @@ class SynchronizerController(AlgorithmController):
     def __init__(self, machine: str, spec: AlgorithmSpec):
         if machine not in _STEPS:
             raise InputError(f"unknown machine {machine!r}")
-        super().__init__(lambda snapshot: compute(spec, snapshot))
+        super().__init__(spec)
         self.verdict = _STEPS[machine]  # the machine step is the verdict
 
 

@@ -303,6 +303,7 @@ def test_check_all_empty_trace():
     empty = build_trace([(0, 0)], [[]])
     report = check_all(empty)
     assert report.all_pass
+    assert report.natural_order == [] and report.to_json()["natural_order"] == []
 
 
 # -- randomized structural properties ------------------------------------------
@@ -355,6 +356,18 @@ def loaded_lattice_halt_trace():
     """The lattice halt trace through its JSON text, as `robosync check`
     reads it: its snapshots and samples are built only if read."""
     return Trace.from_json(json.loads(json.dumps(lattice_halt_trace().to_json())))
+
+
+CONDITIONS = ["stationary", "pairwise_aligned", "consistent", "serializable", "natural"]
+
+
+@pytest.mark.parametrize("trace", [trap_core, lattice_halt_trace])
+def test_the_report_names_its_five_conditions_once(trace):
+    report = check_all(trace())
+    assert list(report.results) == CONDITIONS
+    assert report.to_json()["verdicts"] == \
+        {name: r.to_json() for name, r in report.results.items()}
+    assert report.all_pass == all(r.ok for r in report.results.values())
 
 
 def tied_trace(seed):

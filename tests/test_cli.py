@@ -409,6 +409,9 @@ FLAG_CASES = {
     "check a deeply nested file": _nested("check", "FILE"),
     "simulate a deeply nested scenario": _nested("simulate", "--scenario", "FILE"),
     "simulate a deeply nested schedule": _nested(*CONTROL, "--algo", "halt", "--schedule", "FILE"),
+    "out path in a missing directory":
+        lambda trace: ["check", trace, "--out", trace.parent / "missing" / "report.json"],
+    "out path is a directory": lambda trace: [*CONTROL, "--out", trace.parent],
 }
 
 
@@ -445,6 +448,16 @@ def test_hull_run_on_a_lattice_whose_targets_round_onto_robots(tmp_path):
         assert run(["simulate", "--scenario", scenario, "--schedule", f"fsync:{rounds}",
                     "--algo", "hull:0.5", "--out", out]) == 0
         assert sum(map(len, json.loads(out.read_text())["records"])) == 16 * rounds
+
+
+def test_a_passing_trace_with_no_cycles_reports_an_empty_natural_order(tmp_path):
+    trace = tmp_path / "empty.json"
+    assert run([*CONTROL, "--schedule", "fsync:0", "--out", trace]) == 0
+    report, synth = tmp_path / "report.json", tmp_path / "synth.json"
+    assert run(["check", trace, "--out", report]) == 0
+    assert run(["synthesize", trace, "--out", synth]) == 0
+    assert json.loads(report.read_text())["natural_order"] == []
+    assert json.loads(synth.read_text())["plan"]["order"] == []
 
 
 def test_the_replay_that_synthesize_writes_loads_as_a_trace(tmp_path, control_trace):

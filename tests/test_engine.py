@@ -420,6 +420,19 @@ def test_records_share_one_object_per_distinct_visible_set():
         [r.visible_set for r in all_records(run)]
 
 
+def test_rejected_records_share_the_run_visible_sets():
+    # a rejected record builds its set at its first read, as the run's one
+    # object of it: svp rejects most of this run's cycles
+    scenario, spec = random_vicinity_scenario(0)
+    trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 200.0),
+                             Adversary(0, NONRIGID))
+    trace.to_json()  # reads every rejected record's set
+    records = all_records(trace)
+    assert sum(1 for rec in records if not rec.accepted) > 200
+    sets = [rec.visible_set for rec in records]
+    assert len({id(v) for v in sets}) == len(set(sets))
+
+
 def test_a_load_names_the_first_record_that_sees_an_outside_robot():
     # each distinct set is range-checked once, at the first record holding it
     run = simulate(_lattice(2, 0.6), sample_async_schedule(0, 4, 20.0),

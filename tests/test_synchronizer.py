@@ -7,6 +7,7 @@ from conftest import random_small_inputs
 from oracles import all_records, color_at, snapshot_oracle, stay_put_samples
 from robosync import experiments
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
+from robosync.checker import check_all
 from robosync.engine import Adversary, FrameSpec, NONRIGID, RIGID, Scenario, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.geometry import Point, Route
@@ -151,6 +152,17 @@ def test_the_pipeline_checks_the_color_invariants_under_svp_only():
                              Adversary(0, NONRIGID), "svp")
     assert svp["color_lifecycle_problems"] == check_color_lifecycle(trace)
     assert svp["phase_lag_problems"] == check_neighbor_phase_lag(trace)
+
+
+def test_the_pipeline_reports_the_verdicts_of_its_core():
+    result = experiments.synchronizer_end_to_end(0, horizon=60.0)
+    scenario, spec = random_vicinity_scenario(0)
+    trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 60.0),
+                             Adversary(0, NONRIGID))
+    report = check_all(extract_core(trace))
+    assert result["verdicts"] == {name: r.verdict for name, r in report.results.items()}
+    assert list(result["verdicts"]) == ["stationary", "pairwise_aligned", "consistent",
+                                        "serializable", "natural"]
 
 
 def test_phase_lag_holds_on_clustered_run():
