@@ -18,7 +18,6 @@ from .geometry import (
     hull_distance,
     is_visible,
     same_points,
-    squared_distance,
 )
 from .jsonio import json_number, json_point
 
@@ -175,7 +174,7 @@ def validate_vicinity_scenario(scenario: Scenario, spec: AlgorithmSpec | None = 
         for ai in range(len(comp)):
             for bi in range(ai + 1, len(comp)):
                 a, b = comp[ai], comp[bi]
-                if squared_distance(positions[a], positions[b]) > 1.0:
+                if not is_visible(positions[a], positions[b]):
                     reasons.append(
                         f"component {comp} is not a clique: robots {a},{b} exceed range")
     for ci in range(len(comps)):
@@ -188,19 +187,16 @@ def validate_vicinity_scenario(scenario: Scenario, spec: AlgorithmSpec | None = 
     return Verdict(not reasons, reasons)
 
 
-def _initial_edge(scenario: Scenario, a: int, b: int) -> bool:
-    return is_visible(scenario.initial_positions[a], scenario.initial_positions[b])
-
-
 def is_vicinity_preserving_run(trace: Trace) -> Verdict:
     """Stronger cross-time check: every rest position of one robot against
     every rest position of another must match the initial visibility edge."""
     reasons = []
     n = trace.n
     rests = [trace.rest_positions(i) for i in range(n)]
+    initial = trace.scenario.initial_positions
     for a in range(n):
         for b in range(a + 1, n):
-            expected = _initial_edge(trace.scenario, a, b)
+            expected = is_visible(initial[a], initial[b])
             for pa in rests[a]:
                 for pb in rests[b]:
                     if is_visible(pa, pb) != expected:

@@ -13,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .engine import Trace
-from .geometry import squared_distance
+from .geometry import is_visible
 from .orders import BudgetExhausted, find_cycle, topological_orders
 
 CycleId = tuple[int, int]
@@ -47,7 +47,7 @@ class ConcurrencyAnalysis:
     misaligned: list[tuple[CycleId, CycleId]]      # overlapping, not concurrent
     hb_pairs: list[tuple[CycleId, CycleId, bool]]  # (a, b, only_at_horizon)
     class_edges: dict[tuple[int, int], bool]       # edge -> firm?
-    self_loops: list[int]
+    self_loops: dict[int, bool]                    # class -> firm?, in hb_pairs order
     stationary: list[tuple[CycleId, CycleId]]      # (observer, mover), sorted
 
     def __post_init__(self) -> None:
@@ -148,7 +148,7 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
                     elif looks[k] > xf:
                         hb[(a, ids[base + k])] = False
     misaligned = sorted(overlapping - concurrent)
-    # by source cycle, robot-major in j order; self_loops[0] depends on it
+    # by source cycle, robot-major in j order; the order of self_loops depends on it
     hb_pairs = sorted([(a, b, horizon_only) for (a, b), horizon_only in hb.items()])
 
     groups: dict[int, list[CycleId]] = {}
@@ -168,12 +168,11 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
             class_of[c] = k
 
     class_edges: dict[tuple[int, int], bool] = {}
-    self_loops: list[int] = []
+    self_loops: dict[int, bool] = {}
     for a, b, horizon_only in hb_pairs:
         ka, kb = class_of[a], class_of[b]
         if ka == kb:
-            if ka not in self_loops:
-                self_loops.append(ka)
+            self_loops[ka] = self_loops.get(ka, False) or not horizon_only
         else:
             class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
     stationary.sort()
@@ -234,18 +233,22 @@ def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult
                 if sees_ab:
                     if (a, b) not in analysis.concurrent:
                         witnesses.append({"pair": [ids[a], ids[b]], "clause": 2})
-                elif squared_distance(ra.pos_at_look, rb.pos_at_look) <= 1.0:
+                elif is_visible(ra.pos_at_look, rb.pos_at_look):
                     witnesses.append({"pair": [ids[a], ids[b]], "clause": 3})
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
 def check_serializable(analysis: ConcurrencyAnalysis) -> CheckResult:
     """The class precedence graph must be acyclic.  A cycle that exists only
-    thanks to beyond-prefix assumptions is reported open-at-horizon."""
-    if analysis.self_loops:
-        k = analysis.self_loops[0]
-        return CheckResult(FAIL, [{"class_cycle": [k, k]}])
-    cycle_all = find_cycle(analysis.successors(True))
+    thanks to beyond-prefix assumptions is reported open-at-horizon, and so
+    is a self-loop whose class holds no firm within-class pair.  A self-loop
+    is named [k, k], ahead of any longer cycle."""
+    loops = analysis.self_loops
+    for k, firm in loops.items():
+        if firm:
+            return CheckResult(FAIL, [{"class_cycle": [k, k]}])
+    k = next(iter(loops), None)
+    cycle_all = find_cycle(analysis.successors(True)) if k is None else [k, k]
     if cycle_all is None:
         return CheckResult(PASS)
     cycle_firm = find_cycle(analysis.successors(False))
@@ -282,7 +285,7 @@ def _natural_violations(trace: Trace, classes: list[list[CycleId]],
                 if i2 in rec.visible_set:
                     if not rec.cycle.o < other.cycle.o:
                         return [{"cycle": list(a), "other": [i2, j2 + 1], "clause": 1}]
-                elif squared_distance(rec.pos_at_look, other.pos_at_look) <= 1.0:
+                elif is_visible(rec.pos_at_look, other.pos_at_look):
                     return [{"cycle": list(a), "other": [i2, j2 + 1], "clause": 2}]
     return []
 
@@ -320,12 +323,8 @@ def proposition_no_hb_within_class(analysis: ConcurrencyAnalysis) -> list:
 
 def proposition_one_cycle_per_robot(analysis: ConcurrencyAnalysis) -> list:
     """Indices of the classes that join two cycles of one robot."""
-    problems = []
-    for k, cls in enumerate(analysis.classes):
-        robots = [c[0] for c in cls]
-        if len(robots) != len(set(robots)):
-            problems.append(k)
-    return problems
+    return [k for k, cls in enumerate(analysis.classes)
+            if len(cls) != len({robot for robot, _ in cls})]
 
 
 @dataclass

@@ -3,7 +3,7 @@
 Subcommands: simulate, check, synthesize, repro, necessity, sweep.
 Exit codes: 0 pass, 1 condition failure, 2 input error, 3 internal or
 inconclusive.  Output goes through `jsonio.dump`, so a rerun with identical
-flags produces byte-identical files.
+flags produces byte-identical files (an unwritable `--out` exits 2 first).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .experiments import (
     repro_greedy_trap,
     synchronizer_end_to_end,
 )
-from .jsonio import dump, load
+from .jsonio import check_writable, dump, load
 from .scheduling import (
     Schedule,
     check_fairness_prefix,
@@ -258,6 +258,7 @@ def main(argv: list[str] | None = None) -> int:
             if value < 0:
                 raise InputError(f"--{flag.replace('_', '-')} must not be negative, "
                                  f"got {value}")
+        check_writable(args.out)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

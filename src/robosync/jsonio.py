@@ -4,12 +4,13 @@ Each type's `from_json` reads itself with the `json_*` checks, which say
 what a JSON integer, number, point or choice is.  `load` turns every way a
 file can be malformed into an InputError.  `dump` writes sorted keys, indent
 1 and a trailing newline, so identical data gives identical bytes; an output
-file it cannot write is an InputError too.
+file it cannot write is an InputError, which `check_writable` raises early.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 from .errors import InputError
@@ -82,15 +83,29 @@ def load(path: str, parse):
         raise InputError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _write(out: str, text: str, mode: str = "w") -> None:
+    try:
+        with open(out, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
+
+
+def check_writable(out: str | None) -> None:
+    """Raise the InputError that `dump` would raise on opening the file
+    `out`, without writing to it; a file this creates is removed again."""
+    if out:
+        existed = os.path.lexists(out)
+        _write(out, "", "a")
+        if not existed:
+            os.remove(out)
+
+
 def dump(data: dict, out: str | None) -> None:
     """Write `data` to the file `out`, or to stdout when `out` is empty.  A
     file that cannot be opened or written is an InputError."""
     text = json.dumps(data, sort_keys=True, indent=1) + "\n"
     if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(f"cannot write {out}: {exc}") from exc
+        _write(out, text)
     else:
         sys.stdout.write(text)

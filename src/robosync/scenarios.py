@@ -15,7 +15,7 @@ from .engine import GREEDY, MACHINES, NONRIGID, RIGID, FrameSpec, Scenario
 from .errors import InputError
 from .geometry import Point
 from .jsonio import json_choice
-from .scheduling import Cycle, Schedule
+from .scheduling import Cycle, Schedule, make_fsync_schedule
 
 _IDENTITY = FrameSpec(0.0, 1.0)
 
@@ -48,19 +48,16 @@ def greedy_trap_scenario() -> tuple[Scenario, Schedule, AlgorithmSpec]:
 
 
 def staggered_round_schedule(prefix_rounds: int) -> Schedule:
-    """Five robots: `prefix_rounds` fully synchronous rounds, then one
-    staggered round, the greedy trap's timing shifted to start at the prefix
-    end (with no prefix, the trap's own schedule)."""
+    """Five robots: `prefix_rounds` fully synchronous rounds (`round_cycle`),
+    then one staggered round, the greedy trap's timing shifted to start at
+    the prefix end (with no prefix, the trap's own schedule)."""
     base = float(prefix_rounds)
-    cycles: dict[int, list[tuple[float, float, float]]] = {
-        i: [(float(j), j + 0.25, j + 0.75) for j in range(prefix_rounds)]
-        for i in range(5)
-    }
+    robots = make_fsync_schedule(prefix_rounds, 5).robots
     stagger = [(0.0, 0.75, 1.0), (0.5, 1.25, 1.5), (1.0, 1.75, 2.0),
                (1.5, 2.25, 2.5), (3.0, 3.75, 4.0)]
     for i, (o, s, f) in enumerate(stagger):
-        cycles[i].append((base + o, base + s, base + f))
-    return _schedule(5, base + 4.0, cycles)
+        robots[i].append(Cycle(i, prefix_rounds + 1, base + o, base + s, base + f))
+    return Schedule(n=5, horizon=base + 4.0, robots=robots)
 
 
 # -- necessity templates -------------------------------------------------------

@@ -118,16 +118,18 @@ ASYNC_FAIRNESS_WINDOW = BETWEEN_CYCLES[1] + 2 * (LOOK_TO_MOVE[1] + MOVE[1]) + 0.
 MAX_CYCLES = 10**6  # generated schedules larger than this are refused
 
 
+def round_cycle(robot: int, j: int, r: int) -> Cycle:
+    """Cycle j of a robot in synchronous round r: Look at r, move over (r + 1/4, r + 3/4)."""
+    return Cycle(robot, j, float(r), r + 0.25, r + 0.75)
+
+
 def make_fsync_schedule(num_rounds: int, n: int) -> Schedule:
-    """Every robot runs cycle (j-1, j-3/4, j-1/4) for j = 1..num_rounds."""
+    """Every robot runs cycle j in round j-1 (`round_cycle`), j = 1..num_rounds."""
     if num_rounds < 0:
         raise InputError("round count must be non-negative")
     if num_rounds * n > MAX_CYCLES:
         raise InputError(f"{num_rounds} rounds of {n} robots exceed {MAX_CYCLES} cycles")
-    robots = [
-        [Cycle(i, j, float(j - 1), j - 0.75, j - 0.25) for j in range(1, num_rounds + 1)]
-        for i in range(n)
-    ]
+    robots = [[round_cycle(i, j, j - 1) for j in range(1, num_rounds + 1)] for i in range(n)]
     return Schedule(n=n, horizon=float(num_rounds), robots=robots)
 
 
@@ -166,22 +168,14 @@ def sample_async_schedule(seed: int, n: int, horizon: float) -> Schedule:
 
 def check_fairness_prefix(schedule: Schedule, window: float) -> list[bool]:
     """Finite fairness proxy: a robot passes when every length-`window`
-    interval starting in [0, horizon - window] contains one of its Looks."""
+    interval starting in [0, horizon - window] contains one of its Looks:
+    it has a Look and no gap between 0, its Looks and the horizon is longer
+    than the window, or no full window fits inside the prefix."""
     if not window > 0:  # NaN fails this too
         raise InputError("fairness window must be positive")
     verdicts = []
     for cycles in schedule.robots:
-        if schedule.horizon < window:
-            verdicts.append(True)  # no full window fits inside the prefix
-            continue
-        looks = [c.o for c in cycles]
-        if not looks:
-            verdicts.append(False)
-            continue
-        ok = looks[0] <= window and schedule.horizon - looks[-1] <= window
-        for a, b in zip(looks, looks[1:]):
-            if b - a > window:
-                ok = False
-                break
-        verdicts.append(ok)
+        times = [0.0, *[c.o for c in cycles], schedule.horizon]
+        verdicts.append(schedule.horizon < window or len(times) > 2 and all(
+            b - a <= window for a, b in zip(times, times[1:])))
     return verdicts

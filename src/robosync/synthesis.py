@@ -16,7 +16,7 @@ from .engine import Adversary, Scenario, Simulation, Trace, RIGID
 from .errors import InputError, SimulationError
 from .geometry import Point, Route, same_points
 from .orders import BudgetExhausted, find_cycle, topological_orders
-from .scheduling import Cycle, Schedule
+from .scheduling import Cycle, Schedule, round_cycle
 
 SIMILARITY_EPS = 1e-9
 
@@ -42,9 +42,9 @@ class SsyncPlan:
 
 
 def build_plan(trace: Trace, order: list[list[CycleId]]) -> SsyncPlan:
-    """Schedule class k's members at round k.  The order must list every
-    cycle of the trace, by the positions `trace.record` indexes, exactly
-    once; whether the replay is similar is for the caller to check."""
+    """Schedule class k's members in round k (`round_cycle`).  The order must
+    list every cycle of the trace, by the positions `trace.record` indexes,
+    exactly once; whether the replay is similar is for the caller to check."""
     ids = {(i, j) for i, row in enumerate(trace.records) for j in range(1, len(row) + 1)}
     listed = [c for cls in order for c in cls]
     if set(listed) != ids or len(listed) != len(ids):
@@ -54,34 +54,31 @@ def build_plan(trace: Trace, order: list[list[CycleId]]) -> SsyncPlan:
     for k, cls in enumerate(order):
         for (i, j) in sorted(cls):
             jnew = len(robots[i]) + 1
-            robots[i].append(Cycle(i, jnew, float(k), k + 0.25, k + 0.75))
+            robots[i].append(round_cycle(i, jnew, k))
             targets[(i, jnew)] = trace.record(i, j).pos_after_move
     schedule = Schedule(n=trace.n, horizon=float(len(order)), robots=robots)
     return SsyncPlan(order, schedule, targets)
 
 
 class _PlanController:
-    """Replays recorded destinations exactly, bypassing the local frame."""
+    """Replays recorded destinations exactly, bypassing the local frame: in
+    each round (`round_cycle`) a robot goes straight from `here` to its
+    target.  A rigid move ends at its target, so `here` is the last one."""
 
-    def __init__(self, plan: SsyncPlan, scenario: Scenario):
-        self.plan = plan
-        self.scenario = scenario
+    def __init__(self, plan: SsyncPlan):
+        self.targets = plan.targets
 
     def verdict(self, own_color, seen_colors):
         return None, True
 
     def route(self, robot, j, here, frame, snapshot):
-        # a rigid move reaches its target, so cycle j starts at cycle j-1's;
-        # the engine refuses the route when that is not where the robot is
-        targets = self.plan.targets
-        start = targets[(robot, j - 1)] if j > 1 else self.scenario.initial_positions[robot]
-        target = targets[(robot, j)]
-        return Route.stay_put(start) if target == start else Route((start, target))
+        target = self.targets[(robot, j)]
+        return Route.stay_put(here) if target == here else Route((here, target))
 
 
 def replay_plan(scenario: Scenario, plan: SsyncPlan) -> Trace:
     """Rigid deterministic replay of the plan's schedule."""
-    sim = Simulation(scenario, plan.schedule, _PlanController(plan, scenario),
+    sim = Simulation(scenario, plan.schedule, _PlanController(plan),
                      Adversary(seed=0, mode=RIGID))
     trace = sim.run()
     trace.kind = "replay"

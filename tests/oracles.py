@@ -531,7 +531,7 @@ def analyze_oracle(trace: Trace) -> ConcurrencyAnalysis:
                     if beyond or xo <= starts[k + 1]:
                         hb.setdefault((ids[base + k], a), beyond)
     misaligned = sorted(overlapping - concurrent)
-    # by source cycle, robot-major in j order; self_loops[0] depends on it
+    # by source cycle, robot-major in j order; the order of self_loops depends on it
     hb_pairs = sorted((a, b, horizon_only) for (a, b), horizon_only in hb.items())
 
     groups: dict[int, list[int]] = {}
@@ -546,12 +546,11 @@ def analyze_oracle(trace: Trace) -> ConcurrencyAnalysis:
     class_of = {c: k for k, cls in enumerate(classes) for c in cls}
 
     class_edges: dict[tuple[int, int], bool] = {}
-    self_loops: list[int] = []
+    self_loops: dict[int, bool] = {}
     for a, b, horizon_only in hb_pairs:
         ka, kb = class_of[a], class_of[b]
         if ka == kb:
-            if ka not in self_loops:
-                self_loops.append(ka)
+            self_loops[ka] = self_loops.get(ka, False) or not horizon_only
         else:
             class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
     return ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,

@@ -241,6 +241,43 @@ def test_open_at_horizon_two_cycle():
     assert report.natural.verdict == OPEN
 
 
+def test_a_self_loop_on_horizon_only_pairs_is_open_at_horizon():
+    # seed 191 of the small random inputs at async horizon 20: class 8's only
+    # within-class precedence pair rests on robot 1's next move start, which
+    # lies past the prefix, and no longer class cycle is firm
+    scenario, spec = random_small_inputs(191)
+    trace = simulate(scenario, sample_async_schedule(191, scenario.n, 20.0),
+                     as_controller(spec), Adversary(191, "nonrigid"))
+    analysis = analyze(trace)
+    assert [p for p in analysis.hb_pairs
+            if analysis.class_of[p[0]] == analysis.class_of[p[1]]] == [((0, 6), (1, 6), True)]
+    assert analysis.self_loops == {8: False}
+    result = check_serializable(analysis)
+    assert (result.verdict, result.witnesses) == (OPEN, [{"class_cycle": [8, 8]}])
+    report = check_all(trace)
+    assert report.natural.to_json() == {
+        "verdict": OPEN, "witnesses": [{"reason": "precedence loop open at horizon"}]}
+
+
+@pytest.mark.parametrize("self_loops, class_edges, verdict, class_cycle", [
+    ({0: False, 2: True}, {}, FAIL, [2, 2]),
+    ({0: False}, {(1, 2): True, (2, 1): True}, FAIL, [1, 2, 1]),
+    ({0: False}, {(1, 2): True, (2, 1): False}, OPEN, [0, 0]),
+    ({}, {(1, 2): True, (2, 1): False}, OPEN, [1, 2, 1]),
+    ({}, {(1, 2): True}, PASS, None),
+])
+def test_a_self_loop_fails_only_on_a_firm_within_class_pair(self_loops, class_edges,
+                                                             verdict, class_cycle):
+    # three classes and only their graph: a firm self-loop fails first, then
+    # a firm longer cycle; a horizon-only self-loop is open, named ahead of a
+    # longer cycle
+    analysis = ConcurrencyAnalysis([], [[], [], []], {}, set(), [], [], class_edges,
+                                   self_loops, [])
+    result = check_serializable(analysis)
+    assert result.verdict == verdict
+    assert result.witnesses == ([{"class_cycle": class_cycle}] if class_cycle else [])
+
+
 def test_natural_sort_single_class_is_trivial():
     solo = build_trace([(0, 0)], [[{"t": (0.0, 0.25, 0.5)}]])
     natural, order = find_natural_sort(solo, analyze(solo))

@@ -503,3 +503,49 @@ def test_unexpected_exception_exits_3_with_one_line(control_trace, capsys, monke
     monkeypatch.setattr(robosync.cli, "check_all", broken)
     assert run(["check", control_trace]) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("window, code", [("0.5", 1), ("10", 0)])
+def test_simulate_refuses_a_schedule_that_fails_the_fairness_window(tmp_path, capsys,
+                                                                     window, code):
+    # the control template's robots leave gaps of up to 2.75 between Looks
+    out = tmp_path / "trace.json"
+    assert run([*CONTROL, "--fairness-window", window, "--out", out]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "schedule fails the fairness proxy for robots [0, 1] (window 0.5)\n"
+        assert not out.exists()
+    else:
+        assert err == "" and json.loads(out.read_text())["kind"] == "plain"
+
+
+def test_an_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch):
+    import robosync.cli
+    from robosync.errors import InputError
+    from robosync.jsonio import dump
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(robosync.cli, "necessity_experiment", never)
+    assert run(["necessity", "--template", "all", "--seeds", "1", "--out", tmp_path]) == 2
+    with pytest.raises(InputError) as refused:  # the message `dump` gives
+        dump({}, str(tmp_path))
+    assert capsys.readouterr().err == f"input error: {refused.value}\n"
+
+
+def test_a_command_that_fails_after_the_out_check_leaves_the_out_path_as_it_was(
+        tmp_path, control_trace, monkeypatch):
+    import robosync.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(robosync.cli, "check_all", broken)
+    out = tmp_path / "report.json"
+    assert run(["necessity", "--template", "control", "--seeds", "0", "--out", out]) == 2
+    assert run(["check", control_trace, "--out", out]) == 3
+    assert not out.exists()
+    out.write_text("kept")
+    assert run(["check", control_trace, "--out", out]) == 3
+    assert out.read_text() == "kept"
