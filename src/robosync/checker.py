@@ -70,7 +70,10 @@ class ConcurrencyAnalysis:
 
 
 def analyze(trace: Trace) -> ConcurrencyAnalysis:
-    """Build all three relations without visiting a pair of cycles.  For a
+    """The trace's relations, built at the first call and kept on the trace
+    (`Trace._analysis`): every later call returns that one analysis.
+
+    Build all three relations without visiting a pair of cycles.  For a
     cycle x and a robot r that x sees, one bisect finds r's first cycle k
     with a Look at or after x's; o < s < f and f_{j-1} < o_j leave each
     relation at most one candidate next to k.  If r's cycle k-1 still runs at
@@ -91,6 +94,8 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
     pass that finds the roots keeps each class's earliest (Look, index), the
     order of (Look, robot, j) since ids are in index order.
     """
+    if trace._analysis is not None:
+        return trace._analysis
     ids: list[CycleId] = []
     look_of: list[float] = []  # aligned with ids
     timelines: list[tuple[int, list[float], list[float], list[float]]] = []
@@ -176,8 +181,9 @@ def analyze(trace: Trace) -> ConcurrencyAnalysis:
         else:
             class_edges[(ka, kb)] = class_edges.get((ka, kb), False) or not horizon_only
     stationary.sort()
-    return ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,
-                               hb_pairs, class_edges, self_loops, stationary)
+    trace._analysis = ConcurrencyAnalysis(ids, classes, class_of, concurrent, misaligned,
+                                          hb_pairs, class_edges, self_loops, stationary)
+    return trace._analysis
 
 
 # -- condition checks --------------------------------------------------------

@@ -435,12 +435,18 @@ del _every_key, _key
 
 @dataclass
 class Trace:
-    """Complete run: the scenario, the horizon, and one record per cycle."""
+    """Complete run: the scenario, the horizon, and one record per cycle.
+
+    `checker.analyze` builds a trace's cycle relations once and keeps them on
+    the trace, so its records, their cycles and visible sets must not change
+    once it has been analyzed.  `dataclasses.replace` makes a new trace, which
+    is analyzed afresh."""
     scenario: Scenario
     horizon: float
     records: list[list[CycleRecord]]
     kind: str = "plain"  # one of KINDS
     machine: str | None = None
+    _analysis = None  # the relations `checker.analyze` built; not a field
 
     @property
     def n(self) -> int:

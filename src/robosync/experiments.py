@@ -147,8 +147,7 @@ def necessity_experiment(template: str, num_seeds: int,
             violated = not report.all_pass
         else:
             violated = getattr(report, TEMPLATE_TARGET_FIELD[run.target]).verdict == FAIL
-        search = candidate_search(trace, report.analysis, order_budget=order_budget,
-                                  node_budget=node_budget)
+        search = candidate_search(trace, order_budget=order_budget, node_budget=node_budget)
         if violated:
             counts["materialized"] += 1
             if search.verdict == SIMILAR_FOUND:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checker import DEFAULT_NODE_BUDGET, CycleId, ConcurrencyAnalysis, analyze
+from .checker import DEFAULT_NODE_BUDGET, CycleId, analyze
 from .engine import Adversary, Scenario, Simulation, Trace, RIGID
 from .errors import InputError, SimulationError
 from .geometry import Point, Route, same_points
@@ -143,15 +143,15 @@ class CandidateSearchResult:
 DEFAULT_ORDER_BUDGET = 256  # candidate orders replayed before the search is inconclusive
 
 
-def candidate_search(trace: Trace, analysis: ConcurrencyAnalysis | None = None,
-                     order_budget: int = DEFAULT_ORDER_BUDGET,
+def candidate_search(trace: Trace, order_budget: int = DEFAULT_ORDER_BUDGET,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> CandidateSearchResult:
-    """Try every schedule induced by a topological order of the class graph.
+    """Try every schedule induced by a topological order of the class graph
+    (of the trace's one analysis, `analyze`).
 
     A cyclic class graph admits no candidate at all.  The search replays each
     candidate and keeps the first similar one; running out of budget before
     exhausting the orders is inconclusive, not a negative."""
-    analysis = analysis or analyze(trace)
+    analysis = analyze(trace)
     succ = analysis.successors(True)
     if analysis.self_loops or find_cycle(succ) is not None:
         return CandidateSearchResult(NONE_AMONG_CANDIDATES, 0)

@@ -382,7 +382,7 @@ def necessity_experiment_oracle(template: str, num_seeds: int) -> dict:
             violated = not report.all_pass
         else:
             violated = getattr(report, TEMPLATE_TARGET_FIELD[run.target]).verdict == FAIL
-        search = candidate_search(trace, report.analysis, order_budget=DEFAULT_ORDER_BUDGET,
+        search = candidate_search(trace, order_budget=DEFAULT_ORDER_BUDGET,
                                   node_budget=NECESSITY_NODE_BUDGET)
         if violated:
             counts["materialized"] += 1

@@ -711,7 +711,7 @@ def test_every_run_forks_the_scenarios_index_and_leaves_it_as_built(monkeypatch)
     for seed in range(1, 6):
         trace_of(seed)
     before_search = len(forks)
-    candidate_search(first, check_all(first).analysis)
+    candidate_search(first)
     assert len(forks) > before_search  # the search replayed candidates over the scenario
     assert any(index._cell != scenario._index._cell for index in forks)  # a robot moved cells
     # a step toward a distant robot enters blocks that the scenario's index

@@ -1,16 +1,18 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import build_trace
-from oracles import similar_oracle
+from conftest import build_trace, random_small_inputs
+from oracles import analyze_oracle, similar_oracle
 from test_checker import oracle_traces
+from test_engine import _QuarterSamples, _cell_fuzz_run, _tie_fuzz_run
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
-from robosync.checker import analyze, check_all
-from robosync.engine import Adversary, FrameSpec, Scenario, simulate
+from robosync.checker import ConcurrencyAnalysis, analyze, check_all
+from robosync.engine import RIGID, Adversary, FrameSpec, Scenario, Simulation, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.geometry import Point
-from robosync.scheduling import make_fsync_schedule
+from robosync.scheduling import make_fsync_schedule, sample_async_schedule
 from robosync.scenarios import greedy_trap_scenario, necessity_template
 from robosync.synchronizer import extract_core, run_synchronized
 from robosync.synthesis import (
@@ -201,19 +203,89 @@ def test_candidate_search_empty_trace():
     assert candidate_search(empty).verdict == SIMILAR_FOUND
 
 
+def _counted_builds(monkeypatch) -> list:
+    """The analyses built from here on, one per relation pass."""
+    built = []
+    post_init = ConcurrencyAnalysis.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ConcurrencyAnalysis, "__post_init__", counted)
+    return built
+
+
 def test_necessity_experiment_analyzes_each_trace_once(monkeypatch):
-    import robosync.checker
-    import robosync.synthesis
     from robosync.experiments import necessity_experiment
 
-    calls = []
-
-    def counted(trace):
-        calls.append(trace)
-        return analyze(trace)
-
-    monkeypatch.setattr(robosync.checker, "analyze", counted)
-    monkeypatch.setattr(robosync.synthesis, "analyze", counted)
+    built = _counted_builds(monkeypatch)
     result = necessity_experiment("serializability", 4)
     assert result["seeds"] - result["errors"] > 0
-    assert len(calls) == result["seeds"] - result["errors"]
+    assert len(built) == result["seeds"] - result["errors"]
+
+
+def test_check_then_search_builds_one_analysis_per_trace(monkeypatch):
+    # the benchmark's order: the search reads the analysis `check_all` built
+    built = _counted_builds(monkeypatch)
+    run = necessity_template("serializability", 0)
+    trace = simulate(run.scenario, run.schedule, as_controller(run.algorithm),
+                     Adversary(0, run.adversary_mode))
+    report = check_all(trace)
+    candidate_search(trace)
+    assert built == [report.analysis] and analyze(trace) is report.analysis
+    # a replaced trace is a new trace: its relations are built afresh
+    fresh = analyze(replace(trace))
+    assert len(built) == 2 and fresh is built[1] and fresh is not report.analysis
+    want = analyze_oracle(trace)
+    for f in fields(ConcurrencyAnalysis):
+        mine, theirs = getattr(fresh, f.name), getattr(want, f.name)
+        if isinstance(theirs, dict):
+            mine, theirs = list(mine.items()), list(theirs.items())
+        assert mine == theirs, f.name
+
+
+def _checked_and_searched(run):
+    """The trace `run()` gives and its `check_all` report, after a candidate
+    search of it, or None if the run raises SimulationError.  The budgets are
+    small: these properties concern raising and replay, not search depth."""
+    try:
+        trace = run()
+    except SimulationError:
+        return None
+    report = check_all(trace, 2000)
+    candidate_search(trace, order_budget=8, node_budget=2000)
+    return trace, report
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 599), horizon=st.sampled_from([8.0, 20.0]))
+def test_a_random_async_run_is_checked_searched_and_replayed(seed, horizon):
+    # a run gives a trace or a SimulationError; checking and searching its
+    # trace raise nothing; and a trace that passes all five checks replays
+    # similar from its natural order (the sufficiency direction)
+    scenario, spec = random_small_inputs(seed, max_robots=8)
+    schedule = sample_async_schedule(seed, scenario.n, horizon)
+    checked = _checked_and_searched(lambda: simulate(
+        scenario, schedule, as_controller(spec), Adversary(seed, "nonrigid")))
+    if checked is None:
+        return
+    trace, report = checked
+    if report.all_pass:
+        assert similar(trace, replay_plan(scenario, build_plan(trace, report.natural_order)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 999), ties=st.booleans())
+def test_a_tied_or_cell_boundary_run_is_checked_and_searched(seed, ties):
+    # the engine tests' tie and cell fuzz runs: a trace or a SimulationError,
+    # and no raise from the checks or the search.  Sufficiency is not asserted
+    # here: at these runs some traces pass all five checks and yet replay
+    # dissimilar, or not at all, from their natural order
+    if ties:
+        scenario, schedule, controller, mode = _tie_fuzz_run(seed)
+        adversary = Adversary(seed, mode)
+    else:
+        scenario, schedule, controller = _cell_fuzz_run(seed)
+        adversary = _QuarterSamples(seed, RIGID)
+    _checked_and_searched(lambda: Simulation(scenario, schedule, controller, adversary).run())
