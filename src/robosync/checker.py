@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import Trace
 from .geometry import is_visible
@@ -53,20 +54,49 @@ class ConcurrencyAnalysis:
     def __post_init__(self) -> None:
         # one JSON list per cycle id, which every witness and report naming
         # the cycle shares (a lattice trace names each cycle in thousands of
-        # witnesses), so those lists are read-only.  Not a field: `==` and
-        # `dataclasses.fields` ignore it
+        # witnesses), so those lists are read-only.  Neither it nor the kept
+        # class graph (`class_graph`) is a field: `==` and `dataclasses.fields`
+        # ignore both
         self.id_lists: dict[CycleId, list[int]] = _IdLists()
+        self._class_graph: ClassGraph | None = None
 
     @property
     def num_classes(self) -> int:
         return len(self.classes)
 
-    def successors(self, include_horizon: bool = True) -> list[set[int]]:
-        succ: list[set[int]] = [set() for _ in self.classes]
-        for (k, k2), firm in self.class_edges.items():
-            if firm or include_horizon:
-                succ[k].add(k2)
-        return succ
+    def class_graph(self) -> ClassGraph:
+        """The class graph and its first cycles, built at the first call and
+        kept.  The serializability check, the naturality search and the
+        candidate search all read it, so a trace checked and then searched
+        walks its graph once; one whose serializability fails on a firm
+        self-loop never calls this."""
+        if self._class_graph is None:
+            succ = _successors(self, True)
+            cycle = find_cycle(succ)
+            # the firm edges are a subset: without a cycle over all edges
+            # they have none
+            firm_cycle = None if cycle is None else find_cycle(_successors(self, False))
+            self._class_graph = ClassGraph(succ, cycle, firm_cycle)
+        return self._class_graph
+
+
+class ClassGraph(NamedTuple):
+    """`succ[k]`: class k's direct successors over all edges (shared, so
+    tuples).  `cycle` and `firm_cycle`: the first cycle `find_cycle` meets
+    over all edges and over the firm edges alone, self-loops aside, or None
+    (shared, so read-only)."""
+    succ: tuple[tuple[int, ...], ...]
+    cycle: list[int] | None
+    firm_cycle: list[int] | None
+
+
+def _successors(analysis: ConcurrencyAnalysis, include_horizon: bool
+                ) -> tuple[tuple[int, ...], ...]:
+    succ: list[list[int]] = [[] for _ in analysis.classes]
+    for (k, k2), firm in analysis.class_edges.items():
+        if firm or include_horizon:
+            succ[k].append(k2)
+    return tuple(map(tuple, succ))
 
 
 def analyze(trace: Trace) -> ConcurrencyAnalysis:
@@ -244,23 +274,34 @@ def check_consistent(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResult
     return CheckResult(FAIL if witnesses else PASS, witnesses)
 
 
-def check_serializable(analysis: ConcurrencyAnalysis) -> CheckResult:
-    """The class precedence graph must be acyclic.  A cycle that exists only
-    thanks to beyond-prefix assumptions is reported open-at-horizon, and so
-    is a self-loop whose class holds no firm within-class pair.  A self-loop
-    is named [k, k], ahead of any longer cycle."""
+def _class_loop(analysis: ConcurrencyAnalysis) -> tuple[str, list[int]] | None:
+    """The class graph's loop that decides serializability, as (FAIL or OPEN,
+    the loop), or None when the graph is acyclic.  A firm self-loop comes
+    first, then a firm longer cycle; a loop resting on beyond-prefix bounds
+    alone is open, a self-loop named [k, k] ahead of any longer cycle."""
     loops = analysis.self_loops
     for k, firm in loops.items():
         if firm:
-            return CheckResult(FAIL, [{"class_cycle": [k, k]}])
+            return FAIL, [k, k]
+    graph = analysis.class_graph()
     k = next(iter(loops), None)
-    cycle_all = find_cycle(analysis.successors(True)) if k is None else [k, k]
+    cycle_all = graph.cycle if k is None else [k, k]
     if cycle_all is None:
+        return None
+    if graph.firm_cycle is not None:
+        return FAIL, graph.firm_cycle
+    return OPEN, cycle_all
+
+
+def check_serializable(analysis: ConcurrencyAnalysis) -> CheckResult:
+    """The class precedence graph must be acyclic.  A cycle that exists only
+    thanks to beyond-prefix assumptions is reported open-at-horizon, and so
+    is a self-loop whose class holds no firm within-class pair."""
+    loop = _class_loop(analysis)
+    if loop is None:
         return CheckResult(PASS)
-    cycle_firm = find_cycle(analysis.successors(False))
-    if cycle_firm is not None:
-        return CheckResult(FAIL, [{"class_cycle": cycle_firm}])
-    return CheckResult(OPEN, [{"class_cycle": cycle_all}])
+    verdict, cycle = loop
+    return CheckResult(verdict, [{"class_cycle": list(cycle)}])
 
 
 # -- naturality --------------------------------------------------------------
@@ -302,12 +343,18 @@ def find_natural_sort(trace: Trace, analysis: ConcurrencyAnalysis,
     """Search the topological orders of the class graph for one satisfying
     both naturality clauses, and return the verdict with that order.  Running
     out of orders fails, with the first violation met; hitting the node budget
-    is open-at-horizon (a satisfying order may exist beyond it)."""
-    if analysis.self_loops:
-        return CheckResult(FAIL), None
+    is open-at-horizon (a satisfying order may exist beyond it).  A class
+    graph with a loop has no order: a firm loop fails, and one resting on
+    beyond-prefix bounds alone is open (whether any order exists depends on
+    unmaterialized cycles)."""
+    loop = _class_loop(analysis)
+    if loop is not None:
+        if loop[0] == FAIL:
+            return CheckResult(FAIL, [{"reason": "class graph is cyclic"}]), None
+        return CheckResult(OPEN, [{"reason": "precedence loop open at horizon"}]), None
     sample: list = []
     try:
-        for order in topological_orders(analysis.successors(True), node_budget):
+        for order in topological_orders(analysis.class_graph().succ, node_budget):
             violations = _natural_violations(trace, analysis.classes, order)
             if not violations:
                 return CheckResult(PASS), [analysis.classes[k] for k in order]
@@ -383,15 +430,7 @@ def check_all(trace: Trace, node_budget: int = DEFAULT_NODE_BUDGET) -> Condition
     consistent = check_consistent(trace, analysis)
     serializable = check_serializable(analysis)
 
-    natural_order = None
-    if serializable.verdict == FAIL:
-        natural = CheckResult(FAIL, [{"reason": "class graph is cyclic"}])
-    elif serializable.verdict == OPEN:
-        # the only precedence loops rest on beyond-prefix bounds; whether any
-        # order exists depends on unmaterialized cycles
-        natural = CheckResult(OPEN, [{"reason": "precedence loop open at horizon"}])
-    else:
-        natural, natural_order = find_natural_sort(trace, analysis, node_budget)
+    natural, natural_order = find_natural_sort(trace, analysis, node_budget)
 
     propositions = {}
     if stationary.ok and aligned.ok and consistent.ok:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checker import DEFAULT_NODE_BUDGET, CycleId, analyze
-from .engine import Adversary, Scenario, Simulation, Trace, RIGID
+from .engine import Adversary, CycleRecord, Scenario, Simulation, Trace, RIGID
 from .errors import InputError, SimulationError
 from .geometry import Point, Route, same_points
-from .orders import BudgetExhausted, find_cycle, topological_orders
+from .orders import BudgetExhausted, topological_orders
 from .scheduling import Cycle, Schedule, round_cycle
 
 SIMILARITY_EPS = 1e-9
@@ -41,23 +41,32 @@ class SsyncPlan:
         }
 
 
+def _round_schedule(n: int, order: list[list[CycleId]]) -> Schedule:
+    """Class k's members Look in round k (`round_cycle`); each robot's
+    cycles are numbered in the order they are scheduled."""
+    robots: list[list[Cycle]] = [[] for _ in range(n)]
+    for k, cls in enumerate(order):
+        for i, _ in sorted(cls):
+            robots[i].append(round_cycle(i, len(robots[i]) + 1, k))
+    return Schedule(n=n, horizon=float(len(order)), robots=robots)
+
+
 def build_plan(trace: Trace, order: list[list[CycleId]]) -> SsyncPlan:
-    """Schedule class k's members in round k (`round_cycle`).  The order must
-    list every cycle of the trace, by the positions `trace.record` indexes,
-    exactly once; whether the replay is similar is for the caller to check."""
+    """Schedule class k's members in round k (`_round_schedule`).  The order
+    must list every cycle of the trace, by the positions `trace.record`
+    indexes, exactly once; whether the replay is similar is for the caller to
+    check."""
     ids = {(i, j) for i, row in enumerate(trace.records) for j in range(1, len(row) + 1)}
     listed = [c for cls in order for c in cls]
     if set(listed) != ids or len(listed) != len(ids):
         raise InputError("class order does not cover the trace's cycles exactly")
-    robots: list[list[Cycle]] = [[] for _ in range(trace.n)]
+    scheduled = [0] * trace.n  # per robot, its cycles scheduled so far
     targets: dict[tuple[int, int], Point] = {}
-    for k, cls in enumerate(order):
+    for cls in order:
         for (i, j) in sorted(cls):
-            jnew = len(robots[i]) + 1
-            robots[i].append(round_cycle(i, jnew, k))
-            targets[(i, jnew)] = trace.record(i, j).pos_after_move
-    schedule = Schedule(n=trace.n, horizon=float(len(order)), robots=robots)
-    return SsyncPlan(order, schedule, targets)
+            scheduled[i] += 1
+            targets[(i, scheduled[i])] = trace.record(i, j).pos_after_move
+    return SsyncPlan(order, _round_schedule(trace.n, order), targets)
 
 
 class _PlanController:
@@ -71,8 +80,11 @@ class _PlanController:
     def verdict(self, own_color, seen_colors):
         return None, True
 
+    def target(self, robot: int, j: int, here: Point, snapshot: tuple[Point, ...]) -> Point:
+        return self.targets[(robot, j)]
+
     def route(self, robot, j, here, frame, snapshot):
-        target = self.targets[(robot, j)]
+        target = self.target(robot, j, here, snapshot)
         return Route.stay_put(here) if target == here else Route((here, target))
 
 
@@ -83,6 +95,21 @@ def replay_plan(scenario: Scenario, plan: SsyncPlan) -> Trace:
     trace = sim.run()
     trace.kind = "replay"
     return trace
+
+
+def _look_differs(source: CycleRecord, here: Point, snapshot: tuple[Point, ...]) -> str | None:
+    """Which of a Look's footprint and local snapshot differ from the source
+    record's, footprint first, or None when both agree within
+    SIMILARITY_EPS.  Equal positions or equal snapshot tuples agree within
+    any eps, so an exact replay costs one comparison per field and
+    `same_points` runs only where they differ."""
+    pa = source.pos_at_look
+    if pa != here and not same_points((pa,), (here,), SIMILARITY_EPS):
+        return "footprint"
+    sa = source.snapshot_local
+    if sa != snapshot and not same_points(sa, snapshot, SIMILARITY_EPS):
+        return "snapshot"
+    return None
 
 
 @dataclass
@@ -98,12 +125,11 @@ class SimilarityResult:
 
 
 def similar(source: Trace, replayed: Trace) -> SimilarityResult:
-    """Cycle-for-cycle equality of Look positions and local snapshots.
+    """Cycle-for-cycle equality of Look positions and local snapshots
+    (`_look_differs`), robot-major; the witness names the first difference.
 
     This per-index equality implies equality of the footprint and snapshot
-    sets and is what the replay construction guarantees.  Equal positions or
-    equal snapshot tuples agree within any eps, so an exact replay costs one
-    comparison per field and `same_points` runs only where they differ."""
+    sets and is what the replay construction guarantees."""
     if source.n != replayed.n:
         raise InputError("traces cover different robot counts")
     for i in range(source.n):
@@ -112,16 +138,16 @@ def similar(source: Trace, replayed: Trace) -> SimilarityResult:
                 "robot": i, "reason": "cycle count",
                 "source": len(source.records[i]), "replay": len(replayed.records[i])})
         for j, (ra, rb) in enumerate(zip(source.records[i], replayed.records[i]), start=1):
-            pa, pb = ra.pos_at_look, rb.pos_at_look
-            if pa != pb and not same_points((pa,), (pb,), SIMILARITY_EPS):
+            pb, sb = rb.pos_at_look, rb.snapshot_local
+            reason = _look_differs(ra, pb, sb)
+            if reason == "footprint":
                 return SimilarityResult(False, {
-                    "robot": i, "j": j, "reason": "footprint",
-                    "source": pa.as_pair(), "replay": pb.as_pair()})
-            sa, sb = ra.snapshot_local, rb.snapshot_local
-            if sa != sb and not same_points(sa, sb, SIMILARITY_EPS):
+                    "robot": i, "j": j, "reason": reason,
+                    "source": ra.pos_at_look.as_pair(), "replay": pb.as_pair()})
+            if reason == "snapshot":
                 return SimilarityResult(False, {
-                    "robot": i, "j": j, "reason": "snapshot",
-                    "source": sorted(p.as_pair() for p in sa),
+                    "robot": i, "j": j, "reason": reason,
+                    "source": sorted(p.as_pair() for p in ra.snapshot_local),
                     "replay": sorted(p.as_pair() for p in sb)})
     return SimilarityResult(True)
 
@@ -143,32 +169,63 @@ class CandidateSearchResult:
 DEFAULT_ORDER_BUDGET = 256  # candidate orders replayed before the search is inconclusive
 
 
+class _LookDiffers(SimulationError):
+    """A candidate's replayed Look differs from the source's: the candidate
+    cannot be similar."""
+
+
+class _JudgingController(_PlanController):
+    """The candidate search's replay controller: it judges each Look as the
+    engine hands it over (`here` and `snapshot` are what the replay's record
+    stores as `pos_at_look` and `snapshot_local`) and raises `_LookDiffers`
+    at the first one that differs from the source's.  In every order the
+    search tries, each robot's cycles keep their order (j -> j+1 is an edge,
+    so a class holding two cycles of one robot gives a self-loop or a class
+    cycle, and either ends the search first), so replay cycle (i, j) is
+    source cycle (i, j) and heads for its recorded destination."""
+
+    def __init__(self, source: Trace):
+        self.records = source.records
+
+    def target(self, robot: int, j: int, here: Point, snapshot: tuple[Point, ...]) -> Point:
+        record = self.records[robot][j - 1]
+        if _look_differs(record, here, snapshot):
+            raise _LookDiffers
+        return record.pos_after_move
+
+
 def candidate_search(trace: Trace, order_budget: int = DEFAULT_ORDER_BUDGET,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> CandidateSearchResult:
     """Try every schedule induced by a topological order of the class graph
     (of the trace's one analysis, `analyze`).
 
     A cyclic class graph admits no candidate at all.  The search replays each
-    candidate and keeps the first similar one; running out of budget before
-    exhausting the orders is inconclusive, not a negative."""
+    candidate's round schedule, judging each Look as it comes
+    (`_JudgingController`), and keeps the first whose replay completes; a
+    candidate stops at its first differing Look or engine error, and either
+    way it cannot be similar.  The verdicts are those of `replay_plan`
+    followed by `similar`, with no replay trace kept.  Running out of budget
+    before exhausting the orders is inconclusive, not a negative."""
     analysis = analyze(trace)
-    succ = analysis.successors(True)
-    if analysis.self_loops or find_cycle(succ) is not None:
+    if analysis.self_loops:
         return CandidateSearchResult(NONE_AMONG_CANDIDATES, 0)
+    succ, cycle, _ = analysis.class_graph()
+    if cycle is not None:
+        return CandidateSearchResult(NONE_AMONG_CANDIDATES, 0)
+    controller = _JudgingController(trace)
+    adversary = Adversary(seed=0, mode=RIGID)
     tried = 0
     try:
         for order in topological_orders(succ, node_budget):
             if tried >= order_budget:
                 return CandidateSearchResult(INCONCLUSIVE, tried)
             tried += 1
-            classes = [analysis.classes[k] for k in order]
             try:
-                plan = build_plan(trace, classes)
-                replayed = replay_plan(trace.scenario, plan)
+                schedule = _round_schedule(trace.n, [analysis.classes[k] for k in order])
+                Simulation(trace.scenario, schedule, controller, adversary).run()
             except (InputError, SimulationError):
-                continue  # candidate is not realizable; it cannot be similar
-            if similar(trace, replayed):
-                return CandidateSearchResult(SIMILAR_FOUND, tried)
+                continue  # a differing Look, or the candidate is not realizable
+            return CandidateSearchResult(SIMILAR_FOUND, tried)
     except BudgetExhausted:
         return CandidateSearchResult(INCONCLUSIVE, tried)
     return CandidateSearchResult(NONE_AMONG_CANDIDATES, tried)

@@ -21,7 +21,10 @@ errors `geometry.Route` must give, and a route's global image built as a
 list of whole points and then deduplicated, whose vertices and errors
 `geometry.route_to_global` must give.  And the relation pass with a bisect
 per relation, a dict comprehension for the j -> j+1 edges and a `min` per
-class, whose analysis `checker.analyze` must equal field by field.
+class, whose analysis `checker.analyze` must equal field by field.  And
+the candidate search with each candidate replayed whole and then compared
+record by record, whose verdict and count of orders tried
+`synthesis.candidate_search` must give.
 """
 from __future__ import annotations
 
@@ -29,7 +32,15 @@ import random
 from bisect import bisect_left, bisect_right
 
 from robosync.algorithms import as_controller
-from robosync.checker import FAIL, PASS, CheckResult, ConcurrencyAnalysis, check_all
+from robosync.checker import (
+    DEFAULT_NODE_BUDGET,
+    FAIL,
+    PASS,
+    CheckResult,
+    ConcurrencyAnalysis,
+    analyze,
+    check_all,
+)
 from robosync.engine import BK, Adversary, CycleRecord, Trace, simulate
 from robosync.errors import InputError, SimulationError
 from robosync.experiments import NECESSITY_NODE_BUDGET
@@ -43,6 +54,7 @@ from robosync.geometry import (
     same_points,
     squared_distance,
 )
+from robosync.orders import BudgetExhausted, find_cycle, topological_orders
 from robosync.scheduling import (
     BETWEEN_CYCLES,
     LOOK_TO_MOVE,
@@ -54,11 +66,16 @@ from robosync.scheduling import (
 from robosync.scenarios import NECESSITY_TEMPLATES, TEMPLATE_TARGET_FIELD
 from robosync.synthesis import (
     DEFAULT_ORDER_BUDGET,
+    INCONCLUSIVE,
     NONE_AMONG_CANDIDATES,
     SIMILARITY_EPS,
     SIMILAR_FOUND,
+    CandidateSearchResult,
     SimilarityResult,
+    build_plan,
     candidate_search,
+    replay_plan,
+    similar,
 )
 
 CycleId = tuple[int, int]
@@ -356,6 +373,41 @@ def similar_oracle(source: Trace, replayed: Trace) -> SimilarityResult:
                     "source": sorted(p.as_pair() for p in ra.snapshot_local),
                     "replay": sorted(p.as_pair() for p in rb.snapshot_local)})
     return SimilarityResult(True)
+
+
+# -- the candidate search, each candidate replayed whole, then compared --------
+
+def candidate_search_oracle(trace: Trace, order_budget: int = DEFAULT_ORDER_BUDGET,
+                            node_budget: int = DEFAULT_NODE_BUDGET
+                            ) -> CandidateSearchResult:
+    """`synthesis.candidate_search` with each candidate built as a plan
+    (`build_plan`), replayed to its end (`replay_plan`) and then compared
+    record by record (`similar`), over successor sets built here from the
+    class edges; the same budgets, and the same exceptions mean the
+    candidate cannot be similar."""
+    analysis = analyze(trace)
+    succ: list[set[int]] = [set() for _ in analysis.classes]
+    for k, k2 in analysis.class_edges:
+        succ[k].add(k2)
+    if analysis.self_loops or find_cycle(succ) is not None:
+        return CandidateSearchResult(NONE_AMONG_CANDIDATES, 0)
+    tried = 0
+    try:
+        for order in topological_orders(succ, node_budget):
+            if tried >= order_budget:
+                return CandidateSearchResult(INCONCLUSIVE, tried)
+            tried += 1
+            classes = [analysis.classes[k] for k in order]
+            try:
+                plan = build_plan(trace, classes)
+                replayed = replay_plan(trace.scenario, plan)
+            except (InputError, SimulationError):
+                continue
+            if similar(trace, replayed):
+                return CandidateSearchResult(SIMILAR_FOUND, tried)
+    except BudgetExhausted:
+        return CandidateSearchResult(INCONCLUSIVE, tried)
+    return CandidateSearchResult(NONE_AMONG_CANDIDATES, tried)
 
 
 # -- necessity sweep, each template rebuilt at every seed ----------------------

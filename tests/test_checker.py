@@ -17,6 +17,7 @@ from oracles import (
     natural_violations,
     stationary_oracle,
 )
+from robosync import checker
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.checker import (
     FAIL,
@@ -239,15 +240,20 @@ def test_open_at_horizon_two_cycle():
     report = check_all(trace)
     assert report.consistent.verdict == PASS
     assert report.natural.verdict == OPEN
+    assert find_natural_sort(trace, analyze(trace)) == (report.natural, None)
+
+
+def _horizon_self_loop_trace():
+    """Seed 191 of the small random inputs at async horizon 20: class 8's only
+    within-class precedence pair rests on robot 1's next move start, which
+    lies past the prefix, and no longer class cycle is firm."""
+    scenario, spec = random_small_inputs(191)
+    return simulate(scenario, sample_async_schedule(191, scenario.n, 20.0),
+                    as_controller(spec), Adversary(191, "nonrigid"))
 
 
 def test_a_self_loop_on_horizon_only_pairs_is_open_at_horizon():
-    # seed 191 of the small random inputs at async horizon 20: class 8's only
-    # within-class precedence pair rests on robot 1's next move start, which
-    # lies past the prefix, and no longer class cycle is firm
-    scenario, spec = random_small_inputs(191)
-    trace = simulate(scenario, sample_async_schedule(191, scenario.n, 20.0),
-                     as_controller(spec), Adversary(191, "nonrigid"))
+    trace = _horizon_self_loop_trace()
     analysis = analyze(trace)
     assert [p for p in analysis.hb_pairs
             if analysis.class_of[p[0]] == analysis.class_of[p[1]]] == [((0, 6), (1, 6), True)]
@@ -276,6 +282,45 @@ def test_a_self_loop_fails_only_on_a_firm_within_class_pair(self_loops, class_ed
     result = check_serializable(analysis)
     assert result.verdict == verdict
     assert result.witnesses == ([{"class_cycle": class_cycle}] if class_cycle else [])
+
+
+@pytest.mark.parametrize("trace, verdict, reason", [
+    (_horizon_self_loop_trace, OPEN, "precedence loop open at horizon"),
+    (lambda: run_template("serializability", 0), FAIL, "class graph is cyclic"),  # [0, 1, 0]
+    (lambda: run_template("consistency", 0), FAIL, "class graph is cyclic"),      # [0, 0]
+], ids=["horizon-self-loop", "firm-cycle", "firm-self-loop"])
+def test_natural_sort_of_a_class_graph_with_a_loop(trace, verdict, reason):
+    # called on its own, the search reports a loop as `check_all` does: a
+    # loop resting on beyond-prefix bounds alone stays open
+    trace = trace()
+    natural, order = find_natural_sort(trace, analyze(trace))
+    assert natural.to_json() == {"verdict": verdict, "witnesses": [{"reason": reason}]}
+    assert order is None
+    assert check_all(trace).natural == natural
+
+
+def lattice16_halt_trace():
+    """Sixteen halt robots on a 4x4 lattice of spacing 0.6, about 500 cycles."""
+    scenario = Scenario([Point(0.6 * (k % 4), 0.6 * (k // 4)) for k in range(16)],
+                        [FrameSpec()] * 16, 0.25)
+    return simulate(scenario, sample_async_schedule(0, 16, 100.0),
+                    as_controller(AlgorithmSpec(HALT)), Adversary(0, "nonrigid"))
+
+
+def test_a_firm_self_loop_builds_no_class_graph(monkeypatch):
+    # serializability fails on a firm self-loop before any walk of the class
+    # graph, and the naturality search does not start
+    def refuse(*args):
+        raise AssertionError("the class graph was walked")
+
+    monkeypatch.setattr(checker, "find_cycle", refuse)
+    monkeypatch.setattr(checker, "topological_orders", refuse)
+    trace = lattice16_halt_trace()
+    report = check_all(trace)
+    analysis = report.analysis
+    assert len(analysis.cycles) > 400 and True in analysis.self_loops.values()
+    assert report.serializable.verdict == FAIL and report.natural.verdict == FAIL
+    assert getattr(analysis, "_class_graph", None) is None
 
 
 def test_natural_sort_single_class_is_trivial():
@@ -616,7 +661,7 @@ def test_natural_violations_match_the_scan_oracle():
         if analysis.self_loops:
             continue  # find_natural_sort never searches these
         try:
-            for order in topological_orders(analysis.successors(True), 2000):
+            for order in topological_orders(analysis.class_graph().succ, 2000):
                 found = _natural_violations(trace, analysis.classes, order)
                 assert found == natural_violations(trace, analysis.classes, order)
                 clauses.update(v["clause"] for v in found)

@@ -4,18 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import build_trace, random_small_inputs
-from oracles import analyze_oracle, similar_oracle
-from test_checker import oracle_traces
+from oracles import analyze_oracle, candidate_search_oracle, similar_oracle
+from test_checker import oracle_traces, random_trace, run_template
 from test_engine import _QuarterSamples, _cell_fuzz_run, _tie_fuzz_run
+from robosync import checker, synthesis
 from robosync.algorithms import HALT, AlgorithmSpec, as_controller
 from robosync.checker import ConcurrencyAnalysis, analyze, check_all
 from robosync.engine import RIGID, Adversary, FrameSpec, Scenario, Simulation, simulate
 from robosync.errors import InputError, SimulationError
-from robosync.geometry import Point
+from robosync.geometry import Point, same_points
+from robosync.orders import topological_orders
 from robosync.scheduling import make_fsync_schedule, sample_async_schedule
-from robosync.scenarios import greedy_trap_scenario, necessity_template
+from robosync.scenarios import NECESSITY_TEMPLATES, greedy_trap_scenario, necessity_template
 from robosync.synchronizer import extract_core, run_synchronized
 from robosync.synthesis import (
+    DEFAULT_ORDER_BUDGET,
     NONE_AMONG_CANDIDATES,
     INCONCLUSIVE,
     SIMILAR_FOUND,
@@ -203,6 +206,112 @@ def test_candidate_search_empty_trace():
     assert candidate_search(empty).verdict == SIMILAR_FOUND
 
 
+def _search_corpus():
+    """The necessity templates at seeds 0..199 and the checker's oracle
+    traces (flipped copies included)."""
+    traces = []
+    for name in sorted(NECESSITY_TEMPLATES):
+        for seed in range(200):
+            try:
+                traces.append(run_template(name, seed))
+            except SimulationError:
+                pass
+    return traces + oracle_traces()
+
+
+def test_candidate_search_matches_the_whole_replay_oracle():
+    # each budget meets every verdict; order budgets 1 and 2 reach the
+    # inconclusive branch
+    verdicts = set()
+    for trace in _search_corpus():
+        for order_budget in (DEFAULT_ORDER_BUDGET, 1, 2):
+            got = candidate_search(trace, order_budget)
+            assert got == candidate_search_oracle(trace, order_budget)
+            verdicts.add((order_budget, got.verdict))
+    assert len(verdicts) == 9
+
+
+def _looks_until_the_first_difference(trace) -> tuple[int, int]:
+    """The Looks the replay of the first class order runs up to and
+    including its first one that differs from the source's, in the engine's
+    order (by round, then robot), and the number of Looks in all."""
+    analysis = analyze(trace)
+    first = next(topological_orders(analysis.class_graph().succ, 100))
+    classes = [analysis.classes[k] for k in first]
+    replayed = replay_plan(trace.scenario, build_plan(trace, classes))
+    looks = sorted((rec.cycle.o, rec.cycle.robot, rec.cycle.j)
+                   for row in replayed.records for rec in row)
+    for count, (_, i, j) in enumerate(looks, start=1):
+        source, replay = trace.record(i, j), replayed.record(i, j)
+        if not (same_points((source.pos_at_look,), (replay.pos_at_look,), SIMILARITY_EPS)
+                and same_points(source.snapshot_local, replay.snapshot_local, SIMILARITY_EPS)):
+            return count, len(looks)
+    raise AssertionError("the first order replays similar")
+
+
+@pytest.mark.parametrize("trace, first_look, looks", [
+    (lambda: run_template("stationarity", 0), 2, 2),  # differs in round 1, the last
+    (lambda: random_trace(5), 2, 6),                  # differs in round 1 of 6 Looks
+], ids=["stationarity-0", "small-random-5"])
+def test_the_search_stops_a_candidate_at_its_first_differing_look(monkeypatch, trace,
+                                                                  first_look, looks):
+    trace = trace()
+    assert _looks_until_the_first_difference(trace) == (first_look, looks)
+    routed = []
+    route = synthesis._JudgingController.route
+
+    def counted(self, robot, j, *args):
+        routed.append((robot, j))
+        return route(self, robot, j, *args)
+
+    monkeypatch.setattr(synthesis._JudgingController, "route", counted)
+    result = candidate_search(trace, order_budget=1)
+    assert (result.verdict, result.orders_tried) == (INCONCLUSIVE, 1)
+    assert len(routed) == first_look
+
+
+def test_candidate_search_writes_no_replay_and_no_witness(monkeypatch):
+    traces = _search_corpus()[::10]
+    want = [candidate_search_oracle(trace) for trace in traces]
+    assert {w.verdict for w in want} == {SIMILAR_FOUND, NONE_AMONG_CANDIDATES, INCONCLUSIVE}
+
+    def refuse(*args):
+        raise AssertionError("the candidate search called a whole-replay step")
+
+    for name in ("build_plan", "replay_plan", "similar"):
+        monkeypatch.setattr(synthesis, name, refuse)
+    assert [candidate_search(trace) for trace in traces] == want
+
+
+@pytest.mark.parametrize("template, built_for, verdict", [
+    ("control", [True], SIMILAR_FOUND),                             # acyclic
+    ("serializability", [True, False], NONE_AMONG_CANDIDATES),      # a firm cycle
+])
+def test_check_then_search_builds_the_class_graph_once(monkeypatch, template, built_for,
+                                                       verdict):
+    # successor tuples over all edges, and over firm edges only when there
+    # is a cycle, each built and searched for a cycle once
+    built, walked = [], []
+    successors, find_cycle = checker._successors, checker.find_cycle
+
+    def counted_successors(analysis, include_horizon):
+        built.append(include_horizon)
+        return successors(analysis, include_horizon)
+
+    def counted_find_cycle(succ):
+        walked.append(succ)
+        return find_cycle(succ)
+
+    monkeypatch.setattr(checker, "_successors", counted_successors)
+    monkeypatch.setattr(checker, "find_cycle", counted_find_cycle)
+    trace = run_template(template, 0)
+    report = check_all(trace)
+    assert candidate_search(trace).verdict == verdict
+    assert built == built_for and len(walked) == len(built_for)
+    succ = report.analysis.class_graph().succ
+    assert walked[0] is succ and all(isinstance(row, tuple) for row in succ)
+
+
 def _counted_builds(monkeypatch) -> list:
     """The analyses built from here on, one per relation pass."""
     built = []
@@ -248,13 +357,16 @@ def test_check_then_search_builds_one_analysis_per_trace(monkeypatch):
 def _checked_and_searched(run):
     """The trace `run()` gives and its `check_all` report, after a candidate
     search of it, or None if the run raises SimulationError.  The budgets are
-    small: these properties concern raising and replay, not search depth."""
+    small: these properties concern raising and replay, not search depth.
+    The search gives what the whole-replay oracle gives: at these runs some
+    candidates' replays raise, before or after their first differing Look."""
     try:
         trace = run()
     except SimulationError:
         return None
     report = check_all(trace, 2000)
-    candidate_search(trace, order_budget=8, node_budget=2000)
+    assert candidate_search(trace, order_budget=8, node_budget=2000) == \
+        candidate_search_oracle(trace, order_budget=8, node_budget=2000)
     return trace, report
 
 
