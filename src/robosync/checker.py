@@ -312,8 +312,10 @@ def _natural_violations(trace: Trace, classes: list[list[CycleId]],
     (empty list if none).  Every order searched places a robot's cycles at
     strictly increasing positions (j -> j+1 is an edge and self-loops end the
     search), so robot i2's cycle straddling position p is the one after the
-    last it has at or before p.  A clause whose straddling cycle lies beyond
-    the prefix is skipped."""
+    last it has at or before p.  When that cycle lies beyond the prefix,
+    clause 1 is skipped and clause 2 tests the point where the replay leaves
+    i2, its last `pos_after_move` or its initial position; the witness then
+    names i2's next, unrecorded cycle."""
     pos = [0] * len(classes)
     for p, k in enumerate(order):
         pos[k] = p
@@ -325,14 +327,19 @@ def _natural_violations(trace: Trace, classes: list[list[CycleId]],
         for a in cls:
             rec = trace.record(*a)
             for i2 in range(trace.n):
-                j2 = bisect_right(placed[i2], pos[k])
-                if i2 == a[0] or j2 == len(placed[i2]):
+                if i2 == a[0]:
                     continue
-                other = trace.records[i2][j2]
+                row = trace.records[i2]
+                j2 = bisect_right(placed[i2], pos[k])
                 if i2 in rec.visible_set:
-                    if not rec.cycle.o < other.cycle.o:
+                    if j2 < len(row) and not rec.cycle.o < row[j2].cycle.o:
                         return [{"cycle": list(a), "other": [i2, j2 + 1], "clause": 1}]
-                elif is_visible(rec.pos_at_look, other.pos_at_look):
+                    continue
+                if j2 < len(row):
+                    there = row[j2].pos_at_look
+                else:
+                    there = row[-1].pos_after_move if row else trace.scenario.initial_positions[i2]
+                if is_visible(rec.pos_at_look, there):
                     return [{"cycle": list(a), "other": [i2, j2 + 1], "clause": 2}]
     return []
 

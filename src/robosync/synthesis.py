@@ -42,31 +42,28 @@ class SsyncPlan:
 
 
 def _round_schedule(n: int, order: list[list[CycleId]]) -> Schedule:
-    """Class k's members Look in round k (`round_cycle`); each robot's
-    cycles are numbered in the order they are scheduled."""
+    """Class k's members Look in round k (`round_cycle`), each as its source
+    cycle (i, j), so `Schedule` refuses an order that breaks a robot's cycle
+    order."""
     robots: list[list[Cycle]] = [[] for _ in range(n)]
     for k, cls in enumerate(order):
-        for i, _ in sorted(cls):
-            robots[i].append(round_cycle(i, len(robots[i]) + 1, k))
+        for i, j in sorted(cls):
+            robots[i].append(round_cycle(i, j, k))
     return Schedule(n=n, horizon=float(len(order)), robots=robots)
 
 
 def build_plan(trace: Trace, order: list[list[CycleId]]) -> SsyncPlan:
     """Schedule class k's members in round k (`_round_schedule`).  The order
     must list every cycle of the trace, by the positions `trace.record`
-    indexes, exactly once; whether the replay is similar is for the caller to
-    check."""
+    indexes, exactly once, each robot's in j order (else `InputError`);
+    whether the replay is similar is for the caller to check."""
     ids = {(i, j) for i, row in enumerate(trace.records) for j in range(1, len(row) + 1)}
     listed = [c for cls in order for c in cls]
     if set(listed) != ids or len(listed) != len(ids):
         raise InputError("class order does not cover the trace's cycles exactly")
-    scheduled = [0] * trace.n  # per robot, its cycles scheduled so far
-    targets: dict[tuple[int, int], Point] = {}
-    for cls in order:
-        for (i, j) in sorted(cls):
-            scheduled[i] += 1
-            targets[(i, scheduled[i])] = trace.record(i, j).pos_after_move
-    return SsyncPlan(order, _round_schedule(trace.n, order), targets)
+    schedule = _round_schedule(trace.n, order)
+    targets = {(i, j): trace.record(i, j).pos_after_move for i, j in listed}
+    return SsyncPlan(order, schedule, targets)
 
 
 class _PlanController:
@@ -178,11 +175,9 @@ class _JudgingController(_PlanController):
     """The candidate search's replay controller: it judges each Look as the
     engine hands it over (`here` and `snapshot` are what the replay's record
     stores as `pos_at_look` and `snapshot_local`) and raises `_LookDiffers`
-    at the first one that differs from the source's.  In every order the
-    search tries, each robot's cycles keep their order (j -> j+1 is an edge,
-    so a class holding two cycles of one robot gives a self-loop or a class
-    cycle, and either ends the search first), so replay cycle (i, j) is
-    source cycle (i, j) and heads for its recorded destination."""
+    at the first one that differs from the source's.  Replay cycle (i, j) is
+    source cycle (i, j) (`_round_schedule`), so it heads for its recorded
+    destination."""
 
     def __init__(self, source: Trace):
         self.records = source.records

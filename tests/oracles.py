@@ -233,8 +233,9 @@ def consistency_oracle(trace: Trace, analysis: ConcurrencyAnalysis) -> CheckResu
 def natural_violations(trace: Trace, classes: list[list[CycleId]],
                        order: list[int]) -> list:
     """The first violation of the two naturality clauses under a class order
-    (empty list if none).  A clause whose straddling cycle lies beyond the
-    prefix is skipped."""
+    (empty list if none).  When the straddling cycle lies beyond the prefix,
+    clause 1 is skipped and clause 2 tests the robot's rest point after its
+    last cycle, naming its next, unrecorded cycle."""
     pos = {k: p for p, k in enumerate(order)}
     cycle_pos: dict[CycleId, int] = {}
     for k, cls in enumerate(classes):
@@ -252,14 +253,17 @@ def natural_violations(trace: Trace, classes: list[list[CycleId]],
                 if cycle_pos[(i2, j2)] > k:
                     jprime = j2
                     break
-            if jprime is None:
-                continue
             if _sees(trace, a, i2):
-                if not rec.cycle.o < trace.record(i2, jprime).cycle.o:
+                if jprime is not None and \
+                        not rec.cycle.o < trace.record(i2, jprime).cycle.o:
                     violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 1})
             else:
-                sq = squared_distance(rec.pos_at_look,
-                                      trace.record(i2, jprime).pos_at_look)
+                if jprime is None:
+                    jprime = len(trace.records[i2]) + 1
+                    there = point_at(trace, i2, float("inf"))
+                else:
+                    there = trace.record(i2, jprime).pos_at_look
+                sq = squared_distance(rec.pos_at_look, there)
                 if sq <= 1.0:
                     violations.append({"cycle": list(a), "other": [i2, jprime], "clause": 2})
             if violations:

@@ -84,6 +84,9 @@ ENTRIES: list[tuple[str, list[str]]] = [
     ("malformed-schedule", ["simulate", "--scenario", "builtin:necessity-control",
                             "--algo", "halt", "--schedule", "{tmp}/bad-schedule.json"]),
     ("unwritable-out", ["check", "{tmp}/clean-trace.json", "--out", "{tmp}"]),
+    # every violating run stops inconclusive after its first candidate: exit 3
+    ("necessity-order-budget-1", ["necessity", "--template", "stationarity", "--seeds", "40",
+                                  "--order-budget", "1"]),
 ]
 
 

@@ -343,23 +343,38 @@ def test_natural_sort_none_when_reentry_unseen():
     assert natural.witnesses[0]["clause"] == 2
 
 
-def test_natural_sort_fails_when_a_seen_look_is_placed_later():
-    # records constructed directly: robot 3 (Look at 1.9) joins robot 0's
-    # class through robot 1; robot 0 saw robot 2 and ended before robot 2's
-    # Look at 1.5, so the only order places robot 2's cycle after the class,
-    # though robot 3 saw robot 2 and Looked later (clause 1)
-    trace = build_trace([(0, 0), (-0.9, 0), (0.9, 0), (0, 0.3)], [
+def _seen_look_placed_later(moves):
+    """Robot 3 (Look at 1.9) joins robot 0's class through robot 1; robot 0
+    saw robot 2 and ended before robot 2's Look at 1.5, so the only order
+    places robot 2's cycle after the class, though robot 3 saw robot 2 and
+    Looked later (clause 1).  `moves` gives robots their destinations."""
+    rows = [
         [{"t": (0.0, 1.0, 1.1), "sees": {1, 2}}],
         [{"t": (0.9, 2.0, 2.1), "sees": {3}}],
         [{"t": (1.5, 1.95, 2.5)}],
         [{"t": (1.9, 2.2, 2.3), "sees": {2}}],
-    ])
+    ]
+    for i, after in moves.items():
+        rows[i][0]["after"] = after
+    trace = build_trace([(0, 0), (-0.9, 0), (0.9, 0), (0, 0.3)], rows)
     analysis = analyze(trace)
     assert analysis.classes == [[(0, 1), (1, 1), (3, 1)], [(2, 1)]]
     assert analysis.class_edges == {(0, 1): True}
     natural, order = find_natural_sort(trace, analysis)
     assert natural.verdict == FAIL and order is None
-    assert natural.witnesses == [{"cycle": [3, 1], "other": [2, 1], "clause": 1}]
+    return natural.witnesses
+
+
+def test_natural_sort_fails_when_a_seen_look_is_placed_later():
+    # records constructed directly; robot 3 rests 0.3 from robot 0's Look
+    # unseen, so clause 2 against its next, unrecorded cycle comes first
+    assert _seen_look_placed_later({}) == [{"cycle": [0, 1], "other": [3, 2], "clause": 2}]
+
+
+def test_natural_sort_meets_clause_1_once_the_class_ends_out_of_range():
+    # the same Looks, but robots 0, 1 and 3 end out of each other's range
+    witnesses = _seen_look_placed_later({0: (0, -2), 1: (-2, 0), 3: (0, 1.5)})
+    assert witnesses == [{"cycle": [3, 1], "other": [2, 1], "clause": 1}]
 
 
 def test_natural_sort_budget_inconclusive():

@@ -397,6 +397,10 @@ FLAG_CASES = {
     'snapshot_colors of ["Bk"] for three points':
         _trap_first_record("greedy", snapshot_colors=["Bk"]),
     "visible_set of [] (svp)": _trap_first_record("svp", visible_set=[]),
+    'snapshot coordinate of "0" (svp)':
+        _trap_first_record("svp", snapshot_local=[["0", 0.0], [0.0, 1.0], [1.0, 0.0]]),
+    "mid-move arc of NaN (svp)":
+        _trap_first_record("svp", mid_move_samples=[[0.875, float("nan")]]),
     "snapshot_local of []": _first_record(snapshot_local=[]),
     # `check` never reads a snapshot point or a sample, so these are refused at load
     "snapshot coordinate of NaN": _first_record(snapshot_local=[[float("nan"), 0.0]]),
@@ -412,6 +416,12 @@ FLAG_CASES = {
     "out path in a missing directory":
         lambda trace: ["check", trace, "--out", trace.parent / "missing" / "report.json"],
     "out path is a directory": lambda trace: [*CONTROL, "--out", trace.parent],
+    "synthesize out path is a directory":
+        lambda trace: ["synthesize", trace, "--out", trace.parent],
+    "repro out path is a directory":
+        lambda trace: ["repro", "greedy-lemma", "--out", trace.parent],
+    "sweep out path is a directory":
+        lambda trace: ["sweep", "--seeds", "1", "--horizon", "20", "--out", trace.parent],
 }
 
 

@@ -52,6 +52,8 @@ def test_build_plan_single_robot():
     assert [(c.o, c.s, c.f) for c in plan.schedule.robots[0]] == \
            [(0.0, 0.25, 0.75), (1.0, 1.25, 1.75)]
     assert plan.targets == {(0, 1): Point(0.25, 0), (0, 2): Point(0.5, 0)}
+    with pytest.raises(InputError, match="not consecutive"):  # out of cycle order
+        build_plan(trace, [[(0, 2)], [(0, 1)]])
 
 
 def test_build_plan_requires_full_coverage():
@@ -391,13 +393,48 @@ def test_a_random_async_run_is_checked_searched_and_replayed(seed, horizon):
 @given(seed=st.integers(0, 999), ties=st.booleans())
 def test_a_tied_or_cell_boundary_run_is_checked_and_searched(seed, ties):
     # the engine tests' tie and cell fuzz runs: a trace or a SimulationError,
-    # and no raise from the checks or the search.  Sufficiency is not asserted
-    # here: at these runs some traces pass all five checks and yet replay
-    # dissimilar, or not at all, from their natural order
+    # and no raise from the checks or the search.  A tie run that passes all
+    # five checks replays similar from its natural order; a cell run may not,
+    # as a natural-order replay can bring a pair into the visibility
+    # threshold band at an instant the async run never had
     if ties:
         scenario, schedule, controller, mode = _tie_fuzz_run(seed)
         adversary = Adversary(seed, mode)
     else:
         scenario, schedule, controller = _cell_fuzz_run(seed)
         adversary = _QuarterSamples(seed, RIGID)
-    _checked_and_searched(lambda: Simulation(scenario, schedule, controller, adversary).run())
+    checked = _checked_and_searched(
+        lambda: Simulation(scenario, schedule, controller, adversary).run())
+    if ties and checked is not None and checked[1].all_pass:
+        trace, report = checked
+        assert similar(trace, replay_plan(scenario, build_plan(trace, report.natural_order)))
+
+
+def test_tie_fuzz_seed_111_refuses_an_order_that_leaves_a_robot_in_range():
+    # robot 1's last cycle (1, 3) placed before robot 2's third cycle leaves
+    # robot 1 resting 0.71 from robot 2's Look, which did not see it: the
+    # first order fails clause 2 against robot 1's next, unrecorded cycle.
+    # The fifth order passes both clauses and replays similar, as the
+    # candidate search finds
+    scenario, schedule, controller, mode = _tie_fuzz_run(111)
+    trace = Simulation(scenario, schedule, controller, Adversary(111, mode)).run()
+    analysis = analyze(trace)
+    first = next(topological_orders(analysis.class_graph().succ, 2000))
+    assert checker._natural_violations(trace, analysis.classes, first) == [
+        {"cycle": [2, 3], "other": [1, 4], "clause": 2}]
+    report = check_all(trace, 2000)
+    assert report.all_pass
+    assert similar(trace, replay_plan(scenario, build_plan(trace, report.natural_order)))
+    assert candidate_search(trace, order_budget=8, node_budget=2000).to_json() == {
+        "verdict": SIMILAR_FOUND, "orders_tried": 5}
+
+
+def test_tie_fuzz_seed_128_fails_naturality():
+    # no order passes both clauses once clause 2 tests where the replay
+    # leaves a robot with no later cycle; skipping that robot passed this
+    # trace, whose natural-order replay is not similar
+    scenario, schedule, controller, mode = _tie_fuzz_run(128)
+    trace = Simulation(scenario, schedule, controller, Adversary(128, mode)).run()
+    report = check_all(trace, 2000)
+    assert report.natural.to_json() == {"verdict": "fail", "witnesses": [
+        {"cycle": [0, 3], "other": [1, 4], "clause": 2}]}
