@@ -24,7 +24,11 @@ values; `extract_core` copies records shallowly, so a core record carries
 the pending draw, still bound to the luminous cycle's (robot, j) although
 the core re-indexes j.  A synchronizer run rejects most cycles, so its
 engine skips most keyed draws (each seeds a `random.Random`) and frame
-rotations; `to_json` reads every field, and so makes them all.
+rotations; `to_json` reads every field, and so makes them all.  A run's
+records hold each repeated value once: its one frozenset of each visible
+set, and its one `(t, 0.0)` of each Look time, which every stay-put sample
+at t is.  A loaded record keeps its snapshot and samples as two arrays of
+floats until their first read.
 
 Robots must never collide, and at a Look no pair may sit in the ambiguity
 band around the visibility threshold.  The check is incremental: at each
@@ -48,9 +52,11 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from typing import Protocol
 
 from .errors import CollisionError, DegenerateScenarioError, InputError, SimulationError
@@ -267,6 +273,13 @@ def _inside(looks: list[float], cycle: Cycle) -> list[float]:
     return looks[bisect_right(looks, cycle.s):bisect_left(looks, cycle.f)]
 
 
+def _rest_samples(rests: dict[float, tuple[float, float]],
+                  times: list[float]) -> tuple[tuple[float, float], ...]:
+    """The samples of a cycle that stays put, one `(t, 0.0)` per Look time
+    inside its move: the run's one object of each, made at its first use."""
+    return tuple([rests.get(t) or rests.setdefault(t, (t, 0.0)) for t in times])
+
+
 class _BuiltAtFirstRead:
     """`CycleRecord.visible_set`, `snapshot_local`, `snapshot_colors`,
     `route_global`, `mid_move_samples` and `z`.
@@ -278,17 +291,19 @@ class _BuiltAtFirstRead:
     - a pending draw, `_draw = (adversary, robot, j)`, of a record whose
       Look drew no z: the read makes the draw and refuses it outside [0, 1];
     - what a rejected cycle's Look saw, `_seen`: the run's shared visible
-      sets and Look times and the arguments of `_local_snapshot`, with the
-      colors read at the Look, since they change later.  The visible set is
-      built from the robots seen and stored as the run's one object of it
-      (`Simulation._visible_sets`), either snapshot field builds both, the
-      route is the stay-put route at `pos_at_look`, and the samples put one
-      at arc 0 at each Look time inside the move; a field already set on the
-      record (as `_core_record` sets the colors) is kept;
-    - a loaded record's checked JSON rows, `_rows = (snapshot rows, sample
-      rows)`: the snapshot and the samples, as floats, the values
-      `json_point` and `float` give.  Building a field drops its half of
-      `_rows` (None), and building both drops `_rows`."""
+      sets, Look times and rest samples (the tables, never the `Simulation`,
+      which the record must not keep alive), and the arguments of
+      `_local_snapshot`, with the colors read at the Look, since they change
+      later.  The visible set is built from the robots seen and stored as
+      the run's one object of it (`Simulation._visible_sets`), either
+      snapshot field builds both, the route is the stay-put route at
+      `pos_at_look`, and the samples are the run's one `(t, 0.0)` of each
+      Look time inside the move (`_rest_samples`); a field already set on
+      the record (as `_core_record` sets the colors) is kept;
+    - a loaded record's checked coordinates, `_rows = (snapshot, samples)`,
+      each an `array("d")` of its rows flattened: the points and the
+      `(t, u)` pairs are built from them.  Building a field drops its half
+      of `_rows` (None), and building both drops `_rows`."""
 
     def __init__(self, *default):
         self.default = default  # () or (the dataclass default,)
@@ -308,21 +323,23 @@ class _BuiltAtFirstRead:
         elif rec._rows is not None:  # a loaded record: the snapshot or the samples
             points, samples = rec._rows
             if name == "snapshot_local":
-                value = tuple([Point(float(x), float(y)) for x, y in points])
+                coords = iter(points)
+                value = tuple([Point(x, y) for x, y in zip(coords, coords)])
                 points = None
             else:
-                value = tuple([(float(t), float(u)) for t, u in samples])
+                coords = iter(samples)
+                value = tuple(zip(coords, coords))
                 samples = None
             rec._rows = None if points is None and samples is None else (points, samples)
         else:
-            shared, looks, frame, seen, *colors = rec._seen
+            shared, looks, rests, frame, seen, *colors = rec._seen
             if name == "visible_set":
                 value = _visible(rec.cycle.robot, seen)
                 value = shared.setdefault(value, value)
             elif name == "route_global":
                 value = Route.stay_put(rec.pos_at_look)
             elif name == "mid_move_samples":
-                value = tuple((t, 0.0) for t in _inside(looks, rec.cycle))
+                value = _rest_samples(rests, _inside(looks, rec.cycle))
             else:
                 points, snapshot_colors = _local_snapshot(frame, seen, *colors)
                 fields = rec.__dict__
@@ -348,7 +365,7 @@ class CycleRecord:
     color_before: str | None = None
     color_after: str | None = None
     accepted: bool | None = None
-    _rows = None  # a loaded record's checked JSON rows (`from_json`); not a field
+    _rows = None  # a loaded record's checked coordinates (`from_json`); not a field
 
     def to_json(self) -> dict:
         robot, j, o, s, f = self.cycle
@@ -378,9 +395,10 @@ class CycleRecord:
 
         Every field is checked here, in one order, so malformed input is
         refused at load.  The snapshot and the mid-move samples, which no
-        check reads, are kept as their checked JSON rows and built at their
-        first read (`_BuiltAtFirstRead`): the record keeps references to
-        those rows of `data`, which must not change after."""
+        check reads, are kept as two `array("d")` of their checked
+        coordinates, the values `float` gives (8 bytes a number, every bit
+        kept), and built at their first read (`_BuiltAtFirstRead`): the
+        record holds no row list of `data`."""
         c = data["cycle"]
         points = json_point_rows(data["snapshot_local"], "snapshot point")
         colors = None
@@ -411,7 +429,8 @@ class CycleRecord:
         record.color_after = (json_choice(data["color_after"], "color_after", COLORS)
                               if "color_after" in data else None)
         record.accepted = data.get("accepted")
-        record._rows = (points, samples)
+        record._rows = (array("d", chain.from_iterable(points)),
+                        array("d", chain.from_iterable(samples)))
         if cycle.robot not in visible:
             raise InputError(f"cycle {cycle.ident} does not see its own robot: "
                              f"visible_set {sorted(visible)}")
@@ -520,7 +539,9 @@ class Simulation:
 
     A run holds few distinct visible sets (a halt run on a lattice, one per
     robot), so its records share the run's one frozenset of each: an
-    accepted Look stores it, and a rejected record at its first read.
+    accepted Look stores it, and a rejected record at its first read.  Its
+    stay-put samples share the run's one `(t, 0.0)` of each Look time t in
+    the same way.
     """
 
     def __init__(self, scenario: Scenario, schedule: Schedule,
@@ -541,6 +562,8 @@ class Simulation:
         self._recheck: list[int] = []  # robots to test again at the next Look
         # set -> the one object of it that the run's records share
         self._visible_sets: dict[frozenset[int], frozenset[int]] = {}
+        # Look time t -> the one `(t, 0.0)` that the run's stay-put samples share
+        self._rests: dict[float, tuple[float, float]] = {}
 
     def run(self) -> Trace:
         # instant -> (the cycles that Look then, the robots whose move ends
@@ -695,17 +718,17 @@ class Simulation:
             if obs_times and realized > 0.0:
                 arcs = sorted(f * realized for f in self.adversary.draw_observation_fractions(
                     robot, j, len(obs_times)))
+                record.mid_move_samples = tuple(zip(obs_times, arcs, strict=True))
             else:  # no Look inside, or every fraction of nothing is 0: nothing to draw
-                arcs = [0.0] * len(obs_times)
-            record.mid_move_samples = tuple(zip(obs_times, arcs, strict=True))
+                record.mid_move_samples = _rest_samples(self._rests, obs_times)
             record.snapshot_colors = snapshot_colors
         record.color_before = own_color
         record.color_after = color_after
         record.accepted = accepted if luminous else None
         record._draw = (self.adversary, robot, j)  # z, at its first read
         if not accepted:
-            record._seen = (self._visible_sets, self._look_times, frame, seen,
-                            own_color, colors)
+            record._seen = (self._visible_sets, self._look_times, self._rests, frame,
+                            seen, own_color, colors)
         self.records[robot].append(record)
         return realized > 0.0
 

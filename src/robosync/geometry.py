@@ -28,7 +28,7 @@ CELL_SIDE = 1.01
 EPS = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     x: float
     y: float

@@ -358,32 +358,54 @@ def test_trace_json_round_trip():
 
 
 def test_a_loaded_record_lets_go_of_each_row_list_once_built():
-    # a loaded record keeps each JSON row list only until the field built
-    # from it is read, so a loaded trace's `to_json` holds no row twice
+    # a loaded record holds no JSON row list of `data`, only two arrays of
+    # its checked coordinates, and drops each once the field built from it
+    # is read, so a loaded trace's `to_json` holds no row twice
     scenario, spec = random_vicinity_scenario(0)
     trace = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 60.0),
                              Adversary(0, NONRIGID))
     data = json.loads(json.dumps(trace.to_json()))
     again = Trace.from_json(data)
 
-    def holds(rec, rows):
+    def holds_a_row_list(rec, row_lists):
         return any(v is rows or (type(v) is tuple and any(x is rows for x in v))
-                   for v in vars(rec).values())
+                   for v in vars(rec).values() for rows in row_lists)
 
     sampled = 0
     for k, (rec, row) in enumerate(zip(all_records(again),
                                        [r for rows in data["records"] for r in rows])):
         points, samples = row["snapshot_local"], row.get("mid_move_samples", [])
+        row_lists = [points, samples, *points, *samples]
         sampled += bool(samples)
-        first, second = (points, samples) if k % 2 else (samples, points)
-        assert holds(rec, first) and holds(rec, second)
-        getattr(rec, "snapshot_local" if first is points else "mid_move_samples")
-        assert not holds(rec, first) and holds(rec, second)
-        getattr(rec, "snapshot_local" if second is points else "mid_move_samples")
-        assert not holds(rec, first) and not holds(rec, second)
+        assert not holds_a_row_list(rec, row_lists)
+        assert [a.itemsize for a in rec._rows] == [8, 8]
+        assert [list(a) for a in rec._rows] == \
+            [[v for p in points for v in p], [v for s in samples for v in s]]
+        half = k % 2  # which field is read first
+        getattr(rec, ("snapshot_local", "mid_move_samples")[half])
+        assert rec._rows[half] is None and rec._rows[1 - half] is not None
+        assert not holds_a_row_list(rec, row_lists)
+        getattr(rec, ("snapshot_local", "mid_move_samples")[1 - half])
         assert rec._rows is None
+        assert not holds_a_row_list(rec, row_lists)
     assert sampled
     assert again.to_json() == data
+
+
+def test_a_loaded_record_builds_every_coordinate_bit_for_bit():
+    # the arrays keep the bits `float` gives: the sign of -0.0, JSON integers,
+    # and an integer that rounds (2**53 + 1 reads as 2**53)
+    pairs = [[-0.0, 0], [3, 2**53 + 1], [0, -0.0], [2**53 + 1, 3]]
+    data = json.loads(json.dumps(_mid_move_setup(4).to_json()))
+    rows = [r for row in data["records"] for r in row]
+    for r in rows:
+        r["snapshot_local"] = [pairs[k % 4] for k in range(len(r["snapshot_local"]))]
+        r["mid_move_samples"] = pairs
+    loaded = Trace.from_json(data)
+    for rec, r in zip(all_records(loaded), rows):
+        built = [(p.x, p.y) for p in rec.snapshot_local] + list(rec.mid_move_samples)
+        assert [v.hex() for pair in built for v in pair] == \
+            [float(v).hex() for pair in r["snapshot_local"] + pairs for v in pair]
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
@@ -418,6 +440,16 @@ def test_records_share_one_object_per_distinct_visible_set():
         assert len({id(v) for v in sets}) == len(set(sets)) == 16
     assert [r.visible_set for r in all_records(loaded)] == \
         [r.visible_set for r in all_records(run)]
+    # the stay-put samples hold one `(t, 0.0)` per Look time, also on a
+    # luminous run whose rejected records build theirs after the run
+    scenario, spec = random_vicinity_scenario(0)
+    luminous = run_synchronized(scenario, spec, sample_async_schedule(0, scenario.n, 60.0),
+                                Adversary(0, NONRIGID))
+    luminous.to_json()
+    for trace in (run, luminous):
+        rests = [sample for rec in all_records(trace) for sample in rec.mid_move_samples
+                 if sample[1] == 0.0]
+        assert len({id(sample) for sample in rests}) == len({t for t, _ in rests}) > 0
 
 
 def test_rejected_records_share_the_run_visible_sets():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -50,6 +53,21 @@ def test_visibility_threshold_is_closed():
     assert not is_visible(Point(0, 0), Point(0, 1.001))
     assert not is_threshold_degenerate(Point(0, 0), Point(0, 1))
     assert is_threshold_degenerate(Point(0, 0), Point(1.0 + 2e-10, 0))
+
+
+def test_a_point_is_a_frozen_slotted_value():
+    p = Point(0.5, -0.0)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.x = 1.0
+    for again in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert again == p and math.copysign(1.0, again.y) == -1.0
+    assert repr(p) == "Point(x=0.5, y=-0.0)"
+    assert p == Point(0.5, 0.0) and hash(p) == hash(Point(0.5, 0.0))
+    assert Point(0.5, 0.0) != Point(-0.5, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="non-finite point"):
+            Point(0.0, bad)
 
 
 def test_truncated_length_examples():
